@@ -4,11 +4,10 @@ PR 10's tentpole claim: the substrate got 10-100x bigger without changing
 a single observable result.  This benchmark drives a smartdust-scale
 world -- constant-density random placement, random-waypoint mobility on
 20% of the fleet, periodic local broadcasts with loss and energy
-accounting, battery deaths -- under two kernel configurations:
+accounting, battery deaths -- under two topology indexes:
 
-* **baseline**: binary-heap event list + dense O(n^2) adjacency
-  (the pre-PR-10 kernel), and
-* **optimized**: calendar-queue event list + grid-hash spatial index.
+* **baseline**: dense O(n^2) adjacency, and
+* **optimized**: grid-hash spatial index.
 
 Both run the *identical* workload at the largest common size and must
 produce **bit-identical** state: per-node delivery counts, battery
@@ -16,7 +15,7 @@ arrays, final positions, and every monitor counter are folded into one
 digest and compared exactly.  The optimized kernel must also be >= 5x
 faster end to end -- the wall-clock numbers (``wall_clock_per_sim_second``,
 ``events_per_wall_second``, ``topology_recompute_ms``) land in
-``BENCH_results.json`` keyed by variant/queue/worker count so the
+``BENCH_results.json`` keyed by variant/worker count so the
 tolerance-0 determinism gates never compare wall clock across runs.
 
 Scale knobs (env):
@@ -24,8 +23,6 @@ Scale knobs (env):
 * ``E7XL_N``       -- fleet size (default 10,000; go to 100,000 for the
   full XL run -- the optimized variant runs at full size, the dense
   baseline stays at the largest common size it can hold).
-* ``E7XL_QUEUE``   -- event list for the optimized variant (default
-  ``calendar``; CI also runs ``heap`` and compares at tolerance 0).
 * ``E7XL_SIM_S``   -- simulated seconds (default 4).
 * ``E7XL_PROFILE_DIR`` -- when set, per-variant HookProfiler exports are
   written there for ``python -m repro.observability.profile --diff``.
@@ -54,7 +51,6 @@ from repro.simkernel import Monitor, RandomStreams, Simulator
 
 N_NODES = int(os.environ.get("E7XL_N", "10000"))
 COMMON_N = min(N_NODES, 10_000)   # largest size the dense baseline runs at
-QUEUE = os.environ.get("E7XL_QUEUE", "calendar")
 SIM_S = float(os.environ.get("E7XL_SIM_S", "4"))
 SEED = 7
 
@@ -78,12 +74,12 @@ def _area_m(n: int) -> float:
 def run_world(spec):
     """One kernel configuration over the full mobility+broadcast workload."""
     p = spec.params
-    n, queue, index = p["n"], p["queue"], p["index"]
+    n, index = p["n"], p["index"]
     streams = RandomStreams(spec.seed)
     area = _area_m(n)
     positions = random_positions(n, area, streams.get("placement"))
     topology = Topology(positions, RANGE_M, index=index)
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     profiler = None
     if spec.profile:
         profiler = HookProfiler()
@@ -171,12 +167,11 @@ def run_world(spec):
 
 def test_e7xl_kernel_scale(benchmark, table, once, record, workers):
     cells = [
-        {"variant": "baseline", "n": COMMON_N, "queue": "heap", "index": "dense"},
-        {"variant": "optimized", "n": COMMON_N, "queue": QUEUE, "index": "grid"},
+        {"variant": "baseline", "n": COMMON_N, "index": "dense"},
+        {"variant": "optimized", "n": COMMON_N, "index": "grid"},
     ]
     if N_NODES > COMMON_N:
-        cells.append({"variant": "xl", "n": N_NODES, "queue": QUEUE,
-                      "index": "grid"})
+        cells.append({"variant": "xl", "n": N_NODES, "index": "grid"})
     specs = cell_specs(cells, seed=SEED, profile=True)
     sweep = once(benchmark, lambda: run_trials(run_world, specs,
                                                workers=workers))
@@ -197,13 +192,13 @@ def test_e7xl_kernel_scale(benchmark, table, once, record, workers):
     # -- the tentpole claims ------------------------------------------
     assert COMMON_N >= 10_000, "E7-XL must exercise >= 10k nodes"
     assert base["digest"] == opt["digest"], (
-        "heap+dense vs calendar+grid must be bit-identical: delivery "
+        "dense vs grid index must be bit-identical: delivery "
         "counts, batteries, positions or counters diverged")
     assert base["deliveries"] == opt["deliveries"] > 0
     assert base["node_deaths"] > 0, "workload must exercise battery deaths"
     speedup = base["wall_s"] / opt["wall_s"]
     assert speedup >= 5.0, (
-        f"calendar+grid must be >= 5x faster than heap+dense at "
+        f"the grid index must be >= 5x faster than dense at "
         f"n={COMMON_N}; got {speedup:.1f}x "
         f"({base['wall_s']:.2f}s vs {opt['wall_s']:.2f}s)")
 
@@ -220,7 +215,7 @@ def test_e7xl_kernel_scale(benchmark, table, once, record, workers):
                 with open(path, "w", encoding="utf-8") as fh:
                     json.dump(doc, fh)
 
-    # -- deterministic rows: identical for any queue/index/workers ----
+    # -- deterministic rows: identical for any index/workers ----------
     record("E7XL", "deliveries", float(opt["deliveries"]), unit="1",
            direction="higher", seed=SEED, n=COMMON_N, sim_s=SIM_S)
     record("E7XL", "events_executed", float(opt["events_executed"]),
@@ -230,25 +225,24 @@ def test_e7xl_kernel_scale(benchmark, table, once, record, workers):
     record("E7XL", "node_deaths", opt["node_deaths"], unit="1",
            direction="either", seed=SEED, n=COMMON_N, sim_s=SIM_S)
 
-    # -- wall-clock rows: keyed by variant + the whole run config
-    #    (run_queue/workers), so tolerance-0 determinism gates comparing
-    #    runs with different configs never see them as shared -----------
+    # -- wall-clock rows: keyed by variant + worker count, so the
+    #    tolerance-0 serial-vs-parallel gate never sees them as shared ---
     for name, variant in (("baseline", base), ("optimized", opt)):
         record("E7XL", "wall_clock_per_sim_second", variant["wall_per_sim_s"],
                unit="s/s", direction="lower", variant=name,
-               run_queue=QUEUE, n=variant["n"], workers=sweep.workers,
+               n=variant["n"], workers=sweep.workers,
                sim_s=SIM_S)
         record("E7XL", "events_per_wall_second", variant["events_per_wall_s"],
                unit="1/s", direction="higher", variant=name,
-               run_queue=QUEUE, n=variant["n"], workers=sweep.workers,
+               n=variant["n"], workers=sweep.workers,
                sim_s=SIM_S)
         record("E7XL", "topology_recompute_ms",
                variant["topology_recompute_ms"], unit="ms",
                direction="lower", variant=name,
-               run_queue=QUEUE, n=variant["n"], workers=sweep.workers,
+               n=variant["n"], workers=sweep.workers,
                sim_s=SIM_S)
     record("E7XL", "speedup_vs_heap_dense", speedup, unit="x",
-           direction="higher", run_queue=QUEUE, n=COMMON_N,
+           direction="higher", n=COMMON_N,
            workers=sweep.workers, sim_s=SIM_S)
 
     if "xl" in by_variant:
@@ -256,5 +250,5 @@ def test_e7xl_kernel_scale(benchmark, table, once, record, workers):
         record("E7XL", "deliveries", float(xl["deliveries"]), unit="1",
                direction="higher", seed=SEED, n=xl["n"], sim_s=SIM_S)
         record("E7XL", "wall_clock_per_sim_second", xl["wall_per_sim_s"],
-               unit="s/s", direction="lower", variant="xl", run_queue=QUEUE,
+               unit="s/s", direction="lower", variant="xl",
                n=xl["n"], workers=sweep.workers, sim_s=SIM_S)

@@ -29,7 +29,6 @@ is not the bottleneck at the scales the paper's scenarios require
 """
 
 from repro.simkernel.event import Event, EventHandle
-from repro.simkernel.eventlist import CalendarQueue, HeapEventList
 from repro.simkernel.simulator import Simulator, SimulationError
 from repro.simkernel.process import Process, Delay, Waiter, Interrupt
 from repro.simkernel.rng import RandomStreams
@@ -38,8 +37,6 @@ from repro.simkernel.monitor import Monitor, TimeSeries, Counter, Gauge, Histogr
 __all__ = [
     "Event",
     "EventHandle",
-    "CalendarQueue",
-    "HeapEventList",
     "Simulator",
     "SimulationError",
     "Process",

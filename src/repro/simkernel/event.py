@@ -6,8 +6,8 @@ explicit priority (lower runs first) and then by insertion order, which is
 what makes simulation runs bit-for-bit reproducible.
 
 Events are plain ``__slots__`` objects (not dataclasses) because they are
-the single most-allocated object in a large simulation; the event lists in
-:mod:`repro.simkernel.eventlist` recycle fired events through a free list,
+the single most-allocated object in a large simulation; the event list in
+:mod:`repro.simkernel.eventlist` recycles fired events through a free list,
 so a steady-state run allocates no new Event objects at all.  Recycling is
 made safe for outstanding :class:`EventHandle`\\ s by a generation counter:
 the handle remembers the generation it was issued against and turns into
@@ -32,18 +32,14 @@ class Event:
     """A scheduled callback.
 
     Instances are created by :meth:`repro.simkernel.simulator.Simulator.schedule`
-    rather than directly.  The ordering (``time``, ``priority``, ``seq``)
-    defines the execution order inside the event list.
+    rather than directly.  The event list keeps each event's ordering key
+    ``(time, priority, seq)`` beside it, so the event itself carries only
+    what dispatch and handles read.
 
     Attributes
     ----------
     time:
         Virtual time at which the callback fires.
-    priority:
-        Tie-break among events at the same time; lower fires first.
-    seq:
-        Global insertion sequence number; final tie-break, guaranteeing
-        FIFO order for equal (time, priority).
     callback:
         Zero-argument callable invoked when the event fires.
     cancelled:
@@ -65,42 +61,27 @@ class Event:
         already dispatched.
     """
 
-    __slots__ = ("time", "priority", "seq", "callback", "cancelled",
-                 "label", "trace_ctx", "gen", "in_queue")
+    __slots__ = ("time", "callback", "cancelled", "label", "trace_ctx",
+                 "gen", "in_queue")
 
     def __init__(
         self,
         time: float,
-        priority: int,
-        seq: int,
         callback: typing.Callable[[], None],
-        cancelled: bool = False,
         label: str = "",
         trace_ctx: typing.Any = None,
     ) -> None:
         self.time = time
-        self.priority = priority
-        self.seq = seq
         self.callback = callback
-        self.cancelled = cancelled
+        self.cancelled = False
         self.label = label
         self.trace_ctx = trace_ctx
         self.gen = 0
         self.in_queue = False
 
-    def __lt__(self, other: "Event") -> bool:
-        # hand-written lexicographic compare: called O(log n) times per
-        # push/pop, so avoiding dataclass tuple construction matters
-        if self.time != other.time:
-            return self.time < other.time
-        if self.priority != other.priority:
-            return self.priority < other.priority
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "live"
-        return (f"Event(t={self.time:.6g}, prio={self.priority}, "
-                f"seq={self.seq}, {state}, label={self.label!r})")
+        return f"Event(t={self.time:.6g}, {state}, label={self.label!r})"
 
 
 class EventHandle:
@@ -115,7 +96,7 @@ class EventHandle:
 
     __slots__ = ("_event", "_gen", "_time", "_label", "_requested", "_owner")
 
-    def __init__(self, event: Event, owner: typing.Any = None) -> None:
+    def __init__(self, event: Event, owner: typing.Any) -> None:
         self._event = event
         self._gen = event.gen
         self._time = event.time
@@ -154,8 +135,7 @@ class EventHandle:
         event = self._event
         if event.gen == self._gen and not event.cancelled:
             event.cancelled = True
-            if self._owner is not None:
-                self._owner.note_cancel(event)
+            self._owner.note_cancel(event)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"

@@ -1,41 +1,27 @@
-"""Pending-event containers for the DES kernel.
+"""The pending-event list of the DES kernel.
 
-Two interchangeable implementations of the same contract sit behind
-:class:`~repro.simkernel.simulator.Simulator`:
+One binary heap of ``(time, priority, seq, event)`` entries.  Tuples
+compare in C, and ``seq`` is unique, so the heap never compares two
+:class:`~repro.simkernel.event.Event` objects and pops follow the exact
+kernel total order ``(time, priority, seq)``.
 
-* :class:`HeapEventList` -- the classic single binary heap.  O(log n)
-  push/pop, unbeatable at small populations.
-* :class:`CalendarQueue` -- a bucketed event list (R. Brown, CACM 1988).
-  Events hash into year-of-buckets by ``floor(time / width)``; push and
-  pop touch one small per-bucket heap, giving amortised O(1) behaviour
-  when event times are spread across the calendar -- the regime a
-  10k-100k node simulation with per-hop timers lives in.
-
-Both preserve the exact kernel total order ``(time, priority, seq)``:
-for any sequence of push/pop/cancel operations the two containers yield
-bit-identical event sequences (fuzz-proven in
-``tests/simkernel/test_calendar_queue.py``).
-
-Shared mechanics
-----------------
 *Slot reuse*: fired and compacted events are recycled through a bounded
-free list (:meth:`alloc` / :meth:`recycle`), so steady-state simulation
+free list (:meth:`EventList.recycle`), so steady-state simulation
 allocates no Event objects.  Generation counters on the events keep
 outstanding :class:`~repro.simkernel.event.EventHandle` objects safe.
 
-*Cancellation accounting*: ``EventHandle.cancel`` notifies the owning
-list (:meth:`note_cancel`), so ``len(list)`` is always the number of
+*Cancellation accounting*: ``EventHandle.cancel`` notifies the list
+(:meth:`EventList.note_cancel`), so ``len(list)`` is always the number of
 *live* events -- the count monitors and dashboards want -- while
-:attr:`queued` keeps the raw entry count including tombstones.  When
-tombstones outnumber live events (and exceed a floor), the list compacts:
-cancelled entries are swept out and recycled instead of lingering until
-their virtual time arrives.
+:attr:`EventList.queued` keeps the raw entry count including tombstones.
+When tombstones outnumber live events (and exceed a floor), the list
+compacts: cancelled entries are swept out and recycled instead of
+lingering until their virtual time arrives.
 """
 
 from __future__ import annotations
 
 import heapq
-import math
 import typing
 
 from repro.simkernel.event import Event
@@ -46,37 +32,41 @@ FREELIST_MAX = 8192
 COMPACT_MIN_TOMBSTONES = 64
 
 
-class _EventListBase:
-    """Allocation, recycling and cancellation bookkeeping shared by both
-    containers.  Subclasses provide the actual ordering structure."""
+class EventList:
+    """Binary heap of pending events with lazy cancellation."""
 
     def __init__(self) -> None:
+        self._heap: list[tuple[float, int, int, Event]] = []
+        self._seq = 0
         self._live = 0
         self._tombstones = 0
         self._free: list[Event] = []
 
-    # -- slot reuse ----------------------------------------------------
-    def alloc(
+    def add(
         self,
         time: float,
         priority: int,
-        seq: int,
         callback: typing.Callable[[], None],
-        label: str = "",
-        trace_ctx: typing.Any = None,
+        label: str,
+        trace_ctx: typing.Any,
     ) -> Event:
-        """A fresh-or-recycled Event carrying the given schedule."""
+        """Queue a fresh-or-recycled Event; ties in ``(time, priority)``
+        fire in the order they were added."""
+        seq = self._seq
+        self._seq = seq + 1
         free = self._free
         if free:
             event = free.pop()
             event.time = time
-            event.priority = priority
-            event.seq = seq
             event.callback = callback
             event.label = label
             event.trace_ctx = trace_ctx
-            return event
-        return Event(time, priority, seq, callback, label=label, trace_ctx=trace_ctx)
+        else:
+            event = Event(time, callback, label, trace_ctx)
+        event.in_queue = True
+        heapq.heappush(self._heap, (time, priority, seq, event))
+        self._live += 1
+        return event
 
     def recycle(self, event: Event) -> None:
         """Return a dispatched/compacted event to the free list.
@@ -94,56 +84,15 @@ class _EventListBase:
         if len(self._free) < FREELIST_MAX:
             self._free.append(event)
 
-    # -- cancellation --------------------------------------------------
-    def note_cancel(self, event: Event) -> None:
-        """Bookkeeping hook called by ``EventHandle.cancel``."""
-        if not event.in_queue:
-            return  # already dispatched (or swept); nothing queued to count
-        self._on_cancel()
-        self._live -= 1
-        self._tombstones += 1
-        if self._tombstones > COMPACT_MIN_TOMBSTONES and self._tombstones > self._live:
-            self._compact()
-
-    def _on_cancel(self) -> None:
-        """Subclass hook run before cancel bookkeeping (cache invalidation)."""
-
-    def _compact(self) -> None:  # pragma: no cover - overridden
-        raise NotImplementedError
-
-    # -- sizes ---------------------------------------------------------
-    def __len__(self) -> int:
-        """Number of *live* (non-cancelled) queued events."""
-        return self._live
-
-    @property
-    def queued(self) -> int:  # pragma: no cover - trivial, overridden
-        """Raw entry count including cancelled tombstones."""
-        raise NotImplementedError
-
-
-class HeapEventList(_EventListBase):
-    """The classic single binary heap with lazy cancellation."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._heap: list[Event] = []
-
-    def push(self, event: Event) -> None:
-        event.in_queue = True
-        heapq.heappush(self._heap, event)
-        self._live += 1
-
     def peek(self) -> Event | None:
         """The next live event, pruning cancelled heads (no removal)."""
         heap = self._heap
         while heap:
-            head = heap[0]
+            head = heap[0][3]
             if not head.cancelled:
                 return head
             heapq.heappop(heap)
             self._tombstones -= 1
-            head.in_queue = False
             self.recycle(head)
         return None
 
@@ -157,183 +106,29 @@ class HeapEventList(_EventListBase):
         self._live -= 1
         return head
 
+    def note_cancel(self, event: Event) -> None:
+        """Bookkeeping hook called by ``EventHandle.cancel``."""
+        if not event.in_queue:
+            return  # already dispatched (or swept); nothing queued to count
+        self._live -= 1
+        self._tombstones += 1
+        if self._tombstones > COMPACT_MIN_TOMBSTONES and self._tombstones > self._live:
+            self._compact()
+
     def _compact(self) -> None:
-        live = [e for e in self._heap if not e.cancelled]
-        dead = [e for e in self._heap if e.cancelled]
-        heapq.heapify(live)  # heap order is irrelevant to pop order: the
-        self._heap = live    # (time, priority, seq) total order is strict
+        live = [entry for entry in self._heap if not entry[3].cancelled]
+        dead = [entry[3] for entry in self._heap if entry[3].cancelled]
+        heapq.heapify(live)
+        self._heap = live
         self._tombstones = 0
         for event in dead:
-            event.in_queue = False
             self.recycle(event)
 
+    def __len__(self) -> int:
+        """Number of *live* (non-cancelled) queued events."""
+        return self._live
+
     @property
     def queued(self) -> int:
+        """Raw entry count including cancelled tombstones."""
         return len(self._heap)
-
-
-class CalendarQueue(_EventListBase):
-    """Bucketed event list with amortised O(1) push/pop.
-
-    Events are placed by virtual bucket number ``floor(time / width)``
-    into ``nbuckets`` buckets (a "year" of days); each bucket is a small
-    heap so same-bucket events keep the exact kernel order.  Pop scans
-    bucket-by-bucket along the calendar from the current cursor; a full
-    fruitless year falls back to a direct min search (rare: only after
-    large time jumps).
-
-    The window membership test uses the *same* float computation as
-    placement (``floor(time / width)``), never a reconstructed
-    ``(vb + 1) * width`` bound, so placement and scan can never disagree
-    about which window an event belongs to -- this is what makes the pop
-    sequence bit-identical to the heap's under every float input.
-
-    Resizing doubles (or halves) the bucket count when the live
-    population crosses 2x (or 1/4x) the bucket count, re-estimating the
-    width from the live events' time span; resize is a pure function of
-    queue content, so runs remain deterministic.
-    """
-
-    MIN_BUCKETS = 32
-    MAX_BUCKETS = 1 << 20
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._nbuckets = self.MIN_BUCKETS
-        self._width = 1.0
-        self._buckets: list[list[Event]] = [[] for _ in range(self._nbuckets)]
-        self._vbucket = 0  # virtual (un-modded) bucket number of the cursor
-        #: Memoized result of the last scan, valid until any push/cancel/
-        #: pop mutates what the head might be (the run loop peeks then
-        #: pops, so this halves scan work on the hot path).
-        self._hot: list[Event] | None = None
-
-    # -- placement -----------------------------------------------------
-    def _vbucket_of(self, time: float) -> int:
-        return math.floor(time / self._width)
-
-    def push(self, event: Event) -> None:
-        event.in_queue = True
-        self._hot = None
-        vb = self._vbucket_of(event.time)
-        heapq.heappush(self._buckets[vb % self._nbuckets], event)
-        self._live += 1
-        if vb < self._vbucket:
-            # defensive: an event behind the cursor (e.g. pushed before
-            # the first pop with a negative start time) must stay visible
-            self._vbucket = vb
-        if self._live > 2 * self._nbuckets and self._nbuckets < self.MAX_BUCKETS:
-            self._resize()
-
-    # -- scanning ------------------------------------------------------
-    def _prune(self, bucket: list[Event]) -> None:
-        while bucket and bucket[0].cancelled:
-            head = heapq.heappop(bucket)
-            self._tombstones -= 1
-            head.in_queue = False
-            self.recycle(head)
-
-    def _scan(self) -> list[Event] | None:
-        """The bucket whose head is the globally next live event."""
-        if self._hot is not None:
-            return self._hot
-        if self._live == 0:
-            return None
-        n = self._nbuckets
-        vb = self._vbucket
-        for _ in range(n):
-            bucket = self._buckets[vb % n]
-            self._prune(bucket)
-            if bucket and self._vbucket_of(bucket[0].time) <= vb:
-                self._vbucket = vb
-                self._hot = bucket
-                return bucket
-            vb += 1
-        # a whole year without a hit: jump straight to the earliest event
-        best: list[Event] | None = None
-        for bucket in self._buckets:
-            self._prune(bucket)
-            if bucket and (best is None or bucket[0] < best[0]):
-                best = bucket
-        if best is None:
-            return None
-        self._vbucket = self._vbucket_of(best[0].time)
-        self._hot = best
-        return best
-
-    def peek(self) -> Event | None:
-        bucket = self._scan()
-        return bucket[0] if bucket else None
-
-    def pop(self) -> Event | None:
-        bucket = self._scan()
-        if not bucket:
-            return None
-        event = heapq.heappop(bucket)
-        event.in_queue = False
-        self._live -= 1
-        self._hot = None
-        if self._nbuckets > self.MIN_BUCKETS and self._live < self._nbuckets // 4:
-            self._resize()
-        return event
-
-    # -- resize & compaction -------------------------------------------
-    def _collect_live(self) -> list[Event]:
-        """Drain every bucket, recycling tombstones, returning live events."""
-        live: list[Event] = []
-        for bucket in self._buckets:
-            for event in bucket:
-                if event.cancelled:
-                    event.in_queue = False
-                    self.recycle(event)
-                else:
-                    live.append(event)
-            bucket.clear()
-        self._tombstones = 0
-        return live
-
-    def _resize(self) -> None:
-        self._hot = None
-        live = self._collect_live()
-        n = self.MIN_BUCKETS
-        while n < len(live) and n < self.MAX_BUCKETS:
-            n *= 2
-        self._nbuckets = n
-        if live:
-            lo = min(e.time for e in live)
-            hi = max(e.time for e in live)
-            span = hi - lo
-            # aim for ~one event per bucket-day across the live span; the
-            # 1e-9 floor keeps degenerate same-time populations finite
-            self._width = max(span / max(len(live), 1), 1e-9)
-            self._buckets = [[] for _ in range(n)]
-            w = self._width
-            nb = self._nbuckets
-            for event in live:
-                self._buckets[math.floor(event.time / w) % nb].append(event)
-            for bucket in self._buckets:
-                if len(bucket) > 1:
-                    heapq.heapify(bucket)
-            self._vbucket = self._vbucket_of(lo)
-        else:
-            self._width = 1.0
-            self._buckets = [[] for _ in range(n)]
-            self._vbucket = 0
-
-    def _on_cancel(self) -> None:
-        self._hot = None
-
-    def _compact(self) -> None:
-        # reuse the resize machinery: redistribution recycles tombstones
-        self._resize()
-
-    @property
-    def queued(self) -> int:
-        return self._live + self._tombstones
-
-
-#: Names accepted by ``Simulator(queue=...)``.
-EVENT_LISTS: dict[str, type[_EventListBase]] = {
-    "heap": HeapEventList,
-    "calendar": CalendarQueue,
-}

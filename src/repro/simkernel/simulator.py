@@ -3,11 +3,8 @@
 :class:`Simulator` owns the virtual clock and the pending-event list.  All
 substrates (network, sensors, grid, agents) schedule work through one
 shared ``Simulator`` so cross-subsystem causality is consistent.
-
-The pending-event container is pluggable (``queue="heap"`` or
-``queue="calendar"``, see :mod:`repro.simkernel.eventlist`); both preserve
-the exact ``(time, priority, seq)`` total order, so the choice affects
-wall-clock speed only -- never a simulation result.
+Pending events live in one :class:`~repro.simkernel.eventlist.EventList`,
+which dispatches in the exact ``(time, priority, seq)`` total order.
 """
 
 from __future__ import annotations
@@ -15,8 +12,8 @@ from __future__ import annotations
 import math
 import typing
 
-from repro.simkernel.event import Event, EventHandle, PRIORITY_NORMAL
-from repro.simkernel.eventlist import EVENT_LISTS, _EventListBase
+from repro.simkernel.event import EventHandle, PRIORITY_NORMAL
+from repro.simkernel.eventlist import EventList
 
 
 class SimulationError(RuntimeError):
@@ -30,12 +27,6 @@ class Simulator:
     ----------
     start_time:
         Initial virtual time (default ``0.0``).
-    queue:
-        Pending-event container: ``"heap"`` (default; the classic binary
-        heap) or ``"calendar"`` (bucketed calendar queue, amortised O(1)
-        per event -- the right choice for 10k+ node simulations).  Both
-        yield bit-identical event sequences; an already-constructed
-        event-list instance is also accepted.
 
     Examples
     --------
@@ -47,17 +38,9 @@ class Simulator:
     [5.0]
     """
 
-    def __init__(self, start_time: float = 0.0, queue: str | _EventListBase = "heap") -> None:
+    def __init__(self, start_time: float = 0.0) -> None:
         self._now = float(start_time)
-        if isinstance(queue, str):
-            try:
-                queue = EVENT_LISTS[queue]()
-            except KeyError:
-                raise SimulationError(
-                    f"unknown queue {queue!r}; expected one of {sorted(EVENT_LISTS)}"
-                ) from None
-        self._events: _EventListBase = queue
-        self._seq = 0
+        self._events = EventList()
         self._running = False
         self._stopped = False
         self._events_executed = 0
@@ -143,10 +126,7 @@ class Simulator:
         tracer = self.tracer
         ctx = tracer._capture() if tracer is not None and tracer.enabled else None
         events = self._events
-        event = events.alloc(float(time), priority, self._seq, callback,
-                             label=label, trace_ctx=ctx)
-        self._seq += 1
-        events.push(event)
+        event = events.add(float(time), priority, callback, label, ctx)
         return EventHandle(event, events)
 
     # ------------------------------------------------------------------

@@ -21,12 +21,12 @@ from repro.network.network import _receiver_copy
 from repro.simkernel import Monitor, RandomStreams, Simulator
 
 
-def build_flood_net(seed, *, legacy=False, queue="heap"):
+def build_flood_net(seed, *, legacy=False):
     """A lossy 50-node network where every receiver rebroadcasts once."""
     streams = RandomStreams(seed)
     pos = streams.get("pos").random((50, 2)) * 45
     topo = Topology(pos, 14.0, index="dense")
-    sim = Simulator(queue=queue)
+    sim = Simulator()
     radio = RadioModel(bandwidth_bps=250_000.0, latency_s=0.01,
                        loss_prob=0.2, range_m=14.0)
     net = WirelessNetwork(sim, topo, radio,

@@ -1,28 +1,65 @@
-"""Calendar queue vs heap: bit-identical event sequences.
+"""The kernel's event list against a brute-force reference scheduler.
 
-The calendar queue is a pure wall-clock optimization -- both event lists
-must dispatch the exact same (time, priority, seq) sequence for any
-workload, including the adversarial cases: cancellations, zero delays,
-same-time/priority ties, wide and narrow time distributions.  These tests
-are the proof the simulator's ``queue=`` knob never changes a result.
+``ReferenceSim`` keeps pending callbacks in a dict and always runs the
+minimum ``(time, priority, seq)`` live entry.  It shares no code with the
+kernel, so equal dispatch traces over randomized workloads -- nested
+scheduling, zero delays, same-time ties, cancels from inside callbacks,
+wide and narrow time distributions -- pin the kernel's total order.  The
+remaining tests pin the live/raw counts, compaction and slot reuse.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.simkernel import CalendarQueue, HeapEventList, Simulator
+from repro.simkernel import Simulator
+from repro.simkernel.event import PRIORITY_NORMAL
 from repro.simkernel.eventlist import COMPACT_MIN_TOMBSTONES
 
 
-def run_workload(queue: str, seed: int, *, n_roots: int = 60) -> list[tuple]:
-    """Drive one simulator through a randomized self-scheduling workload.
+class _RefHandle:
+    cancelled = False
+
+    def cancel(self) -> None:
+        self.cancelled = True
+
+
+class ReferenceSim:
+    """Oracle scheduler: an O(n) minimum search per dispatched event."""
+
+    def __init__(self) -> None:
+        self.now = 0.0
+        self._pending: dict[int, tuple] = {}
+        self._seq = 0
+
+    def schedule_at(self, time, callback, *, priority=PRIORITY_NORMAL):
+        handle = _RefHandle()
+        self._pending[self._seq] = (float(time), priority, callback, handle)
+        self._seq += 1
+        return handle
+
+    def schedule(self, delay, callback, *, priority=PRIORITY_NORMAL):
+        return self.schedule_at(self.now + delay, callback, priority=priority)
+
+    def run(self) -> None:
+        pending = self._pending
+        while True:
+            live = [s for s, entry in pending.items() if not entry[3].cancelled]
+            if not live:
+                return
+            seq = min(live, key=lambda s: (pending[s][0], pending[s][1], s))
+            time, _, callback, _ = pending.pop(seq)
+            self.now = time
+            callback()
+
+
+def run_workload(sim, seed: int, *, n_roots: int = 60) -> list[tuple]:
+    """Drive one scheduler through a randomized self-scheduling workload.
 
     Returns the full dispatch trace: (time, tag) per executed event.  The
     workload covers nested scheduling, priorities, zero delays, cancels
     (including cancelling from inside callbacks), and heavy same-time ties.
     """
-    sim = Simulator(queue=queue)
     rng = np.random.default_rng(seed)
     trace: list[tuple] = []
     handles: list = []
@@ -50,36 +87,40 @@ def run_workload(queue: str, seed: int, *, n_roots: int = 60) -> list[tuple]:
     return trace
 
 
+@pytest.fixture(params=["heap"])
+def sim():
+    """A fresh simulator on the kernel's binary-heap event list."""
+    return Simulator()
+
+
 class TestCalendarHeapEquivalence:
     @pytest.mark.parametrize("seed", range(8))
     def test_fuzz_bit_identical_traces(self, seed):
-        """Same seed => byte-for-byte identical dispatch under both queues."""
-        assert run_workload("heap", seed) == run_workload("calendar", seed)
+        """Same seed => byte-for-byte identical dispatch, kernel vs oracle."""
+        assert run_workload(Simulator(), seed) == run_workload(ReferenceSim(), seed)
 
     def test_same_time_priority_ties_fifo(self):
         """Ties at (time, priority) dispatch in scheduling (seq) order."""
-        for queue in ("heap", "calendar"):
-            sim = Simulator(queue=queue)
-            order = []
-            for i in range(50):
-                sim.schedule_at(3.0, lambda i=i: order.append(i), priority=5)
-            sim.run()
-            assert order == list(range(50))
+        sim = Simulator()
+        order = []
+        for i in range(50):
+            sim.schedule_at(3.0, lambda i=i: order.append(i), priority=5)
+        sim.run()
+        assert order == list(range(50))
 
     def test_zero_delay_chains(self):
         """Zero-delay events fire after the current event, FIFO."""
-        for queue in ("heap", "calendar"):
-            sim = Simulator(queue=queue)
-            order = []
+        sim = Simulator()
+        order = []
 
-            def first():
-                order.append("first")
-                sim.schedule(0.0, lambda: order.append("chained"))
+        def first():
+            order.append("first")
+            sim.schedule(0.0, lambda: order.append("chained"))
 
-            sim.schedule(1.0, first)
-            sim.schedule_at(1.0, lambda: order.append("second"))
-            sim.run()
-            assert order == ["first", "second", "chained"]
+        sim.schedule(1.0, first)
+        sim.schedule_at(1.0, lambda: order.append("second"))
+        sim.run()
+        assert order == ["first", "second", "chained"]
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -93,39 +134,28 @@ class TestCalendarHeapEquivalence:
         )
     )
     def test_property_arbitrary_times_and_priorities(self, items):
-        """Hypothesis: any (time, priority) multiset dispatches identically,
-        including pathological float times near bucket boundaries."""
-        traces = {}
-        for queue in ("heap", "calendar"):
-            sim = Simulator(queue=queue)
+        """Hypothesis: any (time, priority) multiset dispatches identically
+        on the kernel and the oracle."""
+        traces = []
+        for sim in (Simulator(), ReferenceSim()):
             trace = []
             for j, (t, pri) in enumerate(items):
-                sim.schedule_at(t, lambda j=j: trace.append((sim.now, j)),
+                sim.schedule_at(t, lambda j=j, sim=sim: trace.append((sim.now, j)),
                                 priority=pri)
             sim.run()
-            traces[queue] = trace
-        assert traces["heap"] == traces["calendar"]
+            traces.append(trace)
+        assert traces[0] == traces[1]
 
     def test_unknown_queue_rejected(self):
-        from repro.simkernel import SimulationError
-
-        with pytest.raises(SimulationError, match="unknown queue"):
-            Simulator(queue="fibonacci")
-
-    def test_instance_accepted(self):
-        sim = Simulator(queue=CalendarQueue())
-        fired = []
-        sim.schedule(1.0, lambda: fired.append(sim.now))
-        sim.run()
-        assert fired == [1.0]
+        """The kernel has one event list; there is no selector to pass."""
+        with pytest.raises(TypeError, match="queue"):
+            Simulator(queue="calendar")
 
 
 class TestPendingSemantics:
-    @pytest.mark.parametrize("queue", ["heap", "calendar"])
-    def test_pending_excludes_cancelled(self, queue):
+    def test_pending_excludes_cancelled(self, sim):
         """``pending`` is the live count; ``queued`` keeps the historical
         raw-entry semantics (tombstones included until compaction)."""
-        sim = Simulator(queue=queue)
         handles = [sim.schedule(float(i + 1), lambda: None) for i in range(10)]
         assert sim.pending == 10
         assert sim.queued == 10
@@ -138,11 +168,9 @@ class TestPendingSemantics:
         assert sim.pending == 0
         assert sim.events_executed == 6
 
-    @pytest.mark.parametrize("queue", ["heap", "calendar"])
-    def test_compaction_sweeps_tombstone_debt(self, queue):
+    def test_compaction_sweeps_tombstone_debt(self, sim):
         """Cancelling most of a large queue triggers compaction: queued
         drops back toward pending instead of holding every tombstone."""
-        sim = Simulator(queue=queue)
         n = 6 * COMPACT_MIN_TOMBSTONES
         handles = [sim.schedule(float(i + 1), lambda: None) for i in range(n)]
         for h in handles[: n - COMPACT_MIN_TOMBSTONES // 2]:
@@ -155,11 +183,9 @@ class TestPendingSemantics:
         sim.run()
         assert sim.events_executed - fired == live
 
-    @pytest.mark.parametrize("queue", ["heap", "calendar"])
-    def test_cancel_during_dispatch_of_same_event(self, queue):
+    def test_cancel_during_dispatch_of_same_event(self, sim):
         """A callback cancelling its own already-dispatched handle must not
         corrupt the live count (the event is no longer queued)."""
-        sim = Simulator(queue=queue)
         box = {}
 
         def cb():
@@ -171,9 +197,7 @@ class TestPendingSemantics:
         assert sim.pending == 0
         assert sim.events_executed == 2
 
-    @pytest.mark.parametrize("queue", ["heap", "calendar"])
-    def test_double_cancel_counts_once(self, queue):
-        sim = Simulator(queue=queue)
+    def test_double_cancel_counts_once(self, sim):
         h = sim.schedule(1.0, lambda: None)
         sim.schedule(2.0, lambda: None)
         h.cancel()
@@ -184,12 +208,10 @@ class TestPendingSemantics:
 
 
 class TestSlotReuse:
-    @pytest.mark.parametrize("queue", ["heap", "calendar"])
-    def test_handles_survive_event_recycling(self, queue):
+    def test_handles_survive_event_recycling(self, sim):
         """An EventHandle held after its event fired (and its Event object
         was recycled into a new event) must stay inert: cancel() is a
         no-op for the new occupant, and metadata still reads correctly."""
-        sim = Simulator(queue=queue)
         fired = []
         h1 = sim.schedule(1.0, lambda: fired.append("a"), label="first")
         sim.run()
@@ -203,10 +225,8 @@ class TestSlotReuse:
         assert h1.time == 1.0
         assert not h2.cancelled
 
-    @pytest.mark.parametrize("queue", ["heap", "calendar"])
-    def test_many_rounds_reuse_is_invisible(self, queue):
+    def test_many_rounds_reuse_is_invisible(self, sim):
         """Thousands of alloc/recycle cycles never change behavior."""
-        sim = Simulator(queue=queue)
         count = [0]
 
         def tick():
@@ -222,10 +242,8 @@ class TestSlotReuse:
 
 class TestCalendarInternals:
     def test_resize_preserves_order_across_growth(self):
-        """Pushing far more events than buckets forces several resizes;
-        order must survive every redistribution."""
-        q = CalendarQueue()
-        sim = Simulator(queue=q)
+        """5,000 distinct times pushed at once still fire in time order."""
+        sim = Simulator()
         rng = np.random.default_rng(11)
         times = rng.random(5000) * 1e4
         fired = []
@@ -236,8 +254,8 @@ class TestCalendarInternals:
         assert len(fired) == len(set(fired))
 
     def test_sparse_then_dense_time_distributions(self):
-        """Width re-estimation must cope with clustered-then-spread times."""
-        sim = Simulator(queue="calendar")
+        """Clustered-then-spread times keep the exact order."""
+        sim = Simulator()
         fired = []
         # dense cluster near t=1
         for i in range(200):
