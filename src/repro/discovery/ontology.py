@@ -5,6 +5,12 @@ parents allowed) supporting the reasoning the semantic matcher needs --
 subsumption, least common subsumers and a semantic distance.  The RDF/XML
 serialization of DAML is irrelevant to matching behaviour, so we model
 only the taxonomy.
+
+Reasoning reads one memoized structure per class: its *hops-up map*, the
+minimum number of parent hops from the class to itself and to each of
+its ancestors.  Its keys are the ancestor closure, and its entry for the
+root is the class's depth.  Maps are built lazily, one BFS per class,
+and :meth:`Ontology.add_class` -- the only mutator -- drops them all.
 """
 
 from __future__ import annotations
@@ -24,6 +30,7 @@ class Ontology:
         self.root = root
         self._parents: dict[str, set[str]] = {root: set()}
         self._children: dict[str, set[str]] = {root: set()}
+        self._up: dict[str, dict[str, int]] = {}  # memoized _hops_up maps
 
     # ------------------------------------------------------------------
     # construction
@@ -32,7 +39,8 @@ class Ontology:
         """Add class ``name`` under ``parents`` (default: the root).
 
         Re-adding an existing class adds any new parent edges (DAML's
-        monotone extension behaviour).  Cycles are rejected.
+        monotone extension behaviour).  Cycles are rejected.  Every new
+        edge drops the memoized reasoning; it is rebuilt on demand.
         """
         if isinstance(parents, str):
             parents = [parents]
@@ -48,6 +56,7 @@ class Ontology:
                 raise ValueError(f"adding {name!r} under {p!r} would create a cycle")
             self._parents[name].add(p)
             self._children[p].add(name)
+            self._up.clear()
 
     def has_class(self, name: str) -> bool:
         """True iff ``name`` is defined."""
@@ -70,13 +79,8 @@ class Ontology:
     # ------------------------------------------------------------------
     def ancestors(self, name: str) -> set[str]:
         """All classes subsuming ``name`` (excluding itself)."""
-        seen: set[str] = set()
-        frontier = collections.deque(self._parents[name])
-        while frontier:
-            cls = frontier.popleft()
-            if cls not in seen:
-                seen.add(cls)
-                frontier.extend(self._parents[cls])
+        seen = set(self._hops_up(name))
+        seen.remove(name)
         return seen
 
     def descendants(self, name: str) -> set[str]:
@@ -94,31 +98,20 @@ class Ontology:
         """True iff ``general`` is ``specific`` or an ancestor of it."""
         if general not in self._parents or specific not in self._parents:
             raise KeyError("unknown class")
-        return general == specific or general in self.ancestors(specific)
+        return general in self._hops_up(specific)
 
     def depth(self, name: str) -> int:
         """Shortest edge distance from the root (root is 0)."""
-        if name == self.root:
-            return 0
-        dist = {self.root: 0}
-        frontier = collections.deque([self.root])
-        while frontier:
-            cls = frontier.popleft()
-            for child in self._children[cls]:
-                if child not in dist:
-                    dist[child] = dist[cls] + 1
-                    if child == name:
-                        return dist[child]
-                    frontier.append(child)
-        raise KeyError(f"unknown class {name!r}")
+        if name not in self._parents:
+            raise KeyError(f"unknown class {name!r}")
+        return self._hops_up(name)[self.root]
 
     def least_common_subsumers(self, a: str, b: str) -> set[str]:
         """The deepest classes subsuming both ``a`` and ``b``."""
-        common = (self.ancestors(a) | {a}) & (self.ancestors(b) | {b})
-        if not common:
-            return {self.root}
-        max_depth = max(self.depth(c) for c in common)
-        return {c for c in common if self.depth(c) == max_depth}
+        common = self._hops_up(a).keys() & self._hops_up(b).keys()
+        depths = {c: self.depth(c) for c in common}
+        max_depth = max(depths.values())
+        return {c for c, d in depths.items() if d == max_depth}
 
     def distance(self, a: str, b: str) -> int:
         """Semantic distance: shortest up-down path through an LCS.
@@ -128,26 +121,27 @@ class Ontology:
         """
         if a == b:
             return 0
-        best = None
         up_a = self._hops_up(a)
         up_b = self._hops_up(b)
-        for lcs in self.least_common_subsumers(a, b):
-            d = up_a[lcs] + up_b[lcs]
-            if best is None or d < best:
-                best = d
-        assert best is not None
-        return best
+        return min(up_a[c] + up_b[c] for c in self.least_common_subsumers(a, b))
 
     def _hops_up(self, name: str) -> dict[str, int]:
-        """Min hops from ``name`` to each of its ancestors (and itself)."""
-        dist = {name: 0}
-        frontier = collections.deque([name])
-        while frontier:
-            cls = frontier.popleft()
-            for p in self._parents[cls]:
-                if p not in dist:
-                    dist[p] = dist[cls] + 1
-                    frontier.append(p)
+        """Min hops from ``name`` to each of its ancestors (and itself).
+
+        Memoized until the next :meth:`add_class`; callers must not
+        mutate the returned map.
+        """
+        dist = self._up.get(name)
+        if dist is None:
+            dist = {name: 0}
+            frontier = collections.deque([name])
+            while frontier:
+                cls = frontier.popleft()
+                for p in self._parents[cls]:
+                    if p not in dist:
+                        dist[p] = dist[cls] + 1
+                        frontier.append(p)
+            self._up[name] = dist
         return dist
 
     def related(self, a: str, b: str, min_depth: int = 2) -> bool:

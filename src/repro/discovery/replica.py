@@ -284,7 +284,8 @@ class ReplicatedRegistry:
         return [merged[n] for n in sorted(merged)]
 
     def __len__(self) -> int:
-        return len(self.services())
+        """Distinct advertisement names across up replicas."""
+        return len(set().union(*(r._services for r in self.replicas if r.up)))
 
     def search(self, request: ServiceRequest,
                top_k: int | None = None) -> list[MatchResult]:

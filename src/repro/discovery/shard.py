@@ -57,11 +57,17 @@ class ShardMap:
         ring.sort()
         self._ring_keys = [k for k, _ in ring]
         self._ring_shards = [s for _, s in ring]
+        # the ring never changes, so each category's walk is done once;
+        # bounded by the number of distinct categories ever asked about
+        self._owners: dict[str, tuple[int, ...]] = {}
 
     # ------------------------------------------------------------------
     def owners_of(self, category: str) -> tuple[int, ...]:
         """The ``replication`` distinct shards holding ``category``,
         walking clockwise from the class's ring position (primary first)."""
+        cached = self._owners.get(category)
+        if cached is not None:
+            return cached
         start = bisect.bisect_right(self._ring_keys, stable_hash(category))
         owners: list[int] = []
         n_points = len(self._ring_shards)
@@ -71,7 +77,8 @@ class ShardMap:
                 owners.append(shard)
                 if len(owners) == self.replication:
                     break
-        return tuple(owners)
+        self._owners[category] = result = tuple(owners)
+        return result
 
     def primary_of(self, category: str) -> int:
         """The first owner on the ring (deterministic tie-break home)."""

@@ -1,0 +1,159 @@
+"""Reference discovery reasoning: plain BFS walks and a per-candidate loop.
+
+The production :class:`~repro.discovery.ontology.Ontology` memoizes one
+hops-up map per class, and :meth:`SemanticMatcher.rank` consults the
+ontology once per distinct category.  The functions here are the direct
+forms those replaced -- every query walks the class graph afresh, and
+ranking evaluates each candidate independently -- so tests can assert
+the fast paths return *exactly* what these return.  They read the
+ontology's edge maps and nothing else it computes.
+"""
+
+from __future__ import annotations
+
+import collections
+
+from repro.discovery.matcher import _DEGREE_BASE, MatchDegree, MatchResult
+
+
+def ancestors(ont, name):
+    seen = set()
+    frontier = collections.deque(ont._parents[name])
+    while frontier:
+        cls = frontier.popleft()
+        if cls not in seen:
+            seen.add(cls)
+            frontier.extend(ont._parents[cls])
+    return seen
+
+
+def descendants(ont, name):
+    seen = set()
+    frontier = collections.deque(ont._children[name])
+    while frontier:
+        cls = frontier.popleft()
+        if cls not in seen:
+            seen.add(cls)
+            frontier.extend(ont._children[cls])
+    return seen
+
+
+def subsumes(ont, general, specific):
+    if general not in ont._parents or specific not in ont._parents:
+        raise KeyError("unknown class")
+    return general == specific or general in ancestors(ont, specific)
+
+
+def depth(ont, name):
+    if name == ont.root:
+        return 0
+    dist = {ont.root: 0}
+    frontier = collections.deque([ont.root])
+    while frontier:
+        cls = frontier.popleft()
+        for child in ont._children[cls]:
+            if child not in dist:
+                dist[child] = dist[cls] + 1
+                if child == name:
+                    return dist[child]
+                frontier.append(child)
+    raise KeyError(f"unknown class {name!r}")
+
+
+def least_common_subsumers(ont, a, b):
+    common = (ancestors(ont, a) | {a}) & (ancestors(ont, b) | {b})
+    if not common:
+        return {ont.root}
+    max_depth = max(depth(ont, c) for c in common)
+    return {c for c in common if depth(ont, c) == max_depth}
+
+
+def hops_up(ont, name):
+    dist = {name: 0}
+    frontier = collections.deque([name])
+    while frontier:
+        cls = frontier.popleft()
+        for p in ont._parents[cls]:
+            if p not in dist:
+                dist[p] = dist[cls] + 1
+                frontier.append(p)
+    return dist
+
+
+def distance(ont, a, b):
+    if a == b:
+        return 0
+    up_a, up_b = hops_up(ont, a), hops_up(ont, b)
+    return min(up_a[c] + up_b[c] for c in least_common_subsumers(ont, a, b))
+
+
+def related(ont, a, b, min_depth=2):
+    return any(depth(ont, c) >= min_depth for c in least_common_subsumers(ont, a, b))
+
+
+# ----------------------------------------------------------------------
+# matching
+# ----------------------------------------------------------------------
+def category_degree(ont, requested, advertised):
+    if not ont.has_class(requested) or not ont.has_class(advertised):
+        return MatchDegree.FAIL
+    if requested == advertised:
+        return MatchDegree.EXACT
+    if subsumes(ont, requested, advertised):
+        return MatchDegree.PLUGIN
+    if subsumes(ont, advertised, requested):
+        return MatchDegree.SUBSUMES
+    if related(ont, requested, advertised):
+        return MatchDegree.OVERLAP
+    return MatchDegree.FAIL
+
+
+def _io_compatibility(ont, request, service):
+    checks = passed = 0
+    for out in request.outputs:
+        checks += 1
+        passed += any(ont.has_class(o) and ont.has_class(out) and subsumes(ont, out, o)
+                      for o in service.outputs)
+    for inp in service.inputs:
+        checks += 1
+        passed += any(ont.has_class(i) and ont.has_class(inp) and subsumes(ont, inp, i)
+                      for i in request.inputs)
+    return passed / checks if checks else 1.0
+
+
+def evaluate(matcher, request, service):
+    """One candidate's degree and fuzzy score, worked out afresh."""
+    ont = matcher.ontology
+    degree = category_degree(ont, request.category, service.category)
+    if degree is MatchDegree.FAIL:
+        return MatchResult(service, degree, 0.0)
+    if any(not c.satisfied_by(service.attributes) for c in request.constraints):
+        return MatchResult(service, MatchDegree.FAIL, 0.0)
+    io_frac = _io_compatibility(ont, request, service)
+    closeness = 1.0 / (1.0 + distance(ont, request.category, service.category))
+    base = _DEGREE_BASE[degree] if matcher.use_degrees else closeness
+    score = base * (0.5 + 0.5 * closeness) * io_frac
+    return MatchResult(service, degree, min(score, 1.0))
+
+
+def rank(matcher, request, candidates, top_k=None):
+    """The ranking contract: evaluate every candidate, blend preference
+    utilities over the survivors, sort."""
+    results = [evaluate(matcher, request, s) for s in candidates]
+    survivors = [r for r in results if r.degree is not MatchDegree.FAIL]
+    if request.preferences and survivors:
+        attr_maps = [r.service.attributes for r in survivors]
+        total_weight = sum(p.weight for p in request.preferences)
+        blended = [0.0] * len(survivors)
+        for pref in request.preferences:
+            for i, u in enumerate(pref.utilities(attr_maps)):
+                blended[i] += pref.weight * u
+        survivors = [
+            MatchResult(r.service, r.degree, r.score * (0.5 + 0.5 * b / total_weight))
+            for r, b in zip(survivors, blended)
+        ]
+    if matcher.use_degrees:
+        survivors.sort(key=MatchResult.sort_key)
+    else:
+        survivors.sort(key=lambda r: (-r.score, r.service.name))
+    return survivors[:top_k] if top_k is not None else survivors

@@ -4,7 +4,11 @@ These encode the paper's printer scenario directly: find a printer with
 the shortest queue, geographically closest, color within a cost bound.
 """
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.discovery import (
     Constraint,
@@ -15,6 +19,8 @@ from repro.discovery import (
     ServiceRequest,
     build_service_ontology,
 )
+from repro.workloads import ServicePopulation
+from tests.discovery import oracle
 
 
 @pytest.fixture
@@ -82,6 +88,11 @@ class TestPreference:
     def test_bool_not_treated_as_number(self):
         utils = Preference("flag", "maximize").utilities([{"flag": True}, {"flag": 2.0}, {"flag": 1.0}])
         assert utils[0] == 0.5  # neutral
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_value_neutral(self, bad):
+        utils = Preference("queue", "minimize").utilities([{"queue": 1}, {"queue": 3}, {"queue": bad}])
+        assert utils == [1.0, 0.0, 0.5]
 
 
 class TestMatchDegrees:
@@ -211,3 +222,86 @@ class TestRank:
 
     def test_empty_candidates(self, matcher):
         assert matcher.rank(ServiceRequest(category="PrinterService"), []) == []
+
+    def test_infinite_attribute_does_not_poison_ranking(self, matcher):
+        """A printer advertising an infinite queue ranks as one that
+        advertises no queue: scores stay in [0, 1], the others keep their
+        spread, and the order does not depend on the input order."""
+        candidates = [printer("a", queue_length=1), printer("b", queue_length=2),
+                      printer("c", queue_length=3), printer("d", queue_length=math.inf)]
+        req = ServiceRequest(category="PrinterService",
+                             preferences=(Preference("queue_length", "minimize"),))
+        forward = [(r.service.name, r.score) for r in matcher.rank(req, candidates)]
+        backward = [(r.service.name, r.score) for r in matcher.rank(req, candidates[::-1])]
+        assert forward == backward == [("a", 1.0), ("b", 0.75), ("d", 0.75), ("c", 0.5)]
+
+
+# ----------------------------------------------------------------------
+# the per-category rank against the per-candidate reference loop
+# ----------------------------------------------------------------------
+ONT = build_service_ontology()
+CATEGORIES = ONT.classes() + ["UnknownService"]
+DATA_TYPES = ["Data", "DataStream", "DecisionTree", "FourierSpectrum",
+              "TemperatureReading", "UnknownType"]
+
+_types = st.lists(st.sampled_from(DATA_TYPES), max_size=2)
+_numbers = st.one_of(st.none(), st.integers(0, 9), st.floats(0.0, 1.0),
+                     st.sampled_from([math.inf, -math.inf, math.nan]))
+
+
+@st.composite
+def _services(draw):
+    attributes = {}
+    for key in ("queue_length", "cost_per_use"):
+        value = draw(_numbers)
+        if value is not None:
+            attributes[key] = value
+    return ServiceDescription(name=draw(st.sampled_from("abcdefgh")),  # repeats allowed
+                              category=draw(st.sampled_from(CATEGORIES)),
+                              inputs=draw(_types), outputs=draw(_types),
+                              attributes=attributes)
+
+
+@st.composite
+def _requests(draw):
+    constraints = []
+    if draw(st.booleans()):
+        constraints.append(Constraint("cost_per_use", "<=", draw(st.floats(0.0, 1.0))))
+    if draw(st.booleans()):
+        constraints.append(Constraint("queue_length", "<", draw(st.integers(0, 10))))
+    preferences = draw(st.lists(st.sampled_from([Preference("queue_length", "minimize"),
+                                                 Preference("cost_per_use", "maximize", 0.5)]),
+                                max_size=2, unique=True))
+    return ServiceRequest(category=draw(st.sampled_from(CATEGORIES)),
+                          inputs=draw(_types), outputs=draw(_types),
+                          constraints=constraints, preferences=preferences)
+
+
+def _triples(results):
+    return [(r.service.name, r.degree, r.score) for r in results]
+
+
+class TestRankMatchesOracle:
+    @settings(max_examples=80, deadline=None)
+    @given(_requests(), st.lists(_services(), max_size=25), st.booleans(),
+           st.one_of(st.none(), st.integers(0, 12)))
+    def test_generated_candidates(self, req, candidates, use_degrees, top_k):
+        m = SemanticMatcher(ONT, use_degrees=use_degrees)
+        assert (_triples(m.rank(req, candidates, top_k=top_k))
+                == _triples(oracle.rank(m, req, candidates, top_k)))
+        assert (_triples(m.evaluate(req, s) for s in candidates)
+                == _triples(oracle.evaluate(m, req, s) for s in candidates))
+
+    @pytest.mark.parametrize("seed", [3, 31])
+    def test_service_population(self, seed):
+        rng = np.random.default_rng(seed)
+        population = [g.description for g in ServicePopulation(rng).generate(300)]
+        for use_degrees in (True, False):
+            m = SemanticMatcher(ONT, use_degrees=use_degrees)
+            for _ in range(8):
+                req = ServiceRequest(
+                    category=population[int(rng.integers(len(population)))].category,
+                    constraints=(Constraint("cost_per_use", "<=", float(rng.uniform(0.3, 1.0))),),
+                    preferences=(Preference("queue_length"), Preference("cost_per_use", weight=0.5)))
+                assert (_triples(m.rank(req, population, top_k=10))
+                        == _triples(oracle.rank(m, req, population, top_k=10)))

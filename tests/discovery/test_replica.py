@@ -92,6 +92,21 @@ class TestReplicatedRegistry:
             assert [r.service.name for r in rep.search(request)] == baseline
             rep.mark_up(shard)
 
+    def test_len_counts_distinct_names_on_up_replicas(self):
+        m = matcher()
+        for replication in (1, 2):
+            rep = ReplicatedRegistry(m, 4, replication)
+            populate(rep)
+            rep.withdraw_host(2)
+            assert len(rep) == len(rep.services()) == 24 - 5
+            for shard in range(4):
+                rep.mark_down(shard)
+                assert len(rep) == len(rep.services())
+                rep.mark_up(shard)
+            for shard in range(4):
+                rep.mark_down(shard)
+            assert len(rep) == 0
+
     def test_rebuild_is_byte_identical(self):
         m = matcher()
         rep = ReplicatedRegistry(m, 4, 2)

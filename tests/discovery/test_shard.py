@@ -40,6 +40,14 @@ class TestShardMap:
         for category in build_service_ontology().classes():
             assert a.owners_of(category) == b.owners_of(category)
 
+    def test_owner_walks_are_memoized_per_category(self):
+        smap = ShardMap(8, replication=3)
+        classes = build_service_ontology().classes()
+        first = [smap.owners_of(c) for c in classes]
+        again = [smap.owners_of(c) for c in reversed(classes)][::-1]
+        assert all(a is b for a, b in zip(first, again))
+        assert len(smap._owners) == len(classes)
+
     def test_primary_and_owns_agree(self):
         smap = ShardMap(4, replication=2)
         owners = smap.owners_of("PrinterService")

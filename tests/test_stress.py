@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.discovery import build_service_ontology
+from tests.discovery import oracle
 
 
 def env_factory(**kw):
@@ -94,6 +95,68 @@ class TestOntologyInvariants:
             assert ont.subsumes(a, c)
         # distance symmetry on random pairs
         assert ont.distance(a, b) == ont.distance(b, a)
+
+    @staticmethod
+    def _assert_matches_oracle(ont):
+        """Every reasoning query over every class (pair) equals a fresh
+        BFS over the current edges."""
+        classes = ont.classes()
+        for a in classes:
+            assert ont.ancestors(a) == oracle.ancestors(ont, a)
+            assert ont.descendants(a) == oracle.descendants(ont, a)
+            assert ont.depth(a) == oracle.depth(ont, a)
+            for b in classes:
+                assert ont.subsumes(a, b) == oracle.subsumes(ont, a, b)
+                assert (ont.least_common_subsumers(a, b)
+                        == oracle.least_common_subsumers(ont, a, b))
+                assert ont.distance(a, b) == oracle.distance(ont, a, b)
+                for min_depth in (1, 2, 3):
+                    assert (ont.related(a, b, min_depth)
+                            == oracle.related(ont, a, b, min_depth))
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_cached_reasoning_matches_bfs_oracle(self, data):
+        """Random DAGs grown by interleaved add_class calls -- new classes
+        and new edges on existing ones, some rejected as cycles -- with
+        the memoized queries checked against the oracle after each."""
+        from repro.discovery import Ontology
+
+        ont = Ontology()
+        for step in range(data.draw(st.integers(1, 10), label="steps")):
+            classes = ont.classes()
+            existing = [c for c in classes if c != ont.root]
+            if existing and data.draw(st.booleans(), label="extend an existing class"):
+                name = data.draw(st.sampled_from(existing), label="class")
+            else:
+                name = f"c{step}"
+            parents = data.draw(st.lists(st.sampled_from(classes), min_size=1,
+                                         max_size=3, unique=True), label="parents")
+            try:
+                ont.add_class(name, parents)
+            except ValueError:
+                pass  # a self-edge or cycle; earlier edges of the call stay
+            self._assert_matches_oracle(ont)
+
+    def test_add_class_drops_memoized_reasoning(self):
+        from repro.discovery import Ontology
+
+        ont = Ontology()
+        ont.add_class("A")
+        ont.add_class("B", "A")
+        ont.add_class("C", "B")
+        ont.add_class("D")
+        assert ont.ancestors("C") == {"B", "A", "Thing"}
+        assert ont.depth("C") == 3
+        assert not ont.subsumes("D", "C")
+        assert ont.distance("C", "D") == 4
+        ont.add_class("B", "D")  # a second parent above a memoized class
+        ont.add_class("C", "Thing")  # and a shortcut to the root
+        assert ont.ancestors("C") == {"B", "A", "D", "Thing"}
+        assert ont.depth("C") == 1
+        assert ont.subsumes("D", "C")
+        assert ont.distance("C", "D") == 2
+        self._assert_matches_oracle(ont)
 
     def test_deep_chain_operations_fast(self):
         from repro.discovery import Ontology
