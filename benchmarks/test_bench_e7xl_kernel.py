@@ -1,31 +1,27 @@
 """E7-XL -- simulation-substrate scale: 10k-100k nodes, same results.
 
-PR 10's tentpole claim: the substrate got 10-100x bigger without changing
-a single observable result.  This benchmark drives a smartdust-scale
-world -- constant-density random placement, random-waypoint mobility on
-20% of the fleet, periodic local broadcasts with loss and energy
-accounting, battery deaths -- under two topology indexes:
-
-* **baseline**: dense O(n^2) adjacency, and
-* **optimized**: grid-hash spatial index.
-
-Both run the *identical* workload at the largest common size and must
-produce **bit-identical** state: per-node delivery counts, battery
-arrays, final positions, and every monitor counter are folded into one
-digest and compared exactly.  The optimized kernel must also be >= 5x
-faster end to end -- the wall-clock numbers (``wall_clock_per_sim_second``,
+The substrate holds smartdust-scale populations without changing a
+single observable result.  This benchmark drives such a world --
+constant-density random placement, random-waypoint mobility on 20% of
+the fleet, periodic local broadcasts with loss and energy accounting,
+battery deaths -- on the grid-hash topology index, at 10k nodes (the
+``optimized`` variant, whose deterministic rows are gated at tolerance
+0) and optionally at a larger ``xl`` size.  The dense O(n^2) adjacency
+this used to race (~380x slower at 10k) is now the test oracle in
+``tests/network/oracle.py``, which proves the index bit-identical.  The
+wall-clock numbers (``wall_clock_per_sim_second``,
 ``events_per_wall_second``, ``topology_recompute_ms``) land in
-``BENCH_results.json`` keyed by variant/worker count so the
-tolerance-0 determinism gates never compare wall clock across runs.
+``BENCH_results.json`` keyed by variant/worker count so the tolerance-0
+determinism gates never compare wall clock across runs.
 
 Scale knobs (env):
 
 * ``E7XL_N``       -- fleet size (default 10,000; go to 100,000 for the
-  full XL run -- the optimized variant runs at full size, the dense
-  baseline stays at the largest common size it can hold).
+  full XL run -- the ``xl`` variant runs at that size beside the 10k
+  ``optimized`` one).
 * ``E7XL_SIM_S``   -- simulated seconds (default 4).
 * ``E7XL_PROFILE_DIR`` -- when set, per-variant HookProfiler exports are
-  written there for ``python -m repro.observability.profile --diff``.
+  written there for ``python -m repro.observability.profile``.
 """
 
 import hashlib
@@ -50,7 +46,7 @@ from repro.parallel import TrialResult, cell_specs, run_trials
 from repro.simkernel import Monitor, RandomStreams, Simulator
 
 N_NODES = int(os.environ.get("E7XL_N", "10000"))
-COMMON_N = min(N_NODES, 10_000)   # largest size the dense baseline runs at
+COMMON_N = min(N_NODES, 10_000)   # size of the gated optimized variant
 SIM_S = float(os.environ.get("E7XL_SIM_S", "4"))
 SEED = 7
 
@@ -74,11 +70,11 @@ def _area_m(n: int) -> float:
 def run_world(spec):
     """One kernel configuration over the full mobility+broadcast workload."""
     p = spec.params
-    n, index = p["n"], p["index"]
+    n = p["n"]
     streams = RandomStreams(spec.seed)
     area = _area_m(n)
     positions = random_positions(n, area, streams.get("placement"))
-    topology = Topology(positions, RANGE_M, index=index)
+    topology = Topology(positions, RANGE_M)
     sim = Simulator()
     profiler = None
     if spec.profile:
@@ -110,8 +106,7 @@ def run_world(spec):
     msg_ids = itertools.count()
 
     def tick():
-        # time the tick's topology work (bulk move + first neighbor query,
-        # which under the dense backend triggers the full O(n^2) rebuild)
+        # time the tick's topology work (bulk move + first neighbor query)
         t0 = time.perf_counter()
         waypoint.step(TICK_S)
         topology.neighbors(sources[0])
@@ -135,8 +130,7 @@ def run_world(spec):
     sim.run(until=SIM_S)
     wall_s = time.perf_counter() - wall0
 
-    # one digest over every observable output: any behavioral divergence
-    # between kernel configurations shows up here as a mismatch
+    # one digest over every observable output
     digest = hashlib.sha256()
     digest.update(received.tobytes())
     digest.update(np.ascontiguousarray(bank.remaining).tobytes())
@@ -166,21 +160,18 @@ def run_world(spec):
 
 
 def test_e7xl_kernel_scale(benchmark, table, once, record, workers):
-    cells = [
-        {"variant": "baseline", "n": COMMON_N, "index": "dense"},
-        {"variant": "optimized", "n": COMMON_N, "index": "grid"},
-    ]
+    cells = [{"variant": "optimized", "n": COMMON_N}]
     if N_NODES > COMMON_N:
-        cells.append({"variant": "xl", "n": N_NODES, "index": "grid"})
+        cells.append({"variant": "xl", "n": N_NODES})
     specs = cell_specs(cells, seed=SEED, profile=True)
     sweep = once(benchmark, lambda: run_trials(run_world, specs,
                                                workers=workers))
     assert sweep.failures == 0
     by_variant = {o.metrics["variant"]: o.metrics for o in sweep.outcomes}
-    base, opt = by_variant["baseline"], by_variant["optimized"]
+    opt = by_variant["optimized"]
 
     table(
-        f"E7-XL: kernel scale, n={COMMON_N} common"
+        f"E7-XL: kernel scale, n={COMMON_N}"
         + (f" / n={N_NODES} XL" if "xl" in by_variant else ""),
         ["variant", "n", "deliveries", "events", "wall s",
          "recompute ms", "ev/wall s"],
@@ -189,20 +180,11 @@ def test_e7xl_kernel_scale(benchmark, table, once, record, workers):
          for m in by_variant.values()],
     )
 
-    # -- the tentpole claims ------------------------------------------
     assert COMMON_N >= 10_000, "E7-XL must exercise >= 10k nodes"
-    assert base["digest"] == opt["digest"], (
-        "dense vs grid index must be bit-identical: delivery "
-        "counts, batteries, positions or counters diverged")
-    assert base["deliveries"] == opt["deliveries"] > 0
-    assert base["node_deaths"] > 0, "workload must exercise battery deaths"
-    speedup = base["wall_s"] / opt["wall_s"]
-    assert speedup >= 5.0, (
-        f"the grid index must be >= 5x faster than dense at "
-        f"n={COMMON_N}; got {speedup:.1f}x "
-        f"({base['wall_s']:.2f}s vs {opt['wall_s']:.2f}s)")
+    assert opt["deliveries"] > 0
+    assert opt["node_deaths"] > 0, "workload must exercise battery deaths"
 
-    # per-variant wall-clock profiles for before/after --diff evidence
+    # per-variant wall-clock profiles
     profile_dir = os.environ.get("E7XL_PROFILE_DIR")
     if profile_dir:
         os.makedirs(profile_dir, exist_ok=True)
@@ -215,7 +197,7 @@ def test_e7xl_kernel_scale(benchmark, table, once, record, workers):
                 with open(path, "w", encoding="utf-8") as fh:
                     json.dump(doc, fh)
 
-    # -- deterministic rows: identical for any index/workers ----------
+    # -- deterministic rows: identical for any worker count -----------
     record("E7XL", "deliveries", float(opt["deliveries"]), unit="1",
            direction="higher", seed=SEED, n=COMMON_N, sim_s=SIM_S)
     record("E7XL", "events_executed", float(opt["events_executed"]),
@@ -225,25 +207,18 @@ def test_e7xl_kernel_scale(benchmark, table, once, record, workers):
     record("E7XL", "node_deaths", opt["node_deaths"], unit="1",
            direction="either", seed=SEED, n=COMMON_N, sim_s=SIM_S)
 
-    # -- wall-clock rows: keyed by variant + worker count, so the
-    #    tolerance-0 serial-vs-parallel gate never sees them as shared ---
-    for name, variant in (("baseline", base), ("optimized", opt)):
-        record("E7XL", "wall_clock_per_sim_second", variant["wall_per_sim_s"],
-               unit="s/s", direction="lower", variant=name,
-               n=variant["n"], workers=sweep.workers,
-               sim_s=SIM_S)
-        record("E7XL", "events_per_wall_second", variant["events_per_wall_s"],
-               unit="1/s", direction="higher", variant=name,
-               n=variant["n"], workers=sweep.workers,
-               sim_s=SIM_S)
-        record("E7XL", "topology_recompute_ms",
-               variant["topology_recompute_ms"], unit="ms",
-               direction="lower", variant=name,
-               n=variant["n"], workers=sweep.workers,
-               sim_s=SIM_S)
-    record("E7XL", "speedup_vs_heap_dense", speedup, unit="x",
-           direction="higher", n=COMMON_N,
-           workers=sweep.workers, sim_s=SIM_S)
+    # -- wall-clock rows: keyed by variant + requested worker count, so
+    #    the tolerance-0 serial-vs-parallel gate never sees them as
+    #    shared (a one-cell sweep always reports sweep.workers == 1) ---
+    record("E7XL", "wall_clock_per_sim_second", opt["wall_per_sim_s"],
+           unit="s/s", direction="lower", variant="optimized",
+           n=opt["n"], workers=workers, sim_s=SIM_S)
+    record("E7XL", "events_per_wall_second", opt["events_per_wall_s"],
+           unit="1/s", direction="higher", variant="optimized",
+           n=opt["n"], workers=workers, sim_s=SIM_S)
+    record("E7XL", "topology_recompute_ms", opt["topology_recompute_ms"],
+           unit="ms", direction="lower", variant="optimized",
+           n=opt["n"], workers=workers, sim_s=SIM_S)
 
     if "xl" in by_variant:
         xl = by_variant["xl"]
@@ -251,4 +226,4 @@ def test_e7xl_kernel_scale(benchmark, table, once, record, workers):
                direction="higher", seed=SEED, n=xl["n"], sim_s=SIM_S)
         record("E7XL", "wall_clock_per_sim_second", xl["wall_per_sim_s"],
                unit="s/s", direction="lower", variant="xl",
-               n=xl["n"], workers=sweep.workers, sim_s=SIM_S)
+               n=xl["n"], workers=workers, sim_s=SIM_S)

@@ -8,10 +8,10 @@ hot path, broadcast instead).
 Scale guard: the dense ``(n, n)`` forms materialize O(n^2) floats -- at
 100k nodes that is an 80 GB matrix plus temporaries.  The dense helpers
 therefore refuse populations above an explicit threshold with a pointer
-to the :class:`~repro.network.spatial.GridHashIndex` path (which
-:class:`~repro.network.topology.Topology` selects automatically); the
-block-wise evaluation below keeps the *temporaries* flat even for the
-sizes that are allowed.
+to the :class:`~repro.network.spatial.GridHashIndex` that
+:class:`~repro.network.topology.Topology` answers every neighbor query
+from; the block-wise evaluation below keeps the *temporaries* flat even
+for the sizes that are allowed.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ import numpy as np
 
 #: Largest population for which a dense (n, n) float64 distance matrix may
 #: be materialized (~1.2 GB at the limit).  Above this, use the spatial
-#: index (``Topology(index="grid")`` / ``repro.network.spatial``).
+#: index (``Topology`` / ``repro.network.spatial``).
 PAIRWISE_MAX_N = 12_000
 
 #: Largest population for a dense (n, n) boolean adjacency (~1 GB at the
@@ -39,18 +39,41 @@ class PopulationTooLarge(ValueError):
         super().__init__(
             f"{what} would materialize an O(n^2) array for n={n} (> {limit}); "
             f"at this scale use the grid-hash spatial index instead "
-            f"(repro.network.spatial.GridHashIndex, or Topology(index='grid') "
-            f"which large topologies select automatically)"
+            f"(repro.network.spatial.GridHashIndex, or Topology, whose "
+            f"neighbor queries run on it)"
         )
         self.n = n
         self.limit = limit
 
 
 def as_positions(positions: np.ndarray | list) -> np.ndarray:
-    """Coerce to a float64 ``(n, 2)`` array, validating the shape."""
+    """Coerce to a float64 ``(n, 2)`` array of finite coordinates.
+
+    Raises
+    ------
+    ValueError
+        On any other shape, or on a NaN or infinite coordinate.
+    """
     arr = np.asarray(positions, dtype=np.float64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"positions must have shape (n, 2), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError("positions must be finite (no NaN or inf coordinates)")
+    return arr
+
+
+def as_point(position: np.ndarray | list) -> np.ndarray:
+    """Coerce one position to a finite float64 ``(x, y)`` pair.
+
+    Raises
+    ------
+    ValueError
+        When ``position`` is not two finite numbers (a scalar is not
+        broadcast to both axes).
+    """
+    arr = np.asarray(position, dtype=np.float64)
+    if arr.shape != (2,) or not np.isfinite(arr).all():
+        raise ValueError(f"position must be a finite (x, y) pair, got {position!r}")
     return arr
 
 

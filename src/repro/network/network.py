@@ -302,14 +302,6 @@ class WirelessNetwork:
                 DeliveryReceipt(delivered=False, time=self.sim.now, hops=message.hop_count, energy_j=energy, reason=reason)
             )
 
-    def _deliver_later(self, dst: int, message: Message, delay: float) -> None:
-        def deliver() -> None:
-            node = self.nodes[dst]
-            if self.topology.is_alive(dst) and node.receive is not None:
-                node.receive(message)
-
-        self.sim.schedule(delay, deliver, label=f"bcast:{message.msg_id}")
-
     def _fan_out_later(self, targets: list[int], snapshot: Message, delay: float) -> None:
         """Schedule one event that delivers ``snapshot`` to every target.
 

@@ -13,7 +13,9 @@ Exactness: candidates gathered from the 3x3 block are filtered with the
 same ``np.hypot`` float computation the dense path uses, so the surviving
 neighbor set is *bit-identical* to a row of
 :func:`repro.network.geometry.neighbors_within` -- proven by the fuzz
-tests in ``tests/network/test_spatial_index.py``.  The cell hash uses
+and property tests in ``tests/network/test_spatial_index.py``, which
+check :class:`~repro.network.topology.Topology` against the dense oracle
+in ``tests/network/oracle.py``.  The cell hash uses
 ``floor(coord / cell)`` on float64; a point exactly on a cell boundary
 lands in the higher cell, and since membership is only ever used to
 *over*-approximate the disc (the exact filter runs afterwards), boundary
@@ -70,8 +72,10 @@ class GridHashIndex:
         """Re-hash every node (used at construction and bulk resets)."""
         coords = self._cell_coords(np.asarray(positions, dtype=np.float64))
         cells: dict[tuple[int, int], list[int]] = {}
-        for i, (cx, cy) in enumerate(map(tuple, coords)):
-            cells.setdefault((int(cx), int(cy)), []).append(i)
+        # tolist() converts every coordinate to a Python int in one C
+        # pass; calling int() on each np.int64 dominated small-world setup
+        for i, key in enumerate(map(tuple, coords.tolist())):
+            cells.setdefault(key, []).append(i)
         self._cells = cells
         self._coords = coords
 
@@ -125,20 +129,6 @@ class GridHashIndex:
                     out.extend(bucket)
         ids = np.asarray(out, dtype=np.intp)
         return ids[ids != node]
-
-    def candidates_at(self, point: np.ndarray) -> np.ndarray:
-        """Ids in the 3x3 cell block around an arbitrary point."""
-        point = np.asarray(point, dtype=np.float64)
-        cx = int(np.floor(point[0] / self._cell))
-        cy = int(np.floor(point[1] / self._cell))
-        cells = self._cells
-        out: list[int] = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                bucket = cells.get((cx + dx, cy + dy))
-                if bucket:
-                    out.extend(bucket)
-        return np.asarray(out, dtype=np.intp)
 
     def neighbors_within(self, node: int, positions: np.ndarray) -> np.ndarray:
         """Exact unit-disc neighbors of ``node``: ``dist <= radius``, no self.

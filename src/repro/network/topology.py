@@ -2,25 +2,15 @@
 
 :class:`Topology` maintains the unit-disc adjacency over the current node
 positions and answers the graph queries the routing protocols need
-(neighbors, shortest paths, BFS trees, connectivity).  Two interchangeable
-adjacency backends sit behind one API:
-
-* ``index="dense"`` -- the adjacency is one vectorized ``O(n^2)`` distance
-  pass, recomputed wholesale when positions change.  At the paper's
-  scenario scales (up to a few hundred nodes) this is cheapest and
-  trivially correct.
-* ``index="grid"`` -- a :class:`~repro.network.spatial.GridHashIndex`
-  (cell size = radio range) answers neighbor queries in O(local density)
-  and absorbs mobility *incrementally*: a ``move``/``move_all`` re-buckets
-  only the nodes whose cell changed, and ``kill``/``revive`` touch no
-  index state at all.  This is what lets E7-XL run 10k-100k nodes.
-
-``index="auto"`` (the default) picks dense below
-:data:`GRID_AUTO_THRESHOLD` nodes and grid above.  The two backends are
-*bit-identical*: every surviving neighbor passed the same ``np.hypot``
-comparison, neighbor lists are ascending, and the fuzz tests in
-``tests/network/test_spatial_index.py`` drive both through the same
-churn and compare every query.
+(neighbors, shortest paths, BFS trees, connectivity).  Neighbor queries
+go through a :class:`~repro.network.spatial.GridHashIndex` (cell size =
+radio range): a query costs O(local density), a ``move``/``move_all``
+re-buckets only the nodes whose cell changed, and ``kill``/``revive``
+touch no index state at all.  The same index serves a 49-node building
+and a 100k-node swarm.  Neighbor lists are ascending, and every surviving
+neighbor passed the same ``np.hypot`` comparison a dense ``(n, n)``
+adjacency would make; ``tests/network/oracle.py`` rebuilds that dense
+adjacency from scratch and the tests compare every query against it.
 
 Route cache
 -----------
@@ -50,17 +40,8 @@ import typing
 
 import numpy as np
 
-from repro.network.geometry import (
-    as_positions,
-    distances_from,
-    neighbors_within,
-)
+from repro.network.geometry import as_point, as_positions, distances_from
 from repro.network.spatial import GridHashIndex
-
-#: ``index="auto"`` switches from the dense matrix to the grid hash above
-#: this many nodes (dense recompute is ~4M floats here; past that the
-#: O(n^2) pass starts to dominate mobility ticks).
-GRID_AUTO_THRESHOLD = 2048
 
 
 class Topology:
@@ -69,36 +50,25 @@ class Topology:
     Parameters
     ----------
     positions:
-        Initial ``(n, 2)`` node positions in metres.
+        Initial ``(n, 2)`` node positions in metres; every coordinate
+        must be finite.
     range_m:
         Communication radius of the unit-disc model.
-    index:
-        Adjacency backend: ``"auto"`` (default), ``"dense"``, or
-        ``"grid"``.  Backends answer every query bit-identically; see the
-        module docstring.
     """
 
-    def __init__(self, positions: np.ndarray, range_m: float, *,
-                 index: str = "auto") -> None:
+    def __init__(self, positions: np.ndarray, range_m: float) -> None:
         self._positions = as_positions(positions).copy()
         if range_m <= 0:
             raise ValueError("range_m must be positive")
         self.range_m = float(range_m)
-        if index == "auto":
-            index = "grid" if len(self._positions) > GRID_AUTO_THRESHOLD else "dense"
-        if index not in ("dense", "grid"):
-            raise ValueError(f"index must be 'auto', 'dense' or 'grid', got {index!r}")
-        self.index_kind = index
         self._alive = np.ones(len(self._positions), dtype=bool)
         #: Severed links: symmetric ``(lo, hi)`` id pair -> stack depth.
         #: A dict, not an (n, n) matrix, so partitions cost O(blocked
         #: pairs) memory at any population size.
         self._blocked: dict[tuple[int, int], int] = {}
-        self._adj: np.ndarray | None = None
-        self._grid = GridHashIndex(self._positions, self.range_m) if index == "grid" else None
+        self._grid = GridHashIndex(self._positions, self.range_m)
         self._version = 0
-        # per-generation neighbor-list cache (grid mode; dense mode reads
-        # rows straight off the cached matrix)
+        # per-generation neighbor-list cache
         self._nbr_cache: dict[int, np.ndarray] = {}
         self._nbr_cache_version = 0
         # route cache: all entries valid only for _cache_version == _version
@@ -148,64 +118,38 @@ class Topology:
         return [int(i) for i in np.flatnonzero(self._alive)]
 
     def move(self, node: int, position: np.ndarray) -> None:
-        """Set one node's position (mobility models call this)."""
-        self._positions[node] = np.asarray(position, dtype=np.float64)
-        if self._grid is not None:
-            self._grid.move(node, self._positions[node])
-        self._invalidate()
+        """Set one node's position (a finite ``(x, y)`` pair)."""
+        self._positions[node] = as_point(position)
+        self._grid.move(node, self._positions[node])
+        self._version += 1
 
     def move_all(self, positions: np.ndarray) -> None:
         """Replace all positions at once (bulk mobility step).
 
-        Grid mode re-buckets only the nodes whose cell changed --
-        incremental O(moved), not O(n^2)."""
+        Re-buckets only the nodes whose cell changed -- O(moved), not
+        O(n^2)."""
         pos = as_positions(positions)
         if pos.shape != self._positions.shape:
             raise ValueError("positions shape mismatch")
         self._positions[:] = pos
-        if self._grid is not None:
-            self._grid.move_all(self._positions)
-        self._invalidate()
+        self._grid.move_all(self._positions)
+        self._version += 1
 
     def kill(self, node: int) -> None:
         """Remove a node from the topology (battery death, destruction).
 
-        Incremental in both backends: a cached dense matrix gets its row
-        and column zeroed (O(n), not an O(n^2) recompute), and the grid
-        index is untouched (liveness filters at query time).  Route
-        caches still invalidate -- reachability changed."""
+        The grid index is untouched (liveness filters at query time);
+        cached neighbor lists and routes invalidate -- reachability
+        changed."""
         if self._alive[node]:
             self._alive[node] = False
-            if self._adj is not None:
-                self._adj[node, :] = False
-                self._adj[:, node] = False
-                self._version += 1
-            else:
-                self._invalidate()
+            self._version += 1
 
     def revive(self, node: int) -> None:
-        """Bring a node back (used by disconnection churn models).
-
-        Like :meth:`kill`, incremental: one O(n) row recompute patches a
-        cached dense matrix, bit-identical to a full rebuild."""
+        """Bring a node back (used by disconnection churn models)."""
         if not self._alive[node]:
             self._alive[node] = True
-            if self._adj is not None:
-                delta = self._positions - self._positions[node]
-                row = np.hypot(delta[:, 0], delta[:, 1]) <= self.range_m
-                row &= self._alive
-                row[node] = False
-                if self._blocked:
-                    for (a, b) in self._blocked:
-                        if a == node:
-                            row[b] = False
-                        elif b == node:
-                            row[a] = False
-                self._adj[node, :] = row
-                self._adj[:, node] = row
-                self._version += 1
-            else:
-                self._invalidate()
+            self._version += 1
 
     @staticmethod
     def _pair(a: int, b: int) -> tuple[int, int]:
@@ -228,7 +172,7 @@ class Topology:
                     continue
                 key = self._pair(a, b)
                 blocked[key] = blocked.get(key, 0) + 1
-        self._invalidate()
+        self._version += 1
 
     def unblock_links(self, group_a: typing.Iterable[int], group_b: typing.Iterable[int]) -> None:
         """Restore links previously severed by :meth:`block_links`."""
@@ -246,10 +190,6 @@ class Topology:
                         del blocked[key]
                     else:
                         blocked[key] = depth - 1
-        self._invalidate()
-
-    def _invalidate(self) -> None:
-        self._adj = None
         self._version += 1
 
     def _route_cache(self) -> None:
@@ -275,29 +215,8 @@ class Topology:
     # ------------------------------------------------------------------
     # adjacency & graph queries
     # ------------------------------------------------------------------
-    @property
-    def adjacency(self) -> np.ndarray:
-        """Boolean ``(n, n)`` adjacency; dead nodes have no edges.
-
-        In grid mode the dense matrix is assembled on demand (tests and
-        small-scale callers); above the geometry module's dense cap this
-        raises :class:`~repro.network.geometry.PopulationTooLarge` --
-        iterate :meth:`neighbors` instead, which stays O(density).
-        """
-        if self._adj is None:
-            adj = neighbors_within(self._positions, self.range_m)
-            adj &= self._alive[:, None]
-            adj &= self._alive[None, :]
-            for (a, b) in self._blocked:
-                adj[a, b] = False
-                adj[b, a] = False
-            self._adj = adj
-        return self._adj
-
     def _neighbor_ids(self, node: int) -> np.ndarray:
-        """Living neighbors of ``node``, ascending (both backends)."""
-        if self._grid is None:
-            return np.flatnonzero(self.adjacency[node])
+        """Living neighbors of ``node``, ascending (memoized per generation)."""
         if self._nbr_cache_version != self._version:
             self._nbr_cache.clear()
             self._nbr_cache_version = self._version
@@ -333,8 +252,6 @@ class Topology:
 
     def has_edge(self, a: int, b: int) -> bool:
         """True iff a and b are alive and within range of each other."""
-        if self._grid is None:
-            return bool(self.adjacency[a, b])
         if a == b or not (self._alive[a] and self._alive[b]):
             return False
         if self._blocked and self._pair(a, b) in self._blocked:
@@ -354,9 +271,17 @@ class Topology:
         return cached
 
     def nearest_to(self, point: np.ndarray, alive_only: bool = True) -> int:
-        """Id of the node nearest to ``point``."""
+        """Id of the node nearest to ``point``.
+
+        Raises
+        ------
+        ValueError
+            When ``alive_only`` is set and no node is alive.
+        """
         dists = distances_from(self._positions, np.asarray(point, dtype=np.float64))
         if alive_only:
+            if not self._alive.any():
+                raise ValueError("nearest_to: no node is alive")
             dists = np.where(self._alive, dists, np.inf)
         return int(np.argmin(dists))
 

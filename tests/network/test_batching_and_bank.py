@@ -21,11 +21,21 @@ from repro.network.network import _receiver_copy
 from repro.simkernel import Monitor, RandomStreams, Simulator
 
 
+def deliver_later(net, dst, message, delay):
+    """The pre-batching delivery: one scheduled event per receiver."""
+    def deliver():
+        node = net.nodes[dst]
+        if net.topology.is_alive(dst) and node.receive is not None:
+            node.receive(message)
+
+    net.sim.schedule(delay, deliver, label=f"bcast:{message.msg_id}")
+
+
 def build_flood_net(seed, *, legacy=False):
     """A lossy 50-node network where every receiver rebroadcasts once."""
     streams = RandomStreams(seed)
     pos = streams.get("pos").random((50, 2)) * 45
-    topo = Topology(pos, 14.0, index="dense")
+    topo = Topology(pos, 14.0)
     sim = Simulator()
     radio = RadioModel(bandwidth_bps=250_000.0, latency_s=0.01,
                        loss_prob=0.2, range_m=14.0)
@@ -33,10 +43,9 @@ def build_flood_net(seed, *, legacy=False):
                           batteries=[Battery(1.0) for _ in range(50)],
                           rng=streams.get("loss"), monitor=Monitor())
     if legacy:
-        # the pre-batching form: one scheduled event per receiver
         def fan_out_legacy(targets, snapshot, delay):
             for dst in targets:
-                net._deliver_later(dst, _receiver_copy(snapshot), delay)
+                deliver_later(net, dst, _receiver_copy(snapshot), delay)
 
         net._fan_out_later = fan_out_legacy
     log = []
@@ -90,7 +99,7 @@ class TestBroadcastBatching:
         """Mutating one receiver's message must not leak to the others."""
         rng = np.random.default_rng(0)
         pos = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        topo = Topology(pos, 5.0, index="dense")
+        topo = Topology(pos, 5.0)
         sim = Simulator()
         net = WirelessNetwork(sim, topo,
                               RadioModel(bandwidth_bps=1e6, latency_s=0.01,
@@ -122,7 +131,7 @@ class TestBroadcastBatching:
         """Sender-side mutation after broadcast_local returns must not be
         visible to receivers (radios decoded the bytes already on air)."""
         pos = np.array([[0.0, 0.0], [1.0, 0.0]])
-        topo = Topology(pos, 5.0, index="dense")
+        topo = Topology(pos, 5.0)
         sim = Simulator()
         net = WirelessNetwork(sim, topo,
                               RadioModel(bandwidth_bps=1e6, latency_s=0.01,
@@ -142,7 +151,7 @@ class TestBroadcastBatching:
     def test_dead_receiver_at_fire_time_skipped(self):
         """Liveness is re-checked per receiver when the fan-out fires."""
         pos = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-        topo = Topology(pos, 5.0, index="dense")
+        topo = Topology(pos, 5.0)
         sim = Simulator()
         net = WirelessNetwork(sim, topo,
                               RadioModel(bandwidth_bps=1e6, latency_s=0.01,
@@ -204,7 +213,7 @@ class TestBatteryBank:
         """Bank views drop in wherever Battery is expected."""
         rng = np.random.default_rng(0)
         pos = rng.random((8, 2)) * 10
-        topo = Topology(pos, 15.0, index="dense")
+        topo = Topology(pos, 15.0)
         sim = Simulator()
         bank = BatteryBank.uniform(8, 1.0)
         net = WirelessNetwork(sim, topo,

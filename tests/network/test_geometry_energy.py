@@ -27,6 +27,11 @@ class TestGeometry:
         with pytest.raises(ValueError):
             as_positions(np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_as_positions_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            as_positions([[0.0, 0.0], [1.0, bad]])
+
     def test_pairwise_matches_naive(self):
         rng = np.random.default_rng(0)
         pos = rng.uniform(0, 100, size=(20, 2))

@@ -3,49 +3,17 @@
 The cache memoizes BFS parents/paths/hop-counts behind the topology's
 generation counter; every mutation (kill, revive, move, link blocking)
 bumps the counter and lazily flushes the cache.  These tests compare
-every cached answer against an independent pure-Python BFS oracle under
-heavy churn, and pin down the hit/miss/invalidation accounting.
+every cached answer against the uncached dense oracle
+(``tests/network/oracle.py``) under heavy churn, and pin down the
+hit/miss/invalidation accounting.
 """
-
-import collections
 
 import numpy as np
 import pytest
 
 from repro.network import Topology, record_route_cache_metrics
 from repro.simkernel import Monitor
-
-
-def oracle_bfs(topo: Topology, src: int):
-    """Independent BFS over the adjacency matrix: lowest-id expansion,
-    exactly the determinism contract the cache relies on."""
-    if not topo.is_alive(src):
-        return {}
-    adj = topo.adjacency
-    parent = {src: src}
-    queue = collections.deque([src])
-    while queue:
-        node = queue.popleft()
-        for nbr in np.flatnonzero(adj[node]):
-            nbr = int(nbr)
-            if nbr not in parent and topo.is_alive(nbr):
-                parent[nbr] = node
-                queue.append(nbr)
-    return parent
-
-
-def oracle_path(topo: Topology, src: int, dst: int):
-    if src == dst:
-        return [src]  # the kernel's contract, even for a dead node
-    if not (topo.is_alive(src) and topo.is_alive(dst)):
-        return None
-    parent = oracle_bfs(topo, src)
-    if dst not in parent:
-        return None
-    path = [dst]
-    while path[-1] != src:
-        path.append(parent[path[-1]])
-    return path[::-1]
+from tests.network.oracle import DenseTopology
 
 
 def line_topology(n=6, spacing=10.0, range_m=12.0):
@@ -159,39 +127,40 @@ class TestChurnEquivalence:
     def test_random_churn(self, seed):
         rng = np.random.default_rng(seed)
         n = 12
-        topo = Topology(rng.uniform(0.0, 60.0, size=(n, 2)), range_m=22.0)
+        pos = rng.uniform(0.0, 60.0, size=(n, 2))
+        topo = Topology(pos, range_m=22.0)
+        ref = DenseTopology(pos, 22.0)
         blocked = []
         for _ in range(300):
             op = rng.integers(0, 8)
             if op == 0:
-                topo.kill(int(rng.integers(0, n)))
+                u = int(rng.integers(0, n))
+                topo.kill(u)
+                ref.kill(u)
             elif op == 1:
-                topo.revive(int(rng.integers(0, n)))
+                u = int(rng.integers(0, n))
+                topo.revive(u)
+                ref.revive(u)
             elif op == 2:
-                topo.move(int(rng.integers(0, n)), rng.uniform(0.0, 60.0, 2))
+                u, p = int(rng.integers(0, n)), rng.uniform(0.0, 60.0, 2)
+                topo.move(u, p)
+                ref.move(u, p)
             elif op == 3 and len(blocked) < 4:
                 a, b = int(rng.integers(0, n)), int(rng.integers(0, n))
                 if a != b:
                     topo.block_links([a], [b])
+                    ref.block_links([a], [b])
                     blocked.append((a, b))
             elif op == 4 and blocked:
                 a, b = blocked.pop()
                 topo.unblock_links([a], [b])
+                ref.unblock_links([a], [b])
             else:
                 src, dst = int(rng.integers(0, n)), int(rng.integers(0, n))
-                assert topo.shortest_path(src, dst) == oracle_path(topo, src, dst)
+                assert topo.shortest_path(src, dst) == ref.shortest_path(src, dst)
                 if topo.is_alive(src):
-                    parent = oracle_bfs(topo, src)
-                    hops = {}
-                    for node in parent:
-                        steps, cursor = 0, node
-                        while cursor != src:
-                            cursor = parent[cursor]
-                            steps += 1
-                        hops[node] = steps
-                    assert topo.hop_counts_from(src) == hops
-                    tree = dict(parent)
-                    assert topo.bfs_tree(src) == tree
+                    assert topo.hop_counts_from(src) == ref.hop_counts_from(src)
+                    assert topo.bfs_tree(src) == ref.bfs_tree(src)
         stats = topo.route_cache_stats
         assert stats["hits"] > 0 and stats["invalidations"] > 0
 

@@ -1,9 +1,11 @@
 """Grid-hash spatial index vs dense adjacency: exact equivalence.
 
-The grid backend exists purely for scale; it must answer every topology
-query bit-identically to the dense O(n^2) matrix.  The fuzz tests here
-drive both backends through the same churn (moves, bulk moves, kills,
-revives, link blocking) and compare every query after every mutation.
+``Topology`` answers every neighbor query from the grid hash; it must
+agree bit-for-bit with the dense O(n^2) adjacency.  The fuzz and property
+tests here drive ``Topology`` and the from-scratch dense oracle
+(``tests/network/oracle.py``) through the same churn (moves, bulk moves,
+kills, revives, link blocking) and compare every query after every
+mutation.
 """
 
 import numpy as np
@@ -18,7 +20,8 @@ from repro.network.geometry import (
     pairwise_distances,
 )
 from repro.network.spatial import GridHashIndex
-from repro.network.topology import GRID_AUTO_THRESHOLD, Topology
+from repro.network.topology import Topology
+from tests.network.oracle import DenseTopology
 
 
 def dense_row(positions, radius, node):
@@ -106,80 +109,133 @@ class TestGridHashIndex:
 
 
 class TestTopologyBackendEquivalence:
+    """The production ``Topology`` against the dense oracle."""
+
     @pytest.mark.parametrize("seed", range(4))
     def test_fuzz_churn_bit_identical(self, seed):
-        """Dense and grid topologies agree on every query through heavy
-        churn: single moves, bulk moves, kills, revives, blocks."""
+        """Topology and the dense oracle agree on every query through
+        heavy churn: single moves, bulk moves, kills, revives, blocks."""
         rng = np.random.default_rng(seed)
         n = 150
         pos = rng.random((n, 2)) * 80
         radius = 11.0
-        dense = Topology(pos, radius, index="dense")
-        grid = Topology(pos, radius, index="grid")
+        ref = DenseTopology(pos, radius)
+        topo = Topology(pos, radius)
 
         def check():
+            adj = ref.adjacency()
             for u in range(n):
-                assert dense.neighbors(u) == grid.neighbors(u)
+                assert topo.neighbors(u) == list(np.flatnonzero(adj[u]))
             probe = rng.integers(0, n, 30).reshape(-1, 2)
             for a, b in probe:
                 a, b = int(a), int(b)
-                assert dense.has_edge(a, b) == grid.has_edge(a, b)
-                assert dense.shortest_path(a, b) == grid.shortest_path(a, b)
+                assert topo.has_edge(a, b) == bool(adj[a, b])
+                assert topo.shortest_path(a, b) == ref.shortest_path(a, b)
             root = int(rng.integers(0, n))
-            assert dense.hop_counts_from(root) == grid.hop_counts_from(root)
-            assert dense.bfs_tree(root) == grid.bfs_tree(root)
-            assert dense.is_connected() == grid.is_connected()
+            assert topo.hop_counts_from(root) == ref.hop_counts_from(root)
+            assert topo.bfs_tree(root) == ref.bfs_tree(root)
+            assert topo.is_connected() == ref.is_connected()
 
         check()
         for _ in range(10):
             for u in rng.integers(0, n, 8):
                 p = rng.random(2) * 80
-                dense.move(int(u), p)
-                grid.move(int(u), p)
+                ref.move(int(u), p)
+                topo.move(int(u), p)
             for u in rng.integers(0, n, 4):
-                dense.kill(int(u))
-                grid.kill(int(u))
+                ref.kill(int(u))
+                topo.kill(int(u))
             for u in rng.integers(0, n, 2):
-                dense.revive(int(u))
-                grid.revive(int(u))
+                ref.revive(int(u))
+                topo.revive(int(u))
             ga = [int(x) for x in rng.integers(0, n, 3)]
             gb = [int(x) for x in rng.integers(0, n, 3)]
-            dense.block_links(ga, gb)
-            grid.block_links(ga, gb)
+            ref.block_links(ga, gb)
+            topo.block_links(ga, gb)
             check()
-            dense.unblock_links(ga, gb)
-            grid.unblock_links(ga, gb)
-            bulk = dense.positions + rng.normal(0, 2, (n, 2))
-            dense.move_all(bulk)
-            grid.move_all(bulk)
+            ref.unblock_links(ga, gb)
+            topo.unblock_links(ga, gb)
+            bulk = topo.positions + rng.normal(0, 2, (n, 2))
+            ref.move_all(bulk)
+            topo.move_all(bulk)
             check()
 
-    def test_grid_adjacency_property_matches_dense(self):
-        rng = np.random.default_rng(7)
-        pos = rng.random((90, 2)) * 50
-        dense = Topology(pos, 9.0, index="dense")
-        grid = Topology(pos, 9.0, index="grid")
-        dense.kill(3)
-        grid.kill(3)
-        assert np.array_equal(dense.adjacency, grid.adjacency)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=12),
+        st.sampled_from([2.5, 5.0, 7.5, 11.0]),
+        st.data(),
+    )
+    def test_property_interleaved_churn_matches_oracle(self, n, radius, data):
+        """Any interleaving of move/move_all/kill/revive/block/unblock
+        leaves every query equal to the from-scratch oracle.  Coordinates
+        sit on a 2.5 m lattice around the origin, so coincident nodes,
+        distances exactly equal to the range, cell-boundary points and
+        negative coordinates all come up."""
+        coord = st.integers(min_value=-4, max_value=8).map(lambda k: k * 2.5)
+        node = st.integers(min_value=0, max_value=n - 1)
+        group = st.lists(node, min_size=1, max_size=3)
+        op = st.one_of(
+            st.tuples(st.just("move"), node, coord, coord),
+            st.tuples(st.just("move_all"),
+                      st.lists(st.tuples(coord, coord), min_size=n, max_size=n)),
+            st.tuples(st.just("kill"), node),
+            st.tuples(st.just("revive"), node),
+            st.tuples(st.just("block"), group, group),
+            st.tuples(st.just("unblock")),
+        )
+        start = data.draw(st.lists(st.tuples(coord, coord), min_size=n, max_size=n))
+        topo = Topology(np.array(start), radius)
+        ref = DenseTopology(np.array(start), radius)
+        blocks = []
 
-    def test_auto_selects_by_population(self):
-        rng = np.random.default_rng(0)
-        small = Topology(rng.random((10, 2)) * 10, 3.0)
-        assert small.index_kind == "dense"
-        big = Topology(rng.random((GRID_AUTO_THRESHOLD + 1, 2)) * 1000, 3.0)
-        assert big.index_kind == "grid"
+        def check():
+            adj = ref.adjacency()
+            for u in range(n):
+                assert topo.neighbors(u) == list(np.flatnonzero(adj[u]))
+                for v in range(n):
+                    assert topo.has_edge(u, v) == bool(adj[u, v])
+            for src in range(n):
+                tree = ref.bfs_tree(src)
+                assert topo.bfs_tree(src) == tree
+                assert topo.hop_counts_from(src) == ref.hop_counts_from(src)
+                for dst in range(n):
+                    assert topo.shortest_path(src, dst) == \
+                        ref.shortest_path(src, dst)
+            assert topo.is_connected() == ref.is_connected()
 
-    def test_invalid_index_rejected(self):
-        with pytest.raises(ValueError, match="index must be"):
-            Topology(np.zeros((2, 2)), 1.0, index="quadtree")
+        check()
+        for step in data.draw(st.lists(op, max_size=12)):
+            kind = step[0]
+            if kind == "move":
+                _, u, x, y = step
+                topo.move(u, np.array([x, y]))
+                ref.move(u, (x, y))
+            elif kind == "move_all":
+                topo.move_all(np.array(step[1]))
+                ref.move_all(np.array(step[1]))
+            elif kind == "kill":
+                topo.kill(step[1])
+                ref.kill(step[1])
+            elif kind == "revive":
+                topo.revive(step[1])
+                ref.revive(step[1])
+            elif kind == "block":
+                topo.block_links(step[1], step[2])
+                ref.block_links(step[1], step[2])
+                blocks.append((step[1], step[2]))
+            elif blocks:
+                ga, gb = blocks.pop(0)
+                topo.unblock_links(ga, gb)
+                ref.unblock_links(ga, gb)
+            check()
 
     def test_blocked_links_do_not_leak_memory_dense_matrix(self):
-        """Blocking is dict-backed: a large-n grid topology can block links
-        without ever materializing an (n, n) matrix."""
+        """Blocking is dict-backed: a topology above the dense cap can
+        block links without ever materializing an (n, n) matrix."""
         rng = np.random.default_rng(1)
         n = ADJACENCY_MAX_N + 10
-        topo = Topology(rng.random((n, 2)) * 1e4, 5.0, index="grid")
+        topo = Topology(rng.random((n, 2)) * 1e4, 5.0)
         topo.block_links([0, 1], [2, 3])
         assert not topo.has_edge(0, 2)
         topo.unblock_links([0, 1], [2, 3])
@@ -197,13 +253,6 @@ class TestDenseGuards:
         pos = np.zeros((ADJACENCY_MAX_N + 1, 2))
         with pytest.raises(PopulationTooLarge, match="spatial index"):
             neighbors_within(pos, 1.0)
-
-    def test_grid_adjacency_property_refuses_oversized(self):
-        rng = np.random.default_rng(2)
-        topo = Topology(rng.random((ADJACENCY_MAX_N + 1, 2)) * 1e4, 5.0,
-                        index="grid")
-        with pytest.raises(PopulationTooLarge):
-            _ = topo.adjacency
 
     def test_max_n_override(self):
         pos = np.zeros((5, 2))

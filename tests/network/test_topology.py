@@ -133,6 +133,48 @@ class TestNearest:
         assert topo.nearest_to(np.array([21.0, 0.0])) == 3
         assert topo.nearest_to(np.array([21.0, 0.0]), alive_only=False) == 2
 
+    def test_nearest_with_no_living_node_raises(self):
+        topo = line_topology(n=3)
+        for node in range(3):
+            topo.kill(node)
+        with pytest.raises(ValueError, match="no node is alive"):
+            topo.nearest_to(np.array([0.0, 0.0]))
+        assert topo.nearest_to(np.array([21.0, 0.0]), alive_only=False) == 2
+
+
+class TestPositionValidation:
+    @pytest.mark.parametrize("bad", [
+        5.0,
+        [1.0],
+        [1.0, 2.0, 3.0],
+        [[1.0, 2.0]],
+        [np.nan, 0.0],
+        [0.0, np.inf],
+    ])
+    def test_move_rejects_non_pair_or_non_finite(self, bad):
+        topo = line_topology()
+        version = topo.version
+        with pytest.raises(ValueError, match="finite"):
+            topo.move(1, bad)
+        # a rejected move leaves the node and the topology untouched
+        assert list(topo.position_of(1)) == [10.0, 0.0]
+        assert topo.version == version
+        assert topo.neighbors(1) == [0, 2]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_constructor_rejects_non_finite(self, bad):
+        pos = np.array([[0.0, 0.0], [bad, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            Topology(pos, range_m=5.0)
+
+    def test_move_all_rejects_non_finite(self):
+        topo = line_topology()
+        pos = topo.positions.copy()
+        pos[3, 1] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            topo.move_all(pos)
+        assert topo.neighbors(3) == [2, 4]
+
 
 class TestPlacements:
     def test_grid_positions_count_and_bounds(self):
