@@ -24,7 +24,6 @@ Scale knobs (env):
   written there for ``python -m repro.observability.profile``.
 """
 
-import hashlib
 import itertools
 import json
 import math
@@ -130,14 +129,6 @@ def run_world(spec):
     sim.run(until=SIM_S)
     wall_s = time.perf_counter() - wall0
 
-    # one digest over every observable output
-    digest = hashlib.sha256()
-    digest.update(received.tobytes())
-    digest.update(np.ascontiguousarray(bank.remaining).tobytes())
-    digest.update(np.ascontiguousarray(topology.positions).tobytes())
-    digest.update(json.dumps(sorted(monitor.counters().items()),
-                             default=str).encode())
-
     counters = monitor.counters()
     return TrialResult(
         monitor=monitor,
@@ -148,7 +139,6 @@ def run_world(spec):
             "events_executed": sim.events_executed,
             "energy_mj": counters.get("net.energy_j", 0.0) * 1e3,
             "node_deaths": counters.get("net.node_deaths", 0.0),
-            "digest": digest.hexdigest(),
             "wall_s": wall_s,
             "wall_per_sim_s": wall_s / SIM_S,
             "events_per_wall_s": sim.events_executed / wall_s,

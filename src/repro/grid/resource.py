@@ -95,9 +95,10 @@ class GridResource:
         service time, checkpoints the completed fraction on the job, and
         reports ``success=False``.
         """
+        # free_at and service_time(job), read without the calls
         submitted = self.sim.now
-        started = self.free_at
-        service = self.service_time(job)
+        started = max(self._free_at, submitted)
+        service = job.ops * (1.0 - job.checkpoint_fraction) / self.ops_per_second
         if self.monitor is not None:
             self.monitor.histogram("grid.queue_wait").observe(started - submitted)
         span = NOOP_SPAN

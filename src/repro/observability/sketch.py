@@ -43,6 +43,10 @@ __all__ = ["QuantileSketch", "MultiResolutionSeries", "TelemetryConfig",
 #: Default relative-error bound for quantile sketches (1%).
 DEFAULT_ALPHA = 0.01
 
+# bound once for the QuantileSketch.observe hot path
+_ceil = math.ceil
+_log = math.log
+
 
 class QuantileSketch:
     """A mergeable log-bucketed quantile sketch (DDSketch-style).
@@ -79,14 +83,14 @@ class QuantileSketch:
         self._neg: dict[int, int] = {}
 
     # -- recording -----------------------------------------------------
-    def _index(self, magnitude: float) -> int:
-        return math.ceil(math.log(magnitude) * self._mult)
-
     def _midpoint(self, index: int) -> float:
         return 2.0 * self._gamma ** index / (self._gamma + 1.0)
 
     def observe(self, value: float) -> None:
-        """Fold one observation in (O(1), a handful of float ops)."""
+        """Fold one observation in (O(1), a handful of float ops).
+
+        A nonzero value lands in bucket ``ceil(log|value| * mult)``.
+        """
         value = float(value)
         self.count += 1
         self.sum += value
@@ -96,11 +100,13 @@ class QuantileSketch:
             self.max = value
         self.last = value
         if value > 0.0:
-            idx = self._index(value)
-            self._pos[idx] = self._pos.get(idx, 0) + 1
+            idx = _ceil(_log(value) * self._mult)
+            pos = self._pos
+            pos[idx] = pos.get(idx, 0) + 1
         elif value < 0.0:
-            idx = self._index(-value)
-            self._neg[idx] = self._neg.get(idx, 0) + 1
+            idx = _ceil(_log(-value) * self._mult)
+            neg = self._neg
+            neg[idx] = neg.get(idx, 0) + 1
         else:
             self._zero += 1
 
@@ -314,26 +320,32 @@ class MultiResolutionSeries:
             raise ValueError("capacity must be >= 1")
         self.resolutions = res
         self.capacity = int(capacity)
-        # per tier: list of [idx, count, sum, min, max, last], ascending idx
-        self._tiers: list[list[list]] = [[] for _ in res]
+        # per tier: (resolution, buckets), buckets a list of
+        # [idx, count, sum, min, max, last] in ascending idx
+        self._tiers: tuple[tuple[float, list[list]], ...] = tuple((r, []) for r in res)
         self.evictions = 0
         self.late_drops = 0
 
     def record(self, time: float, value: float) -> None:
         """Fold one sample into every tier (O(tiers) amortized)."""
         value = float(value)
-        for res, buckets in zip(self.resolutions, self._tiers):
-            idx = int(time // res)
-            if buckets and (last := buckets[-1])[_IDX] == idx:
-                last[_COUNT] += 1
-                last[_SUM] += value
-                if value < last[_MIN]:
-                    last[_MIN] = value
-                if value > last[_MAX]:
-                    last[_MAX] = value
-                last[_LAST] = value
-            else:
-                self._fold(buckets, [idx, 1, value, value, value, value])
+        for res, buckets in self._tiers:
+            # floor(time / res) as an integral float: it equals the int
+            # bucket index exactly, so only a new bucket converts it.
+            # Bucket fields are indexed by their literal positions here.
+            idx = time // res
+            if buckets:
+                last = buckets[-1]
+                if last[0] == idx:
+                    last[1] += 1
+                    last[2] += value
+                    if value < last[3]:
+                        last[3] = value
+                    if value > last[4]:
+                        last[4] = value
+                    last[5] = value
+                    continue
+            self._fold(buckets, [int(idx), 1, value, value, value, value])
 
     def _fold(self, buckets: list[list], bucket: list) -> None:
         """Insert-or-merge one bucket, keeping ascending order + capacity."""
@@ -366,7 +378,7 @@ class MultiResolutionSeries:
         """Fold ``other``'s buckets in, tier by tier; returns self."""
         if other.resolutions != self.resolutions:
             raise ValueError("cannot merge series with different tier resolutions")
-        for buckets, theirs in zip(self._tiers, other._tiers):
+        for (_, buckets), (_, theirs) in zip(self._tiers, other._tiers):
             for bucket in theirs:
                 self._fold(buckets, list(bucket))
         self.late_drops += other.late_drops
@@ -384,22 +396,22 @@ class MultiResolutionSeries:
                 raise ValueError(
                     f"no tier at resolution {resolution!r} (have {self.resolutions})"
                 ) from None
-        res = self.resolutions[tier]
+        res, buckets = self._tiers[tier]
         return [(b[_IDX] * res, b[_COUNT], b[_SUM], b[_MIN], b[_MAX], b[_LAST])
-                for b in self._tiers[tier]]
+                for b in buckets]
 
     @property
     def cells(self) -> int:
         """Retained storage cells across all tiers (bounded by
         ``len(resolutions) * capacity * BUCKET_CELLS``)."""
-        return sum(len(buckets) for buckets in self._tiers) * BUCKET_CELLS
+        return len(self) * BUCKET_CELLS
 
     def __len__(self) -> int:
-        return sum(len(buckets) for buckets in self._tiers)
+        return sum(len(buckets) for _, buckets in self._tiers)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"MultiResolutionSeries(res={self.resolutions}, "
-                f"buckets={[len(b) for b in self._tiers]})")
+                f"buckets={[len(b) for _, b in self._tiers]})")
 
 
 @dataclasses.dataclass(frozen=True)

@@ -114,7 +114,7 @@ class Histogram:
     from the sketch within its ``alpha`` relative-error bound.
     """
 
-    __slots__ = ("name", "_values", "_max_raw", "_alpha", "_dropped", "_sketch")
+    __slots__ = ("name", "_values", "_max_raw", "_alpha", "_sketch")
 
     def __init__(self, name: str, max_raw: int | None = DEFAULT_MAX_RAW,
                  alpha: float = DEFAULT_ALPHA) -> None:
@@ -122,34 +122,31 @@ class Histogram:
         self._values: typing.MutableSequence[float] = []
         self._max_raw = max_raw
         self._alpha = alpha
-        self._dropped = 0
         self._sketch = None
 
     def observe(self, value: float) -> None:
         """Record one observation."""
         sketch = self._sketch
         if sketch is None:
-            self._values.append(value)
-            if self._max_raw is not None and len(self._values) >= self._max_raw:
+            values = self._values
+            values.append(value)
+            if self._max_raw is not None and len(values) >= self._max_raw:
                 self._spill()
             return
         sketch.observe(value)
-        ring = self._values
-        if ring.maxlen is not None and len(ring) == ring.maxlen:
-            self._dropped += 1
-        ring.append(value)
+        self._values.append(value)  # a full ring drops its oldest value
 
     def _spill(self) -> None:
-        """Switch to sketch-backed mode, folding the raw buffer in."""
+        """Switch to sketch-backed mode, folding the raw buffer in.
+
+        A reconfigure-shrink spills with more raw values than the new
+        cap; the truncated oldest ones count as dropped.
+        """
         sketch = _sketch_module().QuantileSketch(self._alpha)
         for v in self._values:
             sketch.observe(v)
         self._sketch = sketch
-        before = len(self._values)
         self._values = collections.deque(self._values, maxlen=self._max_raw)
-        # a reconfigure-shrink spills with more raw values than the new
-        # cap; the truncated oldest ones count as dropped
-        self._dropped += before - len(self._values)
 
     def __len__(self) -> int:
         return self._sketch.count if self._sketch is not None else len(self._values)
@@ -165,8 +162,10 @@ class Histogram:
 
     @property
     def dropped(self) -> int:
-        """Observations no longer in the raw tail (0 = tail is complete)."""
-        return self._dropped
+        """Observations no longer in the raw tail (0 = tail is complete):
+        everything the sketch holds minus what the ring still holds."""
+        sketch = self._sketch
+        return 0 if sketch is None else sketch.count - len(self._values)
 
     @property
     def sketch(self):
@@ -203,13 +202,13 @@ class Histogram:
 
     def mean(self) -> float:
         """Arithmetic mean, exact at any volume (nan when empty)."""
-        if self._dropped:
+        if self.dropped:
             return self._sketch.mean()
         return float(np.mean(self.values)) if len(self._values) else math.nan
 
     def max(self) -> float:
         """Largest observation ever, exact at any volume (nan when empty)."""
-        if self._dropped:
+        if self.dropped:
             return self._sketch.max
         return float(np.max(self.values)) if len(self._values) else math.nan
 
@@ -220,7 +219,7 @@ class Histogram:
         complete; from the sketch -- within ``alpha`` relative error --
         once observations have been dropped.
         """
-        if self._dropped:
+        if self.dropped:
             return self._sketch.percentile(q)
         return float(np.percentile(self.values, q)) if len(self._values) else math.nan
 
@@ -236,12 +235,7 @@ class Histogram:
         if self._sketch is None:
             self._spill()
         self._sketch.merge(other._sketch)
-        self._dropped += other._dropped
-        ring = self._values
-        for v in other._values:
-            if ring.maxlen is not None and len(ring) == ring.maxlen:
-                self._dropped += 1
-            ring.append(v)
+        self._values.extend(other._values)
 
     def reconfigure(self, max_raw: int | None = None, alpha: float | None = None) -> None:
         """Re-bound the instrument (meant for empty/young instruments).
@@ -260,9 +254,7 @@ class Histogram:
                 if max_raw is not None and len(self._values) >= max_raw:
                     self._spill()
             else:
-                before = len(self._values)
                 self._values = collections.deque(self._values, maxlen=max_raw)
-                self._dropped += before - len(self._values)
 
 
 class TimeSeries:
@@ -280,8 +272,7 @@ class TimeSeries:
     """
 
     __slots__ = ("name", "_times", "_values", "_max_raw", "_alpha",
-                 "_resolutions", "_tier_capacity", "_dropped", "_sketch",
-                 "tiers")
+                 "_resolutions", "_tier_capacity", "_sketch", "tiers")
 
     def __init__(self, name: str, max_raw: int | None = DEFAULT_MAX_RAW,
                  alpha: float = DEFAULT_ALPHA,
@@ -294,7 +285,6 @@ class TimeSeries:
         self._alpha = alpha
         self._resolutions = tuple(resolutions)
         self._tier_capacity = tier_capacity
-        self._dropped = 0
         self._sketch = None
         #: Downsampled multi-resolution history (None until spilled;
         #: call :meth:`ensure_sketch` to materialize eagerly).
@@ -311,14 +301,16 @@ class TimeSeries:
             return
         sketch.observe(value)
         self.tiers.record(time, value)
-        ring = self._values
-        if ring.maxlen is not None and len(ring) == ring.maxlen:
-            self._dropped += 1
+        # full rings drop their oldest sample
         self._times.append(time)
-        ring.append(value)
+        self._values.append(value)
 
     def _spill(self) -> None:
-        """Switch to sketch+tier-backed mode, folding the raw buffers in."""
+        """Switch to sketch+tier-backed mode, folding the raw buffers in.
+
+        A reconfigure-shrink spills with more raw samples than the new
+        cap; the truncated oldest ones count as dropped.
+        """
         mod = _sketch_module()
         sketch = mod.QuantileSketch(self._alpha)
         tiers = mod.MultiResolutionSeries(self._resolutions, self._tier_capacity)
@@ -327,12 +319,8 @@ class TimeSeries:
             tiers.record(t, v)
         self._sketch = sketch
         self.tiers = tiers
-        before = len(self._values)
         self._times = collections.deque(self._times, maxlen=self._max_raw)
         self._values = collections.deque(self._values, maxlen=self._max_raw)
-        # a reconfigure-shrink spills with more raw samples than the new
-        # cap; the truncated oldest ones count as dropped
-        self._dropped += before - len(self._values)
 
     def __len__(self) -> int:
         return self._sketch.count if self._sketch is not None else len(self._values)
@@ -349,8 +337,10 @@ class TimeSeries:
 
     @property
     def dropped(self) -> int:
-        """Samples no longer in the raw tail (0 = tail is complete)."""
-        return self._dropped
+        """Samples no longer in the raw tail (0 = tail is complete):
+        everything the sketch holds minus what the rings still hold."""
+        sketch = self._sketch
+        return 0 if sketch is None else sketch.count - len(self._values)
 
     @property
     def sketch(self):
@@ -373,26 +363,26 @@ class TimeSeries:
 
     def mean(self) -> float:
         """Arithmetic mean of values, exact at any volume (nan when empty)."""
-        if self._dropped:
+        if self.dropped:
             return self._sketch.mean()
         return float(np.mean(self.values)) if len(self._values) else math.nan
 
     def total(self) -> float:
         """Sum of values, exact at any volume (0 when empty)."""
-        if self._dropped:
+        if self.dropped:
             return self._sketch.sum
         return float(np.sum(self.values)) if len(self._values) else 0.0
 
     def max(self) -> float:
         """Maximum value ever, exact at any volume (nan when empty)."""
-        if self._dropped:
+        if self.dropped:
             return self._sketch.max
         return float(np.max(self.values)) if len(self._values) else math.nan
 
     def percentile(self, q: float) -> float:
         """The ``q``-th percentile of values (nan when empty); exact
         while the raw tail is complete, sketch-backed afterwards."""
-        if self._dropped:
+        if self.dropped:
             return self._sketch.percentile(q)
         return float(np.percentile(self.values, q)) if len(self._values) else math.nan
 
@@ -417,13 +407,8 @@ class TimeSeries:
             self._spill()
         self._sketch.merge(other._sketch)
         self.tiers.merge(other.tiers)
-        self._dropped += other._dropped
-        ring = self._values
-        for t, v in zip(other._times, other._values):
-            if ring.maxlen is not None and len(ring) == ring.maxlen:
-                self._dropped += 1
-            self._times.append(t)
-            ring.append(v)
+        self._times.extend(other._times)
+        self._values.extend(other._values)
 
     def reconfigure(self, max_raw: int | None = None, alpha: float | None = None,
                     resolutions: typing.Sequence[float] | None = None,
@@ -448,10 +433,8 @@ class TimeSeries:
             if max_raw is not None and len(self._values) >= max_raw:
                 self._spill()
         else:
-            before = len(self._values)
             self._times = collections.deque(self._times, maxlen=max_raw)
             self._values = collections.deque(self._values, maxlen=max_raw)
-            self._dropped += before - len(self._values)
 
 
 #: plain built-in sum, aliased so ``Histogram.sum`` (a property) can use it

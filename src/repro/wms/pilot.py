@@ -3,10 +3,11 @@
 A :class:`PilotWorker` is the inversion the DIRAC model brings: instead
 of a scheduler *pushing* jobs at sites, each site runs a lightweight
 pilot that *pulls* the next matching task whenever it has capacity.  The
-pilot describes its site (rate, backlog, breaker health) on every pull,
-so matching always sees fresh state, and it runs one task at a time --
-backlog accumulates in the central queue where the fair-share policy
-can see it, not in per-site FIFOs where it cannot.
+pilot describes its site (rate, backlog, breaker health) on every pull
+that finds work waiting, so matching always sees fresh state, and it
+runs one task at a time -- backlog accumulates in the central queue
+where the fair-share policy can see it, not in per-site FIFOs where it
+cannot.
 
 Pilots are ordinary simulator actors: they start via a zero-delay event,
 park on the queue when it is empty, and wake through scheduled events,
@@ -38,7 +39,8 @@ class PilotWorker:
         serves.
     breakers:
         Optional breaker board; its health view flows into the pilot's
-        :class:`~repro.wms.matching.ResourceDescription` on every pull.
+        :class:`~repro.wms.matching.ResourceDescription`.  A pilot with a
+        board polls it on every pull, even when the queue is empty.
     max_attempts:
         Compute tasks that fail at this site are requeued (centrally,
         preserving their submission stamp) until they have been tried
@@ -84,9 +86,18 @@ class PilotWorker:
     def _pull(self) -> None:
         if self._busy:
             return
-        task = self.queue.claim(describe(self.resource, self.breakers))
+        queue = self.queue
+        waiting = queue.depth()
+        task = None
+        if waiting or self.breakers is not None:
+            # describe() polls every breaker, and a poll may promote one
+            # open -> half-open, so a board is polled even with no work;
+            # a claim against an empty queue would find nothing
+            desc = describe(self.resource, self.breakers)
+            if waiting:
+                task = queue.claim(desc)
         if task is None:
-            self.queue.park(self._pull)
+            queue.park(self._pull)
             return
         self._busy = True
         if task.run is not None:

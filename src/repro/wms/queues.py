@@ -56,6 +56,42 @@ class _ClassQueue:
         self.starving = False  # inside a starvation episode
 
 
+#: The service's monitor instruments: attribute -> (kind, metric name).
+_INSTRUMENTS = {
+    "submitted": ("counter", "wms.tasks_submitted"),
+    "requeued": ("counter", "wms.tasks_requeued"),
+    "dispatched": ("counter", "wms.tasks_dispatched"),
+    "completed": ("counter", "wms.tasks_completed"),
+    "failed": ("counter", "wms.tasks_failed"),
+    "starved": ("counter", "wms.tasks_starved"),
+    "queue_depth": ("series", "wms.queue_depth"),
+    "queue_latency": ("histogram", "wms.queue_latency"),
+    "turnaround": ("histogram", "wms.turnaround"),
+}
+
+
+class _Instruments:
+    """The service's ``wms.*`` instruments, each looked up on first use
+    and then kept as an attribute.
+
+    Binding at first use means the monitor creates each instrument when
+    the service first records into it, so counters that never fire stay
+    absent from :meth:`Monitor.summary` and creation order is unchanged.
+    """
+
+    def __init__(self, monitor: Monitor) -> None:
+        self._monitor = monitor
+
+    def __getattr__(self, attr: str) -> typing.Any:
+        try:
+            kind, name = _INSTRUMENTS[attr]
+        except KeyError:
+            raise AttributeError(attr) from None
+        instrument = getattr(self._monitor, kind)(name)
+        setattr(self, attr, instrument)
+        return instrument
+
+
 class TaskQueueService:
     """Bulk submission in, fair-share matched claims out.
 
@@ -67,7 +103,8 @@ class TaskQueueService:
         Priority-class catalog (declaration order is the deterministic
         tie-break); defaults to interactive/standard/bulk at 6/3/1.
     monitor / tracer:
-        Observability sinks; both optional/no-op.
+        Observability sinks; both optional/no-op.  The monitor is fixed
+        at construction: its ``wms.*`` instruments are bound on first use.
     starvation_s:
         A class whose head task has waited longer than this opens a
         starvation episode: one ``wms.tasks_starved`` count and one
@@ -99,7 +136,9 @@ class TaskQueueService:
             spec.name: _ClassQueue(spec, i) for i, spec in enumerate(classes)
         }
         self._vclock = 0.0  # virtual time of the last dispatch
+        self._depth = 0  # waiting tasks over every class
         self._waiters: collections.deque[typing.Callable[[], None]] = collections.deque()
+        self._metrics = _Instruments(monitor) if monitor is not None else None
 
     # ------------------------------------------------------------------
     # introspection
@@ -113,7 +152,7 @@ class TaskQueueService:
         """Waiting tasks in one class (or in total)."""
         if priority_class is not None:
             return len(self._class(priority_class).tasks)
-        return sum(len(c.tasks) for c in self._classes.values())
+        return self._depth
 
     def class_stats(self) -> dict[str, dict[str, float]]:
         """Per-class tallies (deterministic; keyed by class name)."""
@@ -151,11 +190,14 @@ class TaskQueueService:
 
         Bulk submission is the high-traffic entry point: a base station
         flushing a burst of handheld queries costs O(batch) appends, not
-        O(batch) bookkeeping rounds.  Returns the batch size.
+        O(batch) bookkeeping rounds.  Every task's class is resolved
+        before any is enqueued, so a batch naming an unknown class
+        raises ``KeyError`` and leaves the queue untouched.  Returns the
+        batch size.
         """
+        queues = [self._class(task.priority_class) for task in tasks]
         now = self.sim.now
-        for task in tasks:
-            cq = self._class(task.priority_class)
+        for task, cq in zip(tasks, queues):
             if not cq.tasks:
                 # an idle class re-enters at the current virtual clock:
                 # no credit accumulates while a class has nothing queued
@@ -165,9 +207,10 @@ class TaskQueueService:
             cq.tasks.append(task)
             cq.submitted += 1
             cq.ops_submitted += task.ops
-        if self.monitor is not None:
-            self.monitor.counter("wms.tasks_submitted").add(len(tasks))
-            self.monitor.series("wms.queue_depth").record(now, float(self.depth()))
+        self._depth += len(tasks)
+        if self._metrics is not None:
+            self._metrics.submitted.add(len(tasks))
+            self._metrics.queue_depth.record(now, float(self._depth))
         self._wake(len(tasks))
         return len(tasks)
 
@@ -183,8 +226,9 @@ class TaskQueueService:
         task.state = "waiting"
         task.site = ""
         cq.tasks.append(task)
-        if self.monitor is not None:
-            self.monitor.counter("wms.tasks_requeued").add(1)
+        self._depth += 1
+        if self._metrics is not None:
+            self._metrics.requeued.add(1)
         self._wake(1)
 
     # ------------------------------------------------------------------
@@ -200,35 +244,55 @@ class TaskQueueService:
         Returns ``None`` when no head task matches.
         """
         now = self.sim.now
-        self._check_starvation(now)
-        order = sorted(
-            (c for c in self._classes.values() if c.tasks),
-            key=lambda c: (c.vtag, c.order),
-        )
-        for cq in order:
-            head = cq.tasks[0]
-            if not head.requirements.accepts(desc):
+        # one pass in declaration order runs the starvation watch and
+        # finds the first class in fair-share order
+        first = None
+        for cq in self._classes.values():
+            if not cq.tasks:
+                cq.starving = False
                 continue
-            cq.tasks.popleft()
-            self._vclock = cq.vtag
-            cq.vtag += max(head.ops, 1.0) / cq.spec.weight
-            cq.dispatched += 1
-            cq.starving = False
-            head.state = "running"
-            head.dispatched_at = now
-            head.site = desc.name
-            head.attempts += 1
-            if self.monitor is not None:
-                self.monitor.counter("wms.tasks_dispatched").add(1)
-                self.monitor.histogram("wms.queue_latency").observe(head.queue_wait_s)
-                self.monitor.series("wms.queue_depth").record(now, float(self.depth()))
-            if self.tracer.enabled:
-                self.tracer.event("wms.dispatch", task_id=head.task_id,
-                                  priority_class=head.priority_class,
-                                  site=desc.name, wait_s=head.queue_wait_s,
-                                  attempt=head.attempts, depth=self.depth())
-            return head
-        return None
+            wait = now - cq.tasks[0].submitted_at
+            if wait > self.starvation_s and not cq.starving:
+                cq.starving = True
+                if self._metrics is not None:
+                    self._metrics.starved.add(1)
+                if self.tracer.enabled:
+                    self.tracer.event("wms.starved",
+                                      priority_class=cq.spec.name,
+                                      wait_s=wait, depth=len(cq.tasks))
+            if first is None or cq.vtag < first.vtag:
+                first = cq
+        if first is None:
+            return None
+        cq = first
+        if not cq.tasks[0].requirements.accepts(desc):
+            # its head rejects this site: offer the other heads in order
+            rest = sorted((c for c in self._classes.values() if c.tasks and c is not first),
+                          key=lambda c: (c.vtag, c.order))
+            cq = next((c for c in rest if c.tasks[0].requirements.accepts(desc)), None)
+            if cq is None:
+                return None
+        head = cq.tasks.popleft()
+        self._depth -= 1
+        self._vclock = cq.vtag
+        cq.vtag += max(head.ops, 1.0) / cq.spec.weight
+        cq.dispatched += 1
+        cq.starving = False
+        head.state = "running"
+        head.dispatched_at = now
+        head.site = desc.name
+        head.attempts += 1
+        wait = now - head.submitted_at
+        if self._metrics is not None:
+            self._metrics.dispatched.add(1)
+            self._metrics.queue_latency.observe(wait)
+            self._metrics.queue_depth.record(now, float(self._depth))
+        if self.tracer.enabled:
+            self.tracer.event("wms.dispatch", task_id=head.task_id,
+                              priority_class=head.priority_class,
+                              site=desc.name, wait_s=wait,
+                              attempt=head.attempts, depth=self._depth)
+        return head
 
     def report(self, task: Task, success: bool) -> None:
         """A pilot finished ``task``; close out its accounting."""
@@ -240,10 +304,10 @@ class TaskQueueService:
             cq.ops_completed += task.ops
         else:
             cq.failed += 1
-        if self.monitor is not None:
-            name = "wms.tasks_completed" if success else "wms.tasks_failed"
-            self.monitor.counter(name).add(1)
-            self.monitor.histogram("wms.turnaround").observe(task.turnaround_s)
+        if self._metrics is not None:
+            counter = self._metrics.completed if success else self._metrics.failed
+            counter.add(1)
+            self._metrics.turnaround.observe(task.finished_at - task.submitted_at)
 
     # ------------------------------------------------------------------
     # pilot parking
@@ -264,24 +328,6 @@ class TaskQueueService:
             wake = self._waiters.popleft()
             self.sim.schedule(0.0, wake, label="wms.wake")
             woken += 1
-
-    # ------------------------------------------------------------------
-    # starvation watch
-    # ------------------------------------------------------------------
-    def _check_starvation(self, now: float) -> None:
-        for cq in self._classes.values():
-            if not cq.tasks:
-                cq.starving = False
-                continue
-            wait = now - cq.tasks[0].submitted_at
-            if wait > self.starvation_s and not cq.starving:
-                cq.starving = True
-                if self.monitor is not None:
-                    self.monitor.counter("wms.tasks_starved").add(1)
-                if self.tracer.enabled:
-                    self.tracer.event("wms.starved",
-                                      priority_class=cq.spec.name,
-                                      wait_s=wait, depth=len(cq.tasks))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         depths = {name: len(c.tasks) for name, c in self._classes.items()}

@@ -124,6 +124,22 @@ class TestTaskQueueService:
         with pytest.raises(KeyError):
             q.submit(Task(ops=1.0, priority_class="no-such-class"))
 
+    def test_bulk_with_unknown_class_enqueues_nothing(self):
+        """A bad batch is rejected whole: no task is stranded in the
+        queue uncounted, with no pilot woken to run it."""
+        sim, monitor, q = self.make()
+        woken = []
+        q.park(lambda: woken.append(True))
+        with pytest.raises(KeyError):
+            q.submit_bulk([Task(ops=1.0),
+                           Task(ops=1.0, priority_class="no-such-class")])
+        sim.run()
+        assert q.depth() == 0
+        assert q.class_stats()["standard"]["submitted"] == 0.0
+        assert not woken
+        assert "wms.tasks_submitted" not in monitor.counters()
+        assert q.claim(desc()) is None
+
     def test_fifo_within_class(self):
         _, _, q = self.make()
         tasks = [Task(ops=1.0, priority_class="standard", name=f"t{i}")
@@ -308,6 +324,33 @@ class TestPilots:
         # the checkpoint accumulated across all three attempts
         assert t.job.checkpoint_fraction > 0.0
         assert pilot.tasks_failed == 1
+
+    def test_idle_pull_parks_without_claiming_but_polls_breakers(self):
+        """A pull that finds the queue empty parks without a claim; a
+        pilot with a breaker board still polls it on that pull, so an
+        open breaker half-opens at that pull's time."""
+        from repro.resilience.breaker import BreakerBoard
+
+        sim = Simulator()
+        tracer = Tracer(sim)
+        q = TaskQueueService(sim)
+        claims = []
+        claim = q.claim
+        q.claim = lambda desc: claims.append(desc) or claim(desc)
+        board = BreakerBoard(sim, tracer=tracer, failure_threshold=1,
+                             recovery_timeout_s=1.0)
+        site = GridResource(sim, "site0", 1e6)
+        PilotWorker(sim, q, site, breakers=board).start()
+        sim.run()
+        assert claims == []  # the first pull found nothing waiting
+        board.record_failure("site0")
+        q.submit(Task(ops=2e6, requirements=TaskRequirements(require_healthy=False)))
+        sim.run()
+        assert len(claims) == 1  # the pull after the task ended did not claim
+        (transition,) = [e for e in tracer.events()
+                         if e.name == "resilience.breaker_transition"
+                         and e.attrs["to_state"] == "half-open"]
+        assert transition.time_s == 2.0  # polled by that pull
 
     def test_max_attempts_validation(self):
         sim = Simulator()
