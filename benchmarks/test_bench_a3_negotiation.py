@@ -26,9 +26,9 @@ from repro.composition import (
 )
 from repro.discovery import (
     Preference,
+    ReplicatedRegistry,
     SemanticMatcher,
     ServiceDescription,
-    ServiceRegistry,
     build_service_ontology,
 )
 from repro.simkernel import Simulator
@@ -43,7 +43,7 @@ class World:
     def __init__(self, seed=0):
         self.sim = Simulator()
         self.platform = AgentPlatform(self.sim)
-        self.registry = ServiceRegistry(SemanticMatcher(build_service_ontology()))
+        self.registry = ReplicatedRegistry(SemanticMatcher(build_service_ontology()))
         self.manager = CompositionManager("mgr", self.sim, Binder(self.registry),
                                           timeout_s=60.0, max_retries=0)
         self.platform.register(self.manager)

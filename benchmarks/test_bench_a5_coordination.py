@@ -22,7 +22,7 @@ import numpy as np
 
 from repro.agents import AgentPlatform, NetworkDeputy
 from repro.composition import Binder, CompositionManager, HTNPlanner, ServiceProviderAgent, build_pervasive_domain
-from repro.discovery import SemanticMatcher, ServiceDescription, ServiceRegistry, build_service_ontology
+from repro.discovery import ReplicatedRegistry, SemanticMatcher, ServiceDescription, build_service_ontology
 from repro.network import RadioEnergyModel, RadioModel, Topology, WirelessNetwork
 from repro.network.mobility import grid_positions
 from repro.simkernel import RandomStreams, Simulator
@@ -43,7 +43,7 @@ def run_config(mode: str, payload_bits: float, seed=3):
                           rng=streams.get("loss"))
     base = N_NODES
     platform = AgentPlatform(sim)
-    registry = ServiceRegistry(SemanticMatcher(build_service_ontology()))
+    registry = ReplicatedRegistry(SemanticMatcher(build_service_ontology()))
     manager = CompositionManager("mgr", sim, Binder(registry), mode=mode,
                                  timeout_s=60.0)
     platform.register(manager, NetworkDeputy(manager, net, host_node=base))

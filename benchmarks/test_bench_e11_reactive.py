@@ -30,9 +30,9 @@ from repro.composition import (
 )
 from repro.discovery import (
     BrokerAgent,
+    ReplicatedRegistry,
     SemanticMatcher,
     ServiceDescription,
-    ServiceRegistry,
     build_service_ontology,
 )
 from repro.network import RadioEnergyModel, RadioModel, RandomWaypoint, Topology, WirelessNetwork
@@ -57,7 +57,7 @@ class WirelessWorld:
         )
         self.base = N_NODES
         self.platform = AgentPlatform(self.sim)
-        self.registry = ServiceRegistry(SemanticMatcher(build_service_ontology()))
+        self.registry = ReplicatedRegistry(SemanticMatcher(build_service_ontology()))
         # broker and manager live on the base station; the composer runs
         # on a handheld at the far corner of the site -- every discovery
         # round trip and every invocation crosses the wireless network

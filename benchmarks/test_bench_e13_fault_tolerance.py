@@ -38,9 +38,9 @@ from repro.composition import (
 )
 from repro.discovery import (
     BrokerAgent,
+    ReplicatedRegistry,
     SemanticMatcher,
     ServiceDescription,
-    ServiceRegistry,
     build_service_ontology,
 )
 from repro.faults import (
@@ -83,7 +83,7 @@ class FaultWorld:
         self.sim = Simulator()
         self.streams = RandomStreams(seed)
         self.platform = AgentPlatform(self.sim)
-        self.registry = ServiceRegistry(SemanticMatcher(build_service_ontology()))
+        self.registry = ReplicatedRegistry(SemanticMatcher(build_service_ontology()))
         self.monitor = Monitor()
         # observability is additive: tracing/profiling never perturb the
         # deterministic metrics (the replay assertion below runs untraced)

@@ -24,7 +24,7 @@ from repro.composition import (
     ServiceProviderAgent,
     build_pervasive_domain,
 )
-from repro.discovery import SemanticMatcher, ServiceDescription, ServiceRegistry, build_service_ontology
+from repro.discovery import ReplicatedRegistry, SemanticMatcher, ServiceDescription, build_service_ontology
 from repro.network import Topology
 from repro.network.churn import ChurnProcess
 from repro.simkernel import RandomStreams, Simulator
@@ -47,7 +47,7 @@ class ChurnWorld:
         self.sim = Simulator()
         self.streams = RandomStreams(seed)
         self.platform = AgentPlatform(self.sim)
-        self.registry = ServiceRegistry(SemanticMatcher(build_service_ontology()))
+        self.registry = ReplicatedRegistry(SemanticMatcher(build_service_ontology()))
         self.manager = CompositionManager(
             "mgr", self.sim, Binder(self.registry), mode=mode,
             timeout_s=120.0, max_retries=3,

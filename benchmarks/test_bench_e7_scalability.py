@@ -21,8 +21,8 @@ from repro.composition import Binder, CompositionManager, HTNPlanner, ServicePro
 from repro.discovery import (
     DistributedBrokerNetwork,
     Preference,
+    ReplicatedRegistry,
     SemanticMatcher,
-    ServiceRegistry,
     ServiceRequest,
     build_service_ontology,
 )
@@ -37,7 +37,7 @@ def search_latency(n_services: int, seed=41):
     rng = np.random.default_rng(seed)
     services = [g.description for g in ServicePopulation(rng).generate(n_services)]
     ontology = build_service_ontology()
-    registry = ServiceRegistry(SemanticMatcher(ontology))
+    registry = ReplicatedRegistry(SemanticMatcher(ontology))
     for d in services:
         registry.advertise(d)
 
@@ -51,7 +51,7 @@ def search_latency(n_services: int, seed=41):
     single = (time.perf_counter() - t0) / N_SEARCHES
 
     # federation: same population over 4 peered brokers
-    registries = [ServiceRegistry(SemanticMatcher(ontology), name=f"b{i}") for i in range(4)]
+    registries = [ReplicatedRegistry(SemanticMatcher(ontology), name=f"b{i}") for i in range(4)]
     for i, d in enumerate(services):
         registries[i % 4].advertise(d)
     net = DistributedBrokerNetwork(registries)
@@ -66,7 +66,7 @@ def composition_latency(n_services: int, seed=43):
     sim = Simulator()
     streams = RandomStreams(seed)
     platform = AgentPlatform(sim)
-    registry = ServiceRegistry(SemanticMatcher(build_service_ontology()))
+    registry = ReplicatedRegistry(SemanticMatcher(build_service_ontology()))
     # background population (noise the binder must rank through)
     for g in ServicePopulation(streams.get("population")).generate(n_services):
         registry.advertise(g.description)

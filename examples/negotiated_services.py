@@ -26,9 +26,9 @@ from repro.composition import (
 )
 from repro.discovery import (
     Preference,
+    ReplicatedRegistry,
     SemanticMatcher,
     ServiceDescription,
-    ServiceRegistry,
     build_service_ontology,
 )
 from repro.simkernel import Simulator
@@ -39,7 +39,7 @@ RATE = 1e8
 def build_world():
     sim = Simulator()
     platform = AgentPlatform(sim)
-    registry = ServiceRegistry(SemanticMatcher(build_service_ontology()))
+    registry = ReplicatedRegistry(SemanticMatcher(build_service_ontology()))
     manager = CompositionManager("mgr", sim, Binder(registry), timeout_s=60.0)
     platform.register(manager)
 

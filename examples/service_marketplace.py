@@ -17,8 +17,8 @@ import numpy as np
 from repro.discovery import (
     Constraint,
     Preference,
+    ReplicatedRegistry,
     SemanticMatcher,
-    ServiceRegistry,
     ServiceRequest,
     build_service_ontology,
 )
@@ -31,7 +31,7 @@ def main() -> None:
     population = [g.description for g in ServicePopulation(rng).generate(60)]
 
     # advertise the SAME population everywhere
-    registry = ServiceRegistry(SemanticMatcher(build_service_ontology()))
+    registry = ReplicatedRegistry(SemanticMatcher(build_service_ontology()))
     jini, sdp, slp = JiniLookup(), BluetoothSDP(), SLPDirectory()
     for desc in population:
         registry.advertise(desc)

@@ -1,4 +1,10 @@
-"""Binding tasks to discovered services."""
+"""Binding tasks to discovered services.
+
+:class:`Binder` turns each task into a
+:class:`~repro.discovery.description.ServiceRequest`, searches the
+discovery registry (a :class:`~repro.discovery.replica.ReplicatedRegistry`,
+at any shard count) and takes the best-ranked match with a provider.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +12,7 @@ import dataclasses
 
 from repro.composition.task import TaskGraph, TaskSpec
 from repro.discovery.matcher import MatchResult
-from repro.discovery.registry import ServiceRegistry
+from repro.discovery.replica import ReplicatedRegistry
 
 
 class BindingError(Exception):
@@ -40,7 +46,7 @@ class Binder:
         The discovery registry (a broker's store).
     """
 
-    def __init__(self, registry: ServiceRegistry) -> None:
+    def __init__(self, registry: ReplicatedRegistry) -> None:
         self.registry = registry
         self.bind_count = 0
 

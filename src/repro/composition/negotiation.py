@@ -17,7 +17,7 @@ from repro.agents.contractnet import Award, ContractNetInitiator
 from repro.composition.binding import Binding
 from repro.composition.task import TaskGraph, TaskSpec
 from repro.discovery.matcher import MatchResult
-from repro.discovery.registry import ServiceRegistry
+from repro.discovery.replica import ReplicatedRegistry
 
 
 class NegotiatedBinder:
@@ -44,7 +44,7 @@ class NegotiatedBinder:
     def __init__(
         self,
         initiator: ContractNetInitiator,
-        registry: ServiceRegistry,
+        registry: ReplicatedRegistry,
         max_price: float = 100.0,
         deadline_s: float = 60.0,
         collect_window_s: float = 0.5,

@@ -23,10 +23,9 @@ expressiveness gap is measurable (experiment E5):
   (the source of truth every store materializes).
 * :mod:`~repro.discovery.shard` -- consistent-hash sharding of
   descriptions by ontology class.
-* :mod:`~repro.discovery.registry` -- local and distributed broker
-  registries (log-backed, deterministically rebuildable).
-* :mod:`~repro.discovery.replica` -- the sharded, replicated registry
-  over one shared log.
+* :mod:`~repro.discovery.replica` -- the service registry: sharded,
+  replicated, deterministic folds of one shared log.
+* :mod:`~repro.discovery.registry` -- the distributed broker overlay.
 * :mod:`~repro.discovery.failover` -- single-active broker groups with
   deterministic standby promotion.
 * :mod:`~repro.discovery.broker` -- the broker *agent* speaking ACL.
@@ -40,8 +39,8 @@ from repro.discovery.description import ServiceDescription, ServiceRequest
 from repro.discovery.log import EventLog, RegistryEvent, apply_event
 from repro.discovery.matcher import MatchDegree, MatchResult, SemanticMatcher
 from repro.discovery.shard import ShardMap, stable_hash
-from repro.discovery.registry import ServiceRegistry, DistributedBrokerNetwork
 from repro.discovery.replica import ReplicaRegistry, ReplicatedRegistry
+from repro.discovery.registry import DistributedBrokerNetwork
 from repro.discovery.broker import BrokerAgent
 from repro.discovery.failover import BrokerGroup, FailoverEvent
 
@@ -60,7 +59,6 @@ __all__ = [
     "SemanticMatcher",
     "ShardMap",
     "stable_hash",
-    "ServiceRegistry",
     "DistributedBrokerNetwork",
     "ReplicaRegistry",
     "ReplicatedRegistry",

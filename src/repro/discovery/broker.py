@@ -3,8 +3,9 @@
 "We are investigating the creation of efficient broker agents to discover
 services at a semantic level." (§3)
 
-:class:`BrokerAgent` wraps a :class:`~repro.discovery.registry.ServiceRegistry`
-behind the agent framework: providers ADVERTISE/UNADVERTISE
+:class:`BrokerAgent` wraps a registry
+(:class:`~repro.discovery.replica.ReplicatedRegistry`) behind the agent
+framework: providers ADVERTISE/UNADVERTISE
 :class:`~repro.discovery.description.ServiceDescription` payloads, clients
 QUERY with :class:`~repro.discovery.description.ServiceRequest` payloads
 and receive an INFORM carrying the ranked match list.
@@ -16,7 +17,7 @@ from repro.agents.agent import Agent
 from repro.agents.acl import ACLMessage, Performative
 from repro.agents.attributes import AgentAttributes, AgentRole
 from repro.discovery.description import ServiceDescription, ServiceRequest
-from repro.discovery.registry import ServiceRegistry
+from repro.discovery.replica import ReplicatedRegistry
 
 
 class BrokerAgent(Agent):
@@ -32,7 +33,7 @@ class BrokerAgent(Agent):
         Maximum matches returned per query (None = all).
     """
 
-    def __init__(self, name: str, registry: ServiceRegistry, top_k: int | None = 10) -> None:
+    def __init__(self, name: str, registry: ReplicatedRegistry, top_k: int | None = 10) -> None:
         super().__init__(name, AgentAttributes.of(AgentRole.BROKER))
         self.registry = registry
         self.top_k = top_k

@@ -75,13 +75,18 @@ def apply_event(state: dict[str, ServiceDescription], event: RegistryEvent,
     """Apply one event to a ``name -> description`` map, in place.
 
     ``accept`` filters *advertisements only* (shard replicas own a subset
-    of categories); withdrawals always apply, so a replica never keeps a
-    name the log has withdrawn.  Returns the number of descriptions
-    removed (0 for advertisements), letting callers count withdrawals.
+    of categories): a rejected advertisement drops the name, because a
+    refresh under a new category moves the service off this state.
+    Withdrawals always apply, so a replica never keeps a name the log has
+    withdrawn.  Returns the number of descriptions withdrawn (0 for
+    advertisements), letting callers count withdrawals.
     """
     if event.kind in ("advertise", "refresh"):
-        if accept is None or accept(event.service):
-            state[event.service.name] = event.service
+        service = event.service
+        if accept is None or accept(service):
+            state[service.name] = service
+        elif service.name in state:
+            del state[service.name]
         return 0
     if event.kind == "withdraw":
         return 1 if state.pop(event.service_name, None) is not None else 0

@@ -1,146 +1,24 @@
-"""Service registries: local and distributed-broker.
+"""The distributed-broker overlay over service registries.
 
 "UDDI's present highly centralized model is not appropriate for our
 scenario, but ... a distributed set of brokers could be created." (§3)
 
-:class:`ServiceRegistry` is one broker's store, and since the
-event-sourcing refactor it is a *materialization of its event log*:
-``advertise``/``withdraw``/``withdraw_host`` append
-:class:`~repro.discovery.log.RegistryEvent` entries and the in-memory
-dict is just the folded state, rebuildable from any log prefix with
-:meth:`ServiceRegistry.rebuild`.  :class:`DistributedBrokerNetwork`
-links several registries into a peering overlay: a query hits the local
-broker first and is forwarded to peers up to a hop limit, merging ranked
-results -- the decentralized alternative to one UDDI node.  The fully
-replicated/sharded store lives in :mod:`repro.discovery.replica`; the
-single-active broker failover protocol in
-:mod:`repro.discovery.failover`.
+:class:`DistributedBrokerNetwork` links several registries into a
+peering overlay: a query hits the local broker first and is forwarded
+to peers up to a hop limit, merging ranked results -- the decentralized
+alternative to one UDDI node.  Each member is a
+:class:`~repro.discovery.replica.ReplicatedRegistry`, the one registry,
+which folds its own event log; the single-active broker failover
+protocol lives in :mod:`repro.discovery.failover`.
 """
 
 from __future__ import annotations
 
 import typing
 
-from repro.discovery.description import ServiceDescription, ServiceRequest
-from repro.discovery.log import EventLog, RegistryEvent, apply_event
-from repro.discovery.matcher import MatchResult, SemanticMatcher
-
-if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.simkernel.monitor import Monitor
-
-
-class ServiceRegistry:
-    """One broker's advertisement store with semantic search.
-
-    Parameters
-    ----------
-    matcher:
-        The semantic matcher used for searches.
-    name:
-        Broker name (diagnostics, peering).
-    log:
-        The event log this registry materializes.  Default: a private
-        log, making the registry behave exactly like the pre-event-sourced
-        version while still being replayable.  A pre-populated log is
-        materialized at construction; *live* fan-out of one log to many
-        consumers is the replica layer's job
-        (:class:`~repro.discovery.replica.ReplicatedRegistry`).
-    monitor:
-        Optional :class:`~repro.simkernel.monitor.Monitor`; when present
-        the registry counts ``disc.advertise`` / ``disc.search`` /
-        ``disc.withdraw`` into the canonical catalog.
-    """
-
-    def __init__(self, matcher: SemanticMatcher, name: str = "registry",
-                 *, log: EventLog | None = None,
-                 monitor: "Monitor | None" = None) -> None:
-        self.matcher = matcher
-        self.name = name
-        self.log = log if log is not None else EventLog()
-        self.monitor = monitor
-        self._services: dict[str, ServiceDescription] = {}
-        # a pre-populated shared log materializes immediately
-        self.applied_seq = 0
-        for event in self.log.events():
-            self._apply(event)
-        self.advertise_count = 0
-        self.search_count = 0
-        self.withdraw_count = 0
-
-    # ------------------------------------------------------------------
-    # event plumbing
-    # ------------------------------------------------------------------
-    def _apply(self, event: RegistryEvent) -> int:
-        """Fold one log event into local state; returns withdrawals."""
-        removed = apply_event(self._services, event)
-        self.applied_seq = event.seq
-        return removed
-
-    def _count(self, counter: str, n: int = 1) -> None:
-        if self.monitor is not None and n:
-            self.monitor.counter(counter).add(n)
-
-    @classmethod
-    def rebuild(cls, matcher: SemanticMatcher, log: EventLog,
-                upto_seq: int | None = None, name: str = "rebuilt",
-                ) -> "ServiceRegistry":
-        """A fresh registry deterministically replayed from ``log``.
-
-        Replaying the same prefix always yields byte-identical
-        :meth:`services` listings -- the recovery path after a broker
-        crash, and the property the E13-D benchmark gates on.
-        """
-        registry = cls(matcher, name=name)
-        for event in log.events(upto_seq=upto_seq):
-            registry._apply(event)
-        return registry
-
-    # ------------------------------------------------------------------
-    def advertise(self, service: ServiceDescription) -> None:
-        """Register (or refresh) a service advertisement."""
-        event = self.log.append_advertise(service,
-                                          refresh=service.name in self._services)
-        self._apply(event)
-        self.advertise_count += 1
-        self._count("disc.advertise")
-
-    def withdraw(self, service_name: str) -> bool:
-        """Remove an advertisement; True if it was present."""
-        event = self.log.append_withdraw(service_name)
-        removed = self._apply(event)
-        self.withdraw_count += removed
-        self._count("disc.withdraw", removed)
-        return removed > 0
-
-    def withdraw_host(self, host_node: int) -> int:
-        """Drop every advertisement from ``host_node`` (its node went down).
-
-        Returns the number withdrawn.  Churn processes call this via
-        their ``on_change`` hook.
-        """
-        event = self.log.append_withdraw_host(host_node)
-        removed = self._apply(event)
-        self.withdraw_count += removed
-        self._count("disc.withdraw", removed)
-        return removed
-
-    def get(self, service_name: str) -> ServiceDescription | None:
-        """Look up one advertisement by name."""
-        return self._services.get(service_name)
-
-    def services(self) -> list[ServiceDescription]:
-        """All current advertisements, by name order."""
-        return [self._services[n] for n in sorted(self._services)]
-
-    def __len__(self) -> int:
-        return len(self._services)
-
-    # ------------------------------------------------------------------
-    def search(self, request: ServiceRequest, top_k: int | None = None) -> list[MatchResult]:
-        """Ranked semantic matches among local advertisements."""
-        self.search_count += 1
-        self._count("disc.search")
-        return self.matcher.rank(request, self.services(), top_k=top_k)
+from repro.discovery.description import ServiceRequest
+from repro.discovery.matcher import MatchResult
+from repro.discovery.replica import ReplicatedRegistry
 
 
 class DistributedBrokerNetwork:
@@ -161,7 +39,7 @@ class DistributedBrokerNetwork:
 
     def __init__(
         self,
-        registries: list[ServiceRegistry],
+        registries: list[ReplicatedRegistry],
         peers: dict[str, list[str]] | None = None,
     ) -> None:
         if not registries:
@@ -182,7 +60,7 @@ class DistributedBrokerNetwork:
                     raise KeyError(f"unknown peer {p!r}")
         self.peers = peers
 
-    def home_of(self, host_node: int | None, assignment: typing.Callable[[int | None], str]) -> ServiceRegistry:
+    def home_of(self, host_node: int | None, assignment: typing.Callable[[int | None], str]) -> ReplicatedRegistry:
         """Resolve the home broker for a host via an assignment function."""
         return self.registries[assignment(host_node)]
 

@@ -1,28 +1,28 @@
-"""Sharded, replicated registries over one shared event log.
+"""The service registry: sharded, replicated folds of one event log.
 
-The "distributed set of brokers" the paper asks for (§3) needs a store
-that neither fits in one memory nor dies with one host:
+"UDDI's present highly centralized model is not appropriate for our
+scenario, but ... a distributed set of brokers could be created." (§3)
+Every registry in the system -- a broker's store, the runtime's façade,
+a standby broker's view -- is a :class:`ReplicatedRegistry`:
 
 * :class:`ReplicaRegistry` -- one shard's materialization of the log.
   It applies every event it is handed, but keeps only descriptions
   whose ontology class the :class:`~repro.discovery.shard.ShardMap`
-  assigns to it (withdrawals always apply, so no replica can hold a
-  withdrawn name).  State is a pure function of ``(log prefix, shard
-  id)``, so :meth:`rebuild` from any prefix is deterministic.
-* :class:`ReplicatedRegistry` -- the client-facing store:
-  ``n_shards`` replicas with replication factor R over a (possibly
-  shared) :class:`~repro.discovery.log.EventLog`.  Writes append to the
-  log; searches scatter to every *up* replica and merge ranked results
-  by name (best wins), so with ``replication >= 2`` any single replica
-  can be down with zero lost answers.  It is interface-compatible with
-  :class:`~repro.discovery.registry.ServiceRegistry` (advertise /
-  withdraw / withdraw_host / get / services / search / len), so
-  binders, brokers and the runtime use either interchangeably.
+  assigns to it: an advertisement under a class it does not own drops
+  the name, and withdrawals always apply.  So every live name sits on
+  exactly the R owners of its latest class, and state is a pure
+  function of ``(log prefix, shard id)``.
+* :class:`ReplicatedRegistry` -- the client-facing store: ``n_shards``
+  replicas with replication factor R (default one of each) over a
+  (possibly shared) :class:`~repro.discovery.log.EventLog`.  Writes
+  append to the log; searches gather candidates from every *up* replica
+  and rank them once, so with ``replication >= 2`` any single replica
+  can be down with zero lost answers.
 
 A *live* instance subscribes to the log and stays current; a *detached*
-instance (a standby broker's view) lags behind and pays an explicit
-:meth:`~ReplicatedRegistry.catch_up` replay at promotion time -- the
-"replays the log tail" step of the failover protocol in
+instance (a standby broker's view) lags behind, refuses writes, and pays
+an explicit :meth:`~ReplicatedRegistry.catch_up` replay at promotion
+time -- the "replays the log tail" step of the failover protocol in
 :mod:`repro.discovery.failover`.
 """
 
@@ -44,20 +44,19 @@ class ReplicaRegistry:
 
     Parameters
     ----------
-    matcher / shard_id / shard_map:
-        Search machinery, this replica's ring position, and the class
-        assignment it filters advertisements with.
+    shard_id / shard_map:
+        This replica's ring position, and the class assignment it
+        filters advertisements with.
     """
 
-    def __init__(self, matcher: SemanticMatcher, shard_id: int,
-                 shard_map: ShardMap, name: str | None = None) -> None:
-        self.matcher = matcher
+    def __init__(self, shard_id: int, shard_map: ShardMap,
+                 name: str | None = None) -> None:
         self.shard_id = int(shard_id)
         self.shard_map = shard_map
         self.name = name if name is not None else f"shard-{shard_id}"
         self._services: dict[str, ServiceDescription] = {}
         self.applied_seq = 0
-        self.up = True  #: failure flag; down replicas drop out of searches
+        self.up = True  #: failure flag; down replicas drop out of reads
 
     # ------------------------------------------------------------------
     def _accept(self, service: ServiceDescription) -> bool:
@@ -65,7 +64,7 @@ class ReplicaRegistry:
 
     def apply(self, event: RegistryEvent) -> int:
         """Fold one event (must be the next in log order); returns the
-        number of descriptions this replica dropped."""
+        number of descriptions it withdrew from this replica."""
         removed = apply_event(self._services, event, accept=self._accept)
         self.applied_seq = event.seq
         return removed
@@ -86,11 +85,6 @@ class ReplicaRegistry:
         """One advertisement by name (None when not on this shard)."""
         return self._services.get(service_name)
 
-    def search(self, request: ServiceRequest,
-               top_k: int | None = None) -> list[MatchResult]:
-        """Ranked matches among this shard's descriptions only."""
-        return self.matcher.rank(request, self.services(), top_k=top_k)
-
     def __len__(self) -> int:
         return len(self._services)
 
@@ -100,15 +94,16 @@ class ReplicaRegistry:
 
 
 class ReplicatedRegistry:
-    """A sharded, replicated service registry materializing one event log.
+    """The service registry: a sharded, replicated fold of one event log.
 
     Parameters
     ----------
     matcher:
-        Semantic matcher shared by every replica.
+        Semantic matcher ranking search candidates.
     n_shards / replication:
         Ring size and copies per ontology class (see
-        :class:`~repro.discovery.shard.ShardMap`).
+        :class:`~repro.discovery.shard.ShardMap`).  The default, one
+        shard holding one copy, is a single broker's plain store.
     log:
         The shared source of truth; default a private log.  Several
         instances over one log (the active broker's view, each standby's
@@ -121,10 +116,14 @@ class ReplicatedRegistry:
         Optional monitor for the canonical ``disc.*`` counters.
     name:
         Diagnostics label.
+
+    Reads (:meth:`get`, :meth:`services`, ``len``, :meth:`search`) see
+    only *up* replicas.  Writes report what the log fold did on every
+    replica, up or not.
     """
 
-    def __init__(self, matcher: SemanticMatcher, n_shards: int = 4,
-                 replication: int = 2, *, log: EventLog | None = None,
+    def __init__(self, matcher: SemanticMatcher, n_shards: int = 1,
+                 replication: int = 1, *, log: EventLog | None = None,
                  live: bool = True, monitor: "Monitor | None" = None,
                  name: str = "replicated") -> None:
         self.matcher = matcher
@@ -132,16 +131,12 @@ class ReplicatedRegistry:
         self.log = log if log is not None else EventLog()
         self.shard_map = ShardMap(n_shards, replication)
         self.replicas = [
-            ReplicaRegistry(matcher, shard, self.shard_map,
-                            name=f"{name}/shard-{shard}")
+            ReplicaRegistry(shard, self.shard_map, name=f"{name}/shard-{shard}")
             for shard in range(n_shards)
         ]
         self.monitor = monitor
         self.applied_seq = 0
-        self.advertise_count = 0
-        self.search_count = 0
-        self.withdraw_count = 0
-        self.replayed_events = 0
+        self._removed = 0  # distinct names the last applied event withdrew
         self._live = False
         # materialize whatever the shared log already holds
         self.catch_up(count_replay=False)
@@ -154,25 +149,25 @@ class ReplicatedRegistry:
     def _on_event(self, event: RegistryEvent) -> None:
         if event.seq <= self.applied_seq:
             return
-        # count *distinct* withdrawn services (each lives on R replicas)
         removed = 0
-        if event.kind == "withdraw":
-            removed = int(any(r.get(event.service_name) is not None
-                              for r in self.replicas))
-        elif event.kind == "withdraw-host":
-            doomed = {s.name for r in self.replicas for s in r._services.values()
-                      if s.host_node == event.host_node}
-            removed = len(doomed)
         for replica in self.replicas:
-            replica.apply(event)
-        self.applied_seq = event.seq
+            removed += replica.apply(event)
         if removed:
-            self.withdraw_count += removed
+            # every live name sits on exactly R replicas, so a withdrawal
+            # drops R copies of each distinct name
+            removed //= self.shard_map.replication
             self._count("disc.withdraw", removed)
+        self._removed = removed
+        self.applied_seq = event.seq
 
     def _count(self, counter: str, n: int = 1) -> None:
         if self.monitor is not None and n:
             self.monitor.counter(counter).add(n)
+
+    def _detached_write(self) -> RuntimeError:
+        return RuntimeError(
+            f"registry view {self.name!r} is detached: it is a crashed or "
+            "demoted broker's frozen state; attach() it before writing")
 
     @property
     def live(self) -> bool:
@@ -194,7 +189,7 @@ class ReplicatedRegistry:
 
     def detach(self) -> None:
         """Unsubscribe; the view freezes at its current ``applied_seq``
-        (a crashed or demoted broker's state)."""
+        (a crashed or demoted broker's state) and refuses writes."""
         if self._live:
             self.log.unsubscribe(self._on_event)
             self._live = False
@@ -206,8 +201,7 @@ class ReplicatedRegistry:
         tail = self.log.events(after_seq=self.applied_seq)
         for event in tail:
             self._on_event(event)
-        if count_replay and tail:
-            self.replayed_events += len(tail)
+        if count_replay:
             self._count("disc.replay_events", len(tail))
         return len(tail)
 
@@ -222,48 +216,47 @@ class ReplicatedRegistry:
     # failure injection surface
     # ------------------------------------------------------------------
     def mark_down(self, shard_id: int) -> None:
-        """Take one replica out of the search set (host died)."""
+        """Take one replica out of the read set (host died)."""
         self.replicas[shard_id].up = False
 
     def mark_up(self, shard_id: int) -> None:
-        """Return a replica to the search set.  Its state is *still the
-        log's*: replicas share this view's ``applied_seq``, so a revived
-        replica is instantly consistent."""
+        """Return a replica to the read set.  Its state is *still the
+        log's*: every replica applies every event, up or not, so a
+        revived replica is instantly consistent."""
         self.replicas[shard_id].up = True
 
-    def up_replicas(self) -> list[ReplicaRegistry]:
-        """The replicas currently serving searches."""
-        return [r for r in self.replicas if r.up]
-
     # ------------------------------------------------------------------
-    # the ServiceRegistry interface
+    # the registry interface
     # ------------------------------------------------------------------
     def advertise(self, service: ServiceDescription) -> None:
-        """Append an advertise/refresh event; replicas owning the class
-        pick it up (live views immediately, detached views at catch-up)."""
-        known = self.get(service.name) is not None
-        event = self.log.append_advertise(service, refresh=known)
+        """Append an advertise event, or a refresh when any replica holds
+        the name; the replicas owning the class pick it up."""
         if not self._live:
-            self._on_event(event)
-        self.advertise_count += 1
+            raise self._detached_write()
+        # a plain loop, not any() over a generator: the hottest write path
+        name = service.name
+        known = False
+        for replica in self.replicas:
+            if name in replica._services:
+                known = True
+                break
+        self.log.append_advertise(service, refresh=known)
         self._count("disc.advertise")
 
     def withdraw(self, service_name: str) -> bool:
-        """Append a withdraw event; True if any replica held the name."""
-        present = self.get(service_name) is not None
-        event = self.log.append_withdraw(service_name)
+        """Append a withdraw event; True if the name was advertised."""
         if not self._live:
-            self._on_event(event)
-        return present
+            raise self._detached_write()
+        self.log.append_withdraw(service_name)
+        return self._removed > 0
 
     def withdraw_host(self, host_node: int) -> int:
-        """Append a withdraw-host event; returns how many descriptions
-        this view dropped."""
-        before = len(self)
-        event = self.log.append_withdraw_host(host_node)
+        """Append a withdraw-host event; returns how many advertisements
+        it removed."""
         if not self._live:
-            self._on_event(event)
-        return before - len(self)
+            raise self._detached_write()
+        self.log.append_withdraw_host(host_node)
+        return self._removed
 
     def get(self, service_name: str) -> ServiceDescription | None:
         """Look up one advertisement across up replicas."""
@@ -290,9 +283,8 @@ class ReplicatedRegistry:
     def search(self, request: ServiceRequest,
                top_k: int | None = None) -> list[MatchResult]:
         """Gather candidates from every up replica (dedup by name), then
-        rank the merged set **once** -- identical output to an unsharded
-        :class:`~repro.discovery.registry.ServiceRegistry` holding the
-        same advertisements, at any shard/replication count.
+        rank the merged set **once** -- the same answer at any
+        shard/replication count as one dict holding every advertisement.
 
         Ranking per shard and merging ranked lists would *not* be
         equivalent: preference utilities normalize over the surviving
@@ -300,7 +292,6 @@ class ReplicatedRegistry:
         Candidates are cheap to gather (dict merges); only the single
         global rank pays matcher cost.
         """
-        self.search_count += 1
         self._count("disc.search")
         return self.matcher.rank(request, self.services(), top_k=top_k)
 

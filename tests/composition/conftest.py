@@ -12,9 +12,9 @@ from repro.composition import (
 )
 from repro.discovery import (
     BrokerAgent,
+    ReplicatedRegistry,
     SemanticMatcher,
     ServiceDescription,
-    ServiceRegistry,
     build_service_ontology,
 )
 from repro.resilience import BreakerBoard
@@ -28,7 +28,7 @@ class CompositionEnv:
         self.sim = Simulator()
         self.streams = RandomStreams(42)
         self.platform = AgentPlatform(self.sim)
-        self.registry = ServiceRegistry(SemanticMatcher(build_service_ontology()))
+        self.registry = ReplicatedRegistry(SemanticMatcher(build_service_ontology()))
         self.binder = Binder(self.registry)
         self.breakers = (
             BreakerBoard(self.sim, **breaker_kwargs) if breaker_kwargs is not None else None

@@ -1,4 +1,5 @@
-"""Reference discovery reasoning: plain BFS walks and a per-candidate loop.
+"""Reference discovery reasoning: plain BFS walks, a per-candidate loop
+and a one-dict registry.
 
 The production :class:`~repro.discovery.ontology.Ontology` memoizes one
 hops-up map per class, and :meth:`SemanticMatcher.rank` consults the
@@ -7,6 +8,10 @@ forms those replaced -- every query walks the class graph afresh, and
 ranking evaluates each candidate independently -- so tests can assert
 the fast paths return *exactly* what these return.  They read the
 ontology's edge maps and nothing else it computes.
+
+:class:`PlainRegistry` is the registry contract as one dict: what a
+:class:`~repro.discovery.replica.ReplicatedRegistry` of any shape must
+answer while at most R-1 of its replicas are down.
 """
 
 from __future__ import annotations
@@ -14,6 +19,7 @@ from __future__ import annotations
 import collections
 
 from repro.discovery.matcher import _DEGREE_BASE, MatchDegree, MatchResult
+from repro.simkernel.monitor import Monitor
 
 
 def ancestors(ont, name):
@@ -157,3 +163,58 @@ def rank(matcher, request, candidates, top_k=None):
     else:
         survivors.sort(key=lambda r: (-r.score, r.service.name))
     return survivors[:top_k] if top_k is not None else survivors
+
+
+# ----------------------------------------------------------------------
+# the registry
+# ----------------------------------------------------------------------
+class PlainRegistry:
+    """One broker's advertisements in one ``name -> description`` dict.
+
+    It folds its own writes (no event log, no ``apply_event``), records
+    the event kind each write would log in :attr:`kinds`, and counts
+    ``disc.advertise`` / ``disc.search`` / ``disc.withdraw`` on
+    :attr:`monitor`.
+    """
+
+    def __init__(self, matcher):
+        self.matcher = matcher
+        self.monitor = Monitor()
+        self.kinds = []
+        self._services = {}
+
+    def _count(self, counter, n=1):
+        if n:
+            self.monitor.counter(counter).add(n)
+
+    def advertise(self, service):
+        self.kinds.append("refresh" if service.name in self._services else "advertise")
+        self._services[service.name] = service
+        self._count("disc.advertise")
+
+    def withdraw(self, service_name):
+        self.kinds.append("withdraw")
+        present = self._services.pop(service_name, None) is not None
+        self._count("disc.withdraw", int(present))
+        return present
+
+    def withdraw_host(self, host_node):
+        self.kinds.append("withdraw-host")
+        doomed = [n for n, s in self._services.items() if s.host_node == host_node]
+        for name in doomed:
+            del self._services[name]
+        self._count("disc.withdraw", len(doomed))
+        return len(doomed)
+
+    def get(self, service_name):
+        return self._services.get(service_name)
+
+    def services(self):
+        return [self._services[n] for n in sorted(self._services)]
+
+    def __len__(self):
+        return len(self._services)
+
+    def search(self, request, top_k=None):
+        self._count("disc.search")
+        return self.matcher.rank(request, self.services(), top_k=top_k)

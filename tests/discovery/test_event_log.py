@@ -67,6 +67,17 @@ class TestApplyEvent:
         assert apply_event(state, RegistryEvent(3, 0.0, "withdraw", service_name="a"),
                            accept=lambda s: False) == 1
 
+    def test_rejected_refresh_drops_the_name(self):
+        state = {}
+        accept = lambda s: s.category == "X"
+        apply_event(state, RegistryEvent(1, 0.0, "advertise", service=svc("a", category="X")),
+                    accept=accept)
+        # the service moved to a category this state does not hold
+        assert apply_event(state, RegistryEvent(2, 0.0, "refresh",
+                                                service=svc("a", category="Y")),
+                           accept=accept) == 0
+        assert state == {}
+
 
 class TestEventLog:
     def test_seq_is_monotonic_and_dense(self):

@@ -6,18 +6,20 @@ from repro.agents import ACLMessage, Agent, AgentPlatform, Performative
 from repro.discovery import (
     BrokerAgent,
     DistributedBrokerNetwork,
+    ReplicatedRegistry,
     SemanticMatcher,
     ServiceDescription,
-    ServiceRegistry,
     ServiceRequest,
     build_service_ontology,
 )
 from repro.discovery.protocols import BluetoothSDP, JiniLookup, SLPDirectory
 from repro.simkernel import Simulator
+from repro.simkernel.monitor import Monitor
 
 
 def make_registry(name="r"):
-    return ServiceRegistry(SemanticMatcher(build_service_ontology()), name=name)
+    return ReplicatedRegistry(SemanticMatcher(build_service_ontology()), name=name,
+                              monitor=Monitor())
 
 
 def svc(name, category="PrinterService", host=None, **attrs):
@@ -26,6 +28,8 @@ def svc(name, category="PrinterService", host=None, **attrs):
 
 
 class TestServiceRegistry:
+    """The registry at its default shape: one shard, one copy."""
+
     def test_advertise_and_search(self):
         reg = make_registry()
         reg.advertise(svc("p1"))
@@ -59,8 +63,9 @@ class TestServiceRegistry:
         reg = make_registry()
         reg.advertise(svc("a"))
         reg.search(ServiceRequest(category="PrinterService"))
-        assert reg.advertise_count == 1
-        assert reg.search_count == 1
+        summary = reg.monitor.summary()
+        assert summary["disc.advertise"] == 1
+        assert summary["disc.search"] == 1
 
     def test_withdraw_count(self):
         reg = make_registry()
@@ -69,9 +74,9 @@ class TestServiceRegistry:
         reg.advertise(svc("c", host=2))
         reg.withdraw("c")
         reg.withdraw("ghost")  # a miss does not count
-        assert reg.withdraw_count == 1
+        assert reg.monitor.summary()["disc.withdraw"] == 1
         reg.withdraw_host(1)
-        assert reg.withdraw_count == 3
+        assert reg.monitor.summary()["disc.withdraw"] == 3
 
     def test_mutations_land_on_the_log(self):
         reg = make_registry()
@@ -87,16 +92,15 @@ class TestServiceRegistry:
         reg.advertise(svc("a", host=1))
         reg.advertise(svc("b", host=2))
         reg.withdraw_host(1)
-        rebuilt = ServiceRegistry.rebuild(reg.matcher, reg.log)
+        rebuilt = ReplicatedRegistry(reg.matcher, log=reg.log, live=False)
         assert repr(rebuilt.services()) == repr(reg.services())
         # a prefix replay reconstructs the earlier state
-        halfway = ServiceRegistry.rebuild(reg.matcher, reg.log, upto_seq=2)
-        assert [s.name for s in halfway.services()] == ["a", "b"]
+        assert sorted(reg.log.replay(upto_seq=2)) == ["a", "b"]
 
     def test_shared_log_materializes_at_construction(self):
         reg = make_registry()
         reg.advertise(svc("a"))
-        twin = ServiceRegistry(reg.matcher, name="twin", log=reg.log)
+        twin = ReplicatedRegistry(reg.matcher, name="twin", log=reg.log)
         assert [s.name for s in twin.services()] == ["a"]
 
 

@@ -1,13 +1,14 @@
 """Unit tests for the sharded, replicated registry over a shared log."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.discovery import (
+    Constraint,
     Preference,
     ReplicatedRegistry,
     SemanticMatcher,
     ServiceDescription,
-    ServiceRegistry,
     ServiceRequest,
     build_service_ontology,
 )
@@ -15,6 +16,7 @@ from repro.discovery.log import EventLog
 from repro.discovery.replica import ReplicaRegistry
 from repro.discovery.shard import ShardMap
 from repro.simkernel.monitor import Monitor
+from tests.discovery.oracle import PlainRegistry
 
 
 def matcher():
@@ -34,15 +36,22 @@ def populate(registry, n=24):
                                host=i % 5, queue_length=i % 7))
 
 
+def moved_categories(smap):
+    """Two categories the ring stores on different shard sets."""
+    categories = build_service_ontology().classes()
+    first = categories[0]
+    other = next(c for c in categories if smap.owners_of(c) != smap.owners_of(first))
+    return first, other
+
+
 class TestReplicaRegistry:
     def test_accepts_only_owned_categories(self):
-        m = matcher()
         smap = ShardMap(4, replication=1)
         log = EventLog()
         log.append_advertise(svc("a", category="PrinterService"))
         log.append_advertise(svc("b", category="DisplayService"))
         owner = smap.primary_of("PrinterService")
-        replica = ReplicaRegistry(m, owner, smap)
+        replica = ReplicaRegistry(owner, smap)
         replica.rebuild(log)
         held = {s.name for s in replica.services()}
         assert "a" in held
@@ -50,9 +59,8 @@ class TestReplicaRegistry:
             assert "b" not in held
 
     def test_withdrawals_always_apply(self):
-        m = matcher()
         smap = ShardMap(2, replication=2)  # both shards own everything
-        replica = ReplicaRegistry(m, 0, smap)
+        replica = ReplicaRegistry(0, smap)
         log = EventLog()
         log.append_advertise(svc("a", host=1))
         log.append_withdraw("a")
@@ -65,7 +73,7 @@ class TestReplicatedRegistry:
     @pytest.mark.parametrize("n_shards,replication", [(1, 1), (2, 2), (4, 2), (8, 3)])
     def test_equivalent_to_plain_registry(self, n_shards, replication):
         m = matcher()
-        plain = ServiceRegistry(m)
+        plain = PlainRegistry(m)
         rep = ReplicatedRegistry(m, n_shards, replication)
         populate(plain)
         populate(rep)
@@ -121,15 +129,16 @@ class TestReplicatedRegistry:
     def test_detached_view_lags_then_catches_up(self):
         m = matcher()
         log = EventLog()
+        mon = Monitor()
         writer = ReplicatedRegistry(m, 2, 1, log=log)
-        standby = ReplicatedRegistry(m, 2, 1, log=log, live=False)
+        standby = ReplicatedRegistry(m, 2, 1, log=log, live=False, monitor=mon)
         populate(writer, n=6)
         assert standby.lag == 6
         assert len(standby) == 0
         assert standby.catch_up() == 6
         assert standby.lag == 0
         assert [s.name for s in standby.services()] == [s.name for s in writer.services()]
-        assert standby.replayed_events == 6
+        assert mon.summary()["disc.replay_events"] == 6
 
     def test_attach_goes_live(self):
         m = matcher()
@@ -146,15 +155,15 @@ class TestReplicatedRegistry:
         assert view.get("later") is None
 
     def test_withdraw_counts_distinct_services(self):
-        m = matcher()
-        rep = ReplicatedRegistry(m, 4, 3)  # every service lives on 3 replicas
+        mon = Monitor()
+        rep = ReplicatedRegistry(matcher(), 4, 3, monitor=mon)  # 3 copies each
         rep.advertise(svc("a", host=1))
         rep.advertise(svc("b", host=1))
         rep.advertise(svc("c", host=2))
         rep.withdraw("c")
-        assert rep.withdraw_count == 1
+        assert mon.summary()["disc.withdraw"] == 1
         assert rep.withdraw_host(1) == 2
-        assert rep.withdraw_count == 3
+        assert mon.summary()["disc.withdraw"] == 3
 
     def test_monitor_counters(self):
         mon = Monitor()
@@ -166,3 +175,185 @@ class TestReplicatedRegistry:
         assert summary["disc.advertise"] == 1
         assert summary["disc.search"] == 1
         assert summary["disc.withdraw"] == 1
+
+    @pytest.mark.parametrize("n_shards,replication", [(2, 1), (4, 1), (4, 2), (8, 3)])
+    def test_refresh_under_new_category_leaves_no_stale_copy(self, n_shards, replication):
+        rep = ReplicatedRegistry(matcher(), n_shards, replication)
+        old, new = moved_categories(rep.shard_map)
+        rep.advertise(svc("a", category=old, host=1))
+        moved = svc("a", category=new, host=1)
+        rep.advertise(moved)
+        holders = [r.get("a") for r in rep.replicas if r.get("a") is not None]
+        assert holders == [moved] * replication
+        for shard in range(n_shards):
+            if replication > 1:
+                rep.mark_down(shard)
+            assert rep.get("a") is moved
+            assert rep.services() == [moved]
+            rep.mark_up(shard)
+        assert rep.withdraw("a") is True
+        assert all(r.get("a") is None for r in rep.replicas)
+
+    def test_writes_while_the_only_owner_is_down(self):
+        mon = Monitor()
+        rep = ReplicatedRegistry(matcher(), 2, 1, monitor=mon)
+        owner = rep.shard_map.primary_of("PrinterService")
+        rep.advertise(svc("a", host=1))
+        rep.advertise(svc("b", host=1))
+        rep.advertise(svc("c", host=1))
+        rep.mark_down(owner)
+        assert rep.get("a") is None  # reads see up replicas only
+        rep.advertise(svc("a", host=1, queue_length=3))
+        assert rep.log.events()[-1].kind == "refresh"
+        assert rep.withdraw("a") is True
+        assert mon.summary()["disc.withdraw"] == 1
+        assert rep.withdraw_host(1) == 2
+        assert mon.summary()["disc.withdraw"] == 3
+        rep.mark_up(owner)
+        assert len(rep) == 0
+
+    def test_write_through_detached_view_raises(self):
+        m = matcher()
+        log = EventLog()
+        writer = ReplicatedRegistry(m, 2, 1, log=log)
+        standby = ReplicatedRegistry(m, 2, 1, log=log, live=False, name="standby-1")
+        populate(writer, n=6)
+        for write, arg in ((standby.advertise, svc("x")), (standby.withdraw, "s00"),
+                           (standby.withdraw_host, 0)):
+            with pytest.raises(RuntimeError, match="standby-1"):
+                write(arg)
+        assert len(log) == 6
+        assert standby.catch_up() == 6
+        standby.attach()
+        standby.advertise(svc("x"))
+        assert len(standby) == len(writer) == 7
+
+
+# ----------------------------------------------------------------------
+# every shape against the one-dict registry
+# ----------------------------------------------------------------------
+CATEGORIES = ("PrinterService", "ColorPrinterService", "LaserPrinterService",
+              "DisplayService", "ComputeService", "StorageService",
+              "DecisionTreeService", "TemperatureSensorService")
+NAMES = "abcdefgh"
+HOSTS = (0, 1, 2)
+
+_request = st.builds(
+    lambda category, cost, queue, preferences: ServiceRequest(
+        category=category,
+        constraints=tuple(c for c in (
+            None if cost is None else Constraint("cost_per_use", "<=", cost),
+            None if queue is None else Constraint("queue_length", "<", queue)) if c),
+        preferences=tuple(preferences)),
+    st.sampled_from(CATEGORIES),
+    st.one_of(st.none(), st.sampled_from((0.25, 0.5, 1.0))),
+    st.one_of(st.none(), st.integers(0, 6)),
+    st.lists(st.sampled_from((Preference("queue_length", "minimize"),
+                              Preference("cost_per_use", "maximize", 0.5))),
+             max_size=2, unique=True),
+)
+_step = st.one_of(
+    st.tuples(st.just("advertise"), st.sampled_from(NAMES), st.sampled_from(CATEGORIES),
+              st.sampled_from(HOSTS), st.integers(0, 6), st.sampled_from((0.2, 0.5, 0.9))),
+    st.tuples(st.just("refresh"), st.integers(0, 7),
+              st.one_of(st.none(), st.sampled_from(CATEGORIES)), st.integers(0, 6)),
+    st.tuples(st.just("withdraw"), st.one_of(st.integers(0, 7), st.just("z"))),
+    st.tuples(st.just("withdraw_host"), st.sampled_from(HOSTS)),
+    st.tuples(st.just("search"), _request, st.one_of(st.none(), st.integers(0, 5))),
+    st.tuples(st.just("mark_down"), st.integers(0, 7)),
+    st.tuples(st.just("mark_up"), st.integers(0, 7)),
+    st.tuples(st.just("standby"), st.sampled_from(("catch_up", "attach", "detach", "write"))),
+)
+
+
+def _triples(results):
+    return [(r.service.name, r.degree, r.score) for r in results]
+
+
+class TestReplicatedMatchesPlainRegistry:
+    """One random script drives a registry of a random shape, a standby
+    view over its log and the one-dict :class:`PlainRegistry`; after
+    every step they must agree on return values, reads, rankings, the
+    logged event kinds and the ``disc.*`` counters."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 8), st.data(), st.lists(_step, min_size=5, max_size=40))
+    def test_random_script(self, n_shards, data, script):
+        replication = data.draw(st.integers(1, n_shards))
+        # every name starts live, so withdrawals and refreshes have targets
+        places = data.draw(st.lists(st.tuples(st.sampled_from(CATEGORIES), st.sampled_from(HOSTS)),
+                                    min_size=len(NAMES), max_size=len(NAMES)))
+        script = [("advertise", name, category, host, 0, 0.5)
+                  for name, (category, host) in zip(NAMES, places)] + script
+        m = matcher()
+        plain = PlainRegistry(m)
+        mon, standby_mon = Monitor(), Monitor()
+        rep = ReplicatedRegistry(m, n_shards, replication, monitor=mon)
+        standby = ReplicatedRegistry(m, n_shards, replication, log=rep.log,
+                                     live=False, monitor=standby_mon, name="standby")
+        down: set[int] = set()
+        synced, replayed = 0, 0  # log events the standby applied / replayed
+        frozen = []  # the standby's listing when it last synced
+        for step in script:
+            kind = step[0]
+            if kind == "advertise":
+                _, name, category, host, queue, cost = step
+                ad = svc(name, category=category, host=host, queue_length=queue,
+                         cost_per_use=cost)
+                assert rep.advertise(ad) is plain.advertise(ad) is None
+            elif kind == "refresh":
+                live = plain.services()
+                if live:
+                    old = live[step[1] % len(live)]
+                    ad = svc(old.name, category=step[2] or old.category, host=old.host_node,
+                             queue_length=step[3], cost_per_use=old.attributes["cost_per_use"])
+                    assert rep.advertise(ad) is plain.advertise(ad) is None
+            elif kind == "withdraw":
+                live = plain.services()
+                name = live[step[1] % len(live)].name if live and step[1] != "z" else "z"
+                assert rep.withdraw(name) is plain.withdraw(name)
+            elif kind == "withdraw_host":
+                assert rep.withdraw_host(step[1]) == plain.withdraw_host(step[1])
+            elif kind == "search":
+                _, request, top_k = step
+                assert (_triples(rep.search(request, top_k=top_k))
+                        == _triples(plain.search(request, top_k=top_k)))
+            elif kind == "mark_down":
+                shard = step[1] % n_shards
+                if shard in down or len(down) < replication - 1:
+                    rep.mark_down(shard)
+                    down.add(shard)
+            elif kind == "mark_up":
+                shard = step[1] % n_shards
+                rep.mark_up(shard)
+                down.discard(shard)
+            elif step[1] == "write":
+                if not standby.live:
+                    with pytest.raises(RuntimeError, match="standby"):
+                        standby.advertise(svc("z"))
+            elif step[1] == "detach":
+                standby.detach()
+            else:
+                lag = len(rep.log) - synced
+                if step[1] == "catch_up":
+                    assert standby.catch_up() == lag
+                else:
+                    standby.attach()
+                replayed += lag
+                synced, frozen = len(rep.log), plain.services()
+            if standby.live:
+                synced, frozen = len(rep.log), plain.services()
+
+            listing = plain.services()
+            assert rep.services() == listing
+            assert len(rep) == len(plain)
+            for name in NAMES + "z":
+                assert rep.get(name) is plain.get(name)
+            assert [e.kind for e in rep.log] == plain.kinds
+            assert mon.counters() == plain.monitor.counters()
+            assert standby.lag == len(rep.log) - synced
+            assert standby.services() == frozen
+            if standby.lag == 0:
+                withdrawn = mon.counters().get("disc.withdraw", 0)
+                expected = {"disc.withdraw": withdrawn, "disc.replay_events": replayed}
+                assert standby_mon.counters() == {k: v for k, v in expected.items() if v}

@@ -3,9 +3,9 @@
 import numpy as np
 
 from repro.discovery import (
+    ReplicatedRegistry,
     SemanticMatcher,
     ServiceDescription,
-    ServiceRegistry,
     build_service_ontology,
 )
 from repro.network.churn import ChurnProcess
@@ -19,7 +19,7 @@ def make_topology(n=5):
 
 
 def make_registry():
-    return ServiceRegistry(SemanticMatcher(build_service_ontology()))
+    return ReplicatedRegistry(SemanticMatcher(build_service_ontology()))
 
 
 class TestChurnDrivesRegistry:

@@ -25,9 +25,9 @@ from repro.composition import (
 from repro.core.runtime import PervasiveGridRuntime
 from repro.discovery import (
     BrokerAgent,
+    ReplicatedRegistry,
     SemanticMatcher,
     ServiceDescription,
-    ServiceRegistry,
     build_service_ontology,
 )
 from repro.faults import FaultDomain, FaultInjector, RegionBlackout
@@ -151,7 +151,7 @@ class E13World:
         self.sim.tracer = self.tracer
         self.streams = RandomStreams(seed)
         self.platform = AgentPlatform(self.sim)
-        self.registry = ServiceRegistry(SemanticMatcher(build_service_ontology()))
+        self.registry = ReplicatedRegistry(SemanticMatcher(build_service_ontology()))
         self.monitor = Monitor()
         self.breakers = BreakerBoard(self.sim, self.monitor, tracer=self.tracer,
                                      failure_threshold=1, recovery_timeout_s=90.0)
@@ -380,7 +380,7 @@ class TestDiscoveryResilienceTrace:
         sim.tracer = tracer
         monitor = Monitor()
         platform = AgentPlatform(sim)
-        registry = ServiceRegistry(SemanticMatcher(build_service_ontology()))
+        registry = ReplicatedRegistry(SemanticMatcher(build_service_ontology()))
         manager = CompositionManager("mgr", sim, Binder(registry),
                                      mode="centralized", timeout_s=10.0,
                                      monitor=monitor, tracer=tracer)

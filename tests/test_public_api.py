@@ -81,13 +81,13 @@ class TestBrokerFederationAPI:
     def test_home_of_resolves_by_assignment(self):
         from repro.discovery import (
             DistributedBrokerNetwork,
+            ReplicatedRegistry,
             SemanticMatcher,
-            ServiceRegistry,
             build_service_ontology,
         )
 
         matcher = SemanticMatcher(build_service_ontology())
-        regs = [ServiceRegistry(matcher, name=f"b{i}") for i in range(3)]
+        regs = [ReplicatedRegistry(matcher, name=f"b{i}") for i in range(3)]
         net = DistributedBrokerNetwork(regs)
         # assignment: host nodes hash onto brokers; wired side -> b0
         assign = lambda host: f"b{host % 3}" if host is not None else "b0"
