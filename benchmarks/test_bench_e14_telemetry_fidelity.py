@@ -32,7 +32,7 @@ retained trace as JSONL (uploaded as a CI artifact).
 import os
 
 from repro.core import PervasiveGridRuntime
-from repro.observability import SamplingConfig, TelemetryConfig
+from repro.observability import SamplingConfig, TelemetryConfig, sketch
 from repro.parallel import TrialResult, cell_specs, run_trials
 
 #: Query volumes: a 100x sweep (the paper's soak regime is the top end).
@@ -135,12 +135,12 @@ def test_e14_telemetry_fidelity(benchmark, table, once, record, workers):
     assert bo_top["latency_dropped"] > 0  # the sketch actually engaged
     assert bo_top["ring_dropped"] > 0  # so did the trace ring
 
-    # -- fidelity: sketch percentiles within the configured error ------
+    # -- fidelity: sketch percentiles within the sketch's error --------
     # (0.01 sketch alpha + margin for numpy's interpolated convention)
     rel_errors = {}
     for q in ("p50", "p95", "p99"):
         rel_errors[q] = abs(bo_top[q] - ex_top[q]) / ex_top[q]
-        assert rel_errors[q] <= 2 * BOUNDED_TELEMETRY.sketch_alpha, (
+        assert rel_errors[q] <= 2 * sketch.DEFAULT_ALPHA, (
             f"{q} drifted {rel_errors[q]:.4f} from the exhaustive value")
 
     # -- visibility: every trace accounted for, summary retained -------

@@ -81,11 +81,6 @@ class AgentPlatform:
         """The agent object behind ``name`` (KeyError if absent)."""
         return self._deputies[name].agent
 
-    def deputy_of(self, name: str) -> AgentDeputy | None:
-        """The deputy fronting ``name`` (None if absent)."""
-        deputy = self._deputies.get(name)
-        return deputy
-
     def host_node_of(self, name: str) -> int | None:
         """Topology node an agent runs on (None for unhosted/wired agents)."""
         return self._host_nodes.get(name)

@@ -3,8 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
-
-import networkx as nx
+import heapq
 
 from repro.discovery.constraints import Constraint, Preference
 from repro.discovery.description import ServiceRequest
@@ -55,8 +54,10 @@ class TaskGraph:
     """
 
     def __init__(self) -> None:
-        self._g = nx.DiGraph()
         self._specs: dict[str, TaskSpec] = {}
+        # producer -> consumers and consumer -> producers
+        self._succ: dict[str, set[str]] = {}
+        self._pred: dict[str, set[str]] = {}
 
     # ------------------------------------------------------------------
     def add_task(self, spec: TaskSpec) -> None:
@@ -64,17 +65,30 @@ class TaskGraph:
         if spec.name in self._specs:
             raise ValueError(f"duplicate task name {spec.name!r}")
         self._specs[spec.name] = spec
-        self._g.add_node(spec.name)
+        self._succ[spec.name] = set()
+        self._pred[spec.name] = set()
 
     def add_edge(self, producer: str, consumer: str) -> None:
         """Add a data-flow edge; rejects cycles and unknown tasks."""
         for name in (producer, consumer):
             if name not in self._specs:
                 raise KeyError(f"unknown task {name!r}")
-        self._g.add_edge(producer, consumer)
-        if not nx.is_directed_acyclic_graph(self._g):
-            self._g.remove_edge(producer, consumer)
+        if self._reaches(consumer, producer):
             raise ValueError(f"edge {producer!r}->{consumer!r} creates a cycle")
+        self._succ[producer].add(consumer)
+        self._pred[consumer].add(producer)
+
+    def _reaches(self, start: str, goal: str) -> bool:
+        """Whether a path of data-flow edges leads from ``start`` to ``goal``."""
+        stack, seen = [start], {start}
+        while stack:
+            name = stack.pop()
+            if name == goal:
+                return True
+            for nxt in self._succ[name] - seen:
+                seen.add(nxt)
+                stack.append(nxt)
+        return False
 
     # ------------------------------------------------------------------
     def task(self, name: str) -> TaskSpec:
@@ -86,24 +100,36 @@ class TaskGraph:
         return [self._specs[n] for n in self.topological_order()]
 
     def topological_order(self) -> list[str]:
-        """Topological order, ties broken lexicographically."""
-        return list(nx.lexicographical_topological_sort(self._g))
+        """Topological order, ties broken lexicographically (Kahn's
+        algorithm with a min-heap of ready tasks)."""
+        indegree = {name: len(preds) for name, preds in self._pred.items()}
+        ready = [name for name, d in indegree.items() if d == 0]
+        heapq.heapify(ready)
+        order = []
+        while ready:
+            name = heapq.heappop(ready)
+            order.append(name)
+            for nxt in self._succ[name]:
+                indegree[nxt] -= 1
+                if indegree[nxt] == 0:
+                    heapq.heappush(ready, nxt)
+        return order
 
     def predecessors(self, name: str) -> list[str]:
         """Producers feeding ``name``, sorted."""
-        return sorted(self._g.predecessors(name))
+        return sorted(self._pred[name])
 
     def successors(self, name: str) -> list[str]:
         """Consumers of ``name``'s output, sorted."""
-        return sorted(self._g.successors(name))
+        return sorted(self._succ[name])
 
     def sources(self) -> list[str]:
         """Tasks with no producers, sorted."""
-        return sorted(n for n in self._g.nodes if self._g.in_degree(n) == 0)
+        return sorted(n for n, preds in self._pred.items() if not preds)
 
     def sinks(self) -> list[str]:
         """Tasks with no consumers, sorted."""
-        return sorted(n for n in self._g.nodes if self._g.out_degree(n) == 0)
+        return sorted(n for n, succs in self._succ.items() if not succs)
 
     def levels(self) -> list[list[str]]:
         """Antichains executable in parallel (classic level schedule)."""
@@ -123,4 +149,5 @@ class TaskGraph:
         return name in self._specs
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TaskGraph(tasks={len(self)}, edges={self._g.number_of_edges()})"
+        edges = sum(len(succs) for succs in self._succ.values())
+        return f"TaskGraph(tasks={len(self)}, edges={edges})"

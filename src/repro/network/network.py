@@ -321,10 +321,6 @@ class WirelessNetwork:
 
         self.sim.schedule(delay, fan_out, label=f"bcast:{snapshot.msg_id}")
 
-    def sync_route_cache_metrics(self) -> None:
-        """Record the topology's route-cache stats into this monitor."""
-        record_route_cache_metrics(self.topology, self.monitor)
-
     def _charge(self, node_id: int, joules: float) -> None:
         battery = self.nodes[node_id].battery
         alive = battery.draw(joules)

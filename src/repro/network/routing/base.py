@@ -65,8 +65,3 @@ class CollectionCost:
     def energy_j(self) -> float:
         """Total energy across all nodes."""
         return float(self.per_node_energy.sum())
-
-    @property
-    def max_node_energy_j(self) -> float:
-        """Energy of the hottest node (drives network lifetime)."""
-        return float(self.per_node_energy.max()) if len(self.per_node_energy) else 0.0

@@ -36,12 +36,14 @@ Three layers, all over *simulated* time:
   subsystem rollups, ``--diff OLD NEW``).  Profiles never touch the
   Monitor, so merged parallel results stay bit-identical.
 * :mod:`~repro.observability.sketch` / ``sampling`` -- the memory
-  axis: mergeable :class:`QuantileSketch` (DDSketch-style relative-error
-  buckets) and multi-resolution ring-buffer series bound the Monitor's
-  footprint (:class:`TelemetryConfig`), while the :class:`TraceSampler`
-  (head + tail-based + seeded exemplars, :class:`SamplingConfig`) bounds
-  the trace -- always keeping error/alert/slow-outlier traces -- without
+  axis: mergeable :class:`QuantileSketch` (DDSketch-style buckets at a
+  fixed 1% relative error) and multi-resolution ring-buffer series bound
+  the Monitor's footprint, while the :class:`TraceSampler` (head +
+  tail-based + seeded exemplars, :class:`SamplingConfig`) bounds the
+  trace -- always keeping error/alert/slow-outlier traces -- without
   breaking the parallel runner's bit-identical reduction.
+  :class:`TelemetryConfig` sets the three caps: each instrument's raw
+  tail (histograms, series) and the trace ring.
 * :mod:`~repro.observability.ledger` -- the resource axis:
   :class:`QueryCostLedger` folds a trace into one record per query
   (latency, energy, bytes-on-air, hops, uplink/grid usage) for the

@@ -41,7 +41,7 @@ import hashlib
 import random
 import typing
 
-from repro.observability.sketch import DEFAULT_ALPHA, QuantileSketch
+from repro.observability.sketch import QuantileSketch
 from repro.observability.tracer import SpanRecord, TraceEvent
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -90,8 +90,6 @@ class SamplingConfig:
         than ``alert_window_s`` before its root started.
     seed:
         Seeds the exemplar reservoir's RNG and salts the head hash.
-    alpha:
-        Relative error of the root-duration sketch.
     """
 
     head_rate: float = 0.1
@@ -101,7 +99,6 @@ class SamplingConfig:
     span_budget: int | None = None
     alert_window_s: float = 60.0
     seed: int = 0
-    alpha: float = DEFAULT_ALPHA
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.head_rate <= 1.0):
@@ -138,7 +135,7 @@ class TraceSampler:
         self.config = config or SamplingConfig()
         self.tracer: "Tracer | None" = None
         self.stats: dict[str, int] = {k: 0 for k in _COUNTER_FIELDS}
-        self.durations = QuantileSketch(self.config.alpha)
+        self.durations = QuantileSketch()
         self._rng = random.Random(self.config.seed)
         self._decisions: dict[int, str] = {}
         self._buffers: dict[int, list] = {}
@@ -334,7 +331,7 @@ class TraceSampler:
     def reset(self) -> None:
         """Forget all state (between benchmark repetitions)."""
         self.stats = {k: 0 for k in _COUNTER_FIELDS}
-        self.durations = QuantileSketch(self.config.alpha)
+        self.durations = QuantileSketch()
         self._rng = random.Random(self.config.seed)
         self._decisions.clear()
         self._buffers.clear()

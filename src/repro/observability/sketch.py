@@ -7,7 +7,8 @@ This module provides the two fixed-memory substitutes the telemetry path
 is built on:
 
 * :class:`QuantileSketch` -- a DDSketch-style log-bucketed quantile
-  sketch with a configurable *relative* error bound ``alpha``: every
+  sketch with a *relative* error bound ``alpha`` (telemetry uses
+  :data:`DEFAULT_ALPHA`, 1%): every
   reported quantile ``est`` of a true value ``x`` satisfies
   ``|est - x| <= alpha * |x|``.  Buckets are integer counts keyed by
   ``ceil(log_gamma |x|)`` with ``gamma = (1+alpha)/(1-alpha)``, so
@@ -17,13 +18,16 @@ is built on:
   reduction bit-identical at any worker count.
 * :class:`MultiResolutionSeries` -- a multi-tier ring buffer of
   per-bucket aggregates (count/sum/min/max/last) at widening time
-  resolutions (default 1 s / 10 s / 60 s of *simulated* time), with
+  resolutions (:data:`DEFAULT_RESOLUTIONS`: 1 s / 10 s / 60 s of
+  *simulated* time, :data:`DEFAULT_TIER_CAPACITY` buckets each), with
   deterministic front-eviction once a tier's ring is full: recent
   history at full resolution, older history downsampled, fixed memory.
 
-:class:`TelemetryConfig` bundles the knobs
+:class:`TelemetryConfig` holds a run's three memory caps: the two
+instrument raw tails and the trace ring
 (:meth:`~repro.simkernel.monitor.Monitor.configure` and
-``PervasiveGridRuntime(telemetry=...)`` consume it).
+``PervasiveGridRuntime(telemetry=...)`` consume it).  The sketch and
+tier shapes are the constants above.
 
 This module deliberately imports nothing from ``repro`` so the sim
 kernel's monitor can import it lazily without a package cycle.
@@ -38,10 +42,14 @@ import math
 import typing
 
 __all__ = ["QuantileSketch", "MultiResolutionSeries", "TelemetryConfig",
-           "DEFAULT_ALPHA"]
+           "DEFAULT_ALPHA", "DEFAULT_RESOLUTIONS", "DEFAULT_TIER_CAPACITY"]
 
-#: Default relative-error bound for quantile sketches (1%).
+#: Relative-error bound of every telemetry quantile sketch (1%).
 DEFAULT_ALPHA = 0.01
+#: Downsampling tiers of every time series (simulated seconds).
+DEFAULT_RESOLUTIONS = (1.0, 10.0, 60.0)
+#: Ring capacity (buckets) per downsampling tier.
+DEFAULT_TIER_CAPACITY = 240
 
 # bound once for the QuantileSketch.observe hot path
 _ceil = math.ceil
@@ -309,8 +317,8 @@ class MultiResolutionSeries:
 
     __slots__ = ("resolutions", "capacity", "_tiers", "evictions", "late_drops")
 
-    def __init__(self, resolutions: typing.Sequence[float] = (1.0, 10.0, 60.0),
-                 capacity: int = 240) -> None:
+    def __init__(self, resolutions: typing.Sequence[float] = DEFAULT_RESOLUTIONS,
+                 capacity: int = DEFAULT_TIER_CAPACITY) -> None:
         if not resolutions:
             raise ValueError("need at least one resolution tier")
         res = tuple(float(r) for r in resolutions)
@@ -416,7 +424,7 @@ class MultiResolutionSeries:
 
 @dataclasses.dataclass(frozen=True)
 class TelemetryConfig:
-    """Bounded-telemetry knobs for one run.
+    """Bounded-telemetry caps for one run.
 
     Consumed by :meth:`repro.simkernel.monitor.Monitor.configure` and
     ``PervasiveGridRuntime(telemetry=...)``.  ``None`` caps mean
@@ -427,12 +435,9 @@ class TelemetryConfig:
     histogram_max_raw / series_max_raw:
         Exact raw observations each instrument retains (newest-first
         ring).  While an instrument has dropped nothing its reductions
-        are exact; past the cap, percentiles come from its sketch and
-        the drop count is visible on the instrument.
-    sketch_alpha:
-        Relative-error bound for every :class:`QuantileSketch`.
-    series_resolutions / tier_capacity:
-        Shape of each time series' :class:`MultiResolutionSeries`.
+        are exact; past the cap, percentiles come from its sketch
+        (within :data:`DEFAULT_ALPHA`) and the drop count is visible on
+        the instrument.
     max_trace_records:
         Ring size for ``Tracer.records`` (None = unlimited, the
         append-only default; evictions count under ``obs.trace.dropped``).
@@ -440,9 +445,6 @@ class TelemetryConfig:
 
     histogram_max_raw: int | None = 1024
     series_max_raw: int | None = 1024
-    sketch_alpha: float = DEFAULT_ALPHA
-    series_resolutions: tuple[float, ...] = (1.0, 10.0, 60.0)
-    tier_capacity: int = 240
     max_trace_records: int | None = None
 
     def __post_init__(self) -> None:
@@ -450,5 +452,3 @@ class TelemetryConfig:
             v = getattr(self, field)
             if v is not None and v < 1:
                 raise ValueError(f"{field} must be >= 1 or None, got {v!r}")
-        if not (0.0 < self.sketch_alpha < 1.0):
-            raise ValueError("sketch_alpha must be in (0, 1)")

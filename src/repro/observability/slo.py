@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import collections
 import dataclasses
-import itertools
 import math
 import typing
 
@@ -307,8 +306,8 @@ class SLOEvaluator:
             if slo.signal.kind in ("delta", "rate", "ratio"):
                 self._counter_sources.update(slo.signal.sources())
         self._counter_cursor: dict[str, float] = {}
-        self._hist_cursor: dict[str, int] = {}
-        self._series_cursor: dict[str, int] = {}
+        # per histogram/series source: observations already ingested
+        self._raw_cursor: dict[str, int] = {}
         # per-source (count, sketch copy, sum) snapshot from the last
         # tick, so a tick that outran the instrument's raw tail can
         # ingest an exact delta sketch instead of the lost raw values
@@ -355,8 +354,7 @@ class SLOEvaluator:
         return counter.value if counter is not None else 0.0
 
     def _ingest_bounded(self, window: _SourceWindow, source: str, inst,
-                        cursor: dict[str, int], now: float,
-                        times: bool) -> None:
+                        now: float, times: bool) -> None:
         """Pull new data from a histogram/series without unbounded reads.
 
         While every new observation is still in the instrument's exact
@@ -370,27 +368,23 @@ class SLOEvaluator:
         """
         inst.ensure_sketch()
         total = len(inst)
-        seen = cursor.get(source, 0)
+        seen = self._raw_cursor.get(source, 0)
         if total > seen:
-            raw = inst._values
-            first_retained = total - len(raw)
-            if seen >= first_retained:
-                skip = seen - first_retained
-                if times:
-                    pairs = itertools.islice(zip(inst._times, raw), skip, None)
-                    for t, v in pairs:
-                        window.append(float(t), float(v))
-                else:
-                    for v in itertools.islice(raw, skip, None):
-                        window.append(now, float(v))
-            else:
+            unseen = inst.raw_after(seen)
+            if unseen is None:
                 snap = self._sketch_snapshots.get(source)
                 delta = inst.sketch.diff(snap[1] if snap else None)
                 prev_sum = snap[2] if snap else 0.0
                 total_sum = inst.sketch.sum
                 window.append_aggregate(now, total_sum - prev_sum, total - seen,
                                         float(inst.sketch.last), delta)
-            cursor[source] = total
+            elif times:
+                for t, v in unseen:
+                    window.append(float(t), float(v))
+            else:
+                for v in unseen:
+                    window.append(now, float(v))
+            self._raw_cursor[source] = total
         snap = self._sketch_snapshots.get(source)
         if snap is None or snap[0] != total:
             self._sketch_snapshots[source] = (total, inst.sketch.copy(),
@@ -403,11 +397,11 @@ class SLOEvaluator:
             elif source in self.monitor._histograms:
                 self._ingest_bounded(window, source,
                                      self.monitor._histograms[source],
-                                     self._hist_cursor, now, times=False)
+                                     now, times=False)
             elif source in self.monitor._series:
                 self._ingest_bounded(window, source,
                                      self.monitor._series[source],
-                                     self._series_cursor, now, times=True)
+                                     now, times=True)
             elif source in self.monitor._gauges:
                 gauge = self.monitor._gauges[source]
                 if gauge.updates:

@@ -8,19 +8,21 @@ timing-sensitive benchmarks.
 
 Memory bounds
 -------------
-Histograms and time series are *bounded*: each retains an exact raw tail
-of the newest ``max_raw`` observations (default 1024) and, once the tail
-would overflow, spills into a mergeable
-:class:`~repro.observability.sketch.QuantileSketch` (and, for series, a
-:class:`~repro.observability.sketch.MultiResolutionSeries` of
+Histograms and time series are *bounded* and share one store: each
+retains an exact raw tail of the newest ``max_raw`` observations
+(default 1024) and, once the tail would overflow, spills into a
+mergeable :class:`~repro.observability.sketch.QuantileSketch` at the
+fixed 1% relative error of ``sketch.DEFAULT_ALPHA`` (a series also keeps
+a :class:`~repro.observability.sketch.MultiResolutionSeries` of
 downsampled tiers).  While nothing has been dropped every reduction is
-exact -- bit-identical to the historical raw-list behavior; past the cap,
-counts/means/extremes stay exact (streamed scalars) and percentiles come
-from the sketch within its configured relative error.  ``max_raw=None``
-restores unbounded raw retention.  :meth:`Monitor.configure` applies a
-:class:`~repro.observability.sketch.TelemetryConfig` to every current
-and future instrument; :meth:`Monitor.footprint` reports retained cells
-(the deterministic memory accounting the E14 benchmark gates on).
+exact -- bit-identical to the historical raw-list behavior; past the
+cap, counts/means/extremes stay exact (streamed scalars) and
+percentiles come from the sketch.  ``max_raw=None`` restores unbounded
+raw retention.  :meth:`Monitor.configure` applies a
+:class:`~repro.observability.sketch.TelemetryConfig`'s two raw-tail caps
+to every current and future instrument; :meth:`Monitor.footprint`
+reports retained cells (the deterministic memory accounting the E14
+benchmark gates on).
 
 Naming conventions for instruments live in
 :mod:`repro.observability.metrics` (``<subsystem>.<noun>[_<unit>]``);
@@ -33,19 +35,17 @@ from __future__ import annotations
 
 import collections
 import dataclasses
+import itertools
 import math
 import typing
 
 import numpy as np
 
+if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.observability.sketch import TelemetryConfig
+
 #: Default exact-raw-tail length for histograms and time series.
 DEFAULT_MAX_RAW = 1024
-#: Default sketch relative-error bound (mirrors sketch.DEFAULT_ALPHA).
-DEFAULT_ALPHA = 0.01
-#: Default downsampling tiers for time series (simulated seconds).
-DEFAULT_RESOLUTIONS = (1.0, 10.0, 60.0)
-#: Default ring capacity (buckets) per downsampling tier.
-DEFAULT_TIER_CAPACITY = 240
 
 
 def _sketch_module():
@@ -102,8 +102,13 @@ class Gauge:
         self.updates = 0
 
 
-class Histogram:
-    """A bounded distribution of observations (latencies, sizes).
+def _check_max_raw(name: str, max_raw: int | None) -> None:
+    if max_raw is not None and max_raw < 1:
+        raise ValueError(f"{name!r}: max_raw must be >= 1 or None, got {max_raw!r}")
+
+
+class _SampleStore:
+    """The bounded raw-tail store behind :class:`Histogram` and :class:`TimeSeries`.
 
     Observations are buffered raw in a Python list until ``max_raw``
     would be exceeded, then *spilled*: the raw buffer becomes a ring of
@@ -111,30 +116,19 @@ class Histogram:
     the full distribution forever.  While :attr:`dropped` is 0 every
     reduction is exact over the raw values (the historical behavior);
     afterwards count/mean/max stay exact and :meth:`percentile` answers
-    from the sketch within its ``alpha`` relative-error bound.
+    from the sketch within its relative-error bound.  Each subclass
+    supplies its record path and ``_replay``, which feeds another
+    store's raw entries through it.
     """
 
-    __slots__ = ("name", "_values", "_max_raw", "_alpha", "_sketch")
+    __slots__ = ("name", "_values", "_max_raw", "_sketch")
 
-    def __init__(self, name: str, max_raw: int | None = DEFAULT_MAX_RAW,
-                 alpha: float = DEFAULT_ALPHA) -> None:
+    def __init__(self, name: str, max_raw: int | None = DEFAULT_MAX_RAW) -> None:
+        _check_max_raw(name, max_raw)
         self.name = name
         self._values: typing.MutableSequence[float] = []
         self._max_raw = max_raw
-        self._alpha = alpha
         self._sketch = None
-
-    def observe(self, value: float) -> None:
-        """Record one observation."""
-        sketch = self._sketch
-        if sketch is None:
-            values = self._values
-            values.append(value)
-            if self._max_raw is not None and len(values) >= self._max_raw:
-                self._spill()
-            return
-        sketch.observe(value)
-        self._values.append(value)  # a full ring drops its oldest value
 
     def _spill(self) -> None:
         """Switch to sketch-backed mode, folding the raw buffer in.
@@ -142,10 +136,14 @@ class Histogram:
         A reconfigure-shrink spills with more raw values than the new
         cap; the truncated oldest ones count as dropped.
         """
-        sketch = _sketch_module().QuantileSketch(self._alpha)
+        sketch = _sketch_module().QuantileSketch()
         for v in self._values:
             sketch.observe(v)
         self._sketch = sketch
+        self._ring()
+
+    def _ring(self) -> None:
+        """Keep the newest ``max_raw`` raw entries, as a ring."""
         self._values = collections.deque(self._values, maxlen=self._max_raw)
 
     def __len__(self) -> int:
@@ -169,22 +167,13 @@ class Histogram:
 
     @property
     def sketch(self):
-        """The instrument's :class:`QuantileSketch` (None until spilled)."""
+        """The value-distribution :class:`QuantileSketch` (None until spilled)."""
         return self._sketch
 
     @property
-    def sum(self) -> float:
-        """Exact sum of all observations ever recorded."""
-        if self._sketch is not None:
-            return self._sketch.sum
-        return float(builtins_sum(self._values))
-
-    @property
-    def last(self) -> float:
-        """Most recent observation (nan when empty)."""
-        if self._values:
-            return self._values[-1]
-        return self._sketch.last if self._sketch is not None else math.nan
+    def cells(self) -> int:
+        """Retained storage cells (raw tail + sketch buckets)."""
+        return len(self._values) + (self._sketch.cells if self._sketch is not None else 0)
 
     def ensure_sketch(self) -> None:
         """Materialize the sketch now (idempotent).
@@ -195,10 +184,14 @@ class Histogram:
         if self._sketch is None:
             self._spill()
 
-    @property
-    def cells(self) -> int:
-        """Retained storage cells (raw tail + sketch buckets)."""
-        return len(self._values) + (self._sketch.cells if self._sketch is not None else 0)
+    def raw_after(self, seen: int) -> typing.Iterator | None:
+        """The raw entries recorded after the first ``seen`` observations,
+        oldest first, or None when some of them have left the raw tail."""
+        skip = seen - len(self) + len(self._values)
+        return None if skip < 0 else itertools.islice(self._rows(), skip, None)
+
+    def _rows(self) -> typing.Iterable:
+        return self._values
 
     def mean(self) -> float:
         """Arithmetic mean, exact at any volume (nan when empty)."""
@@ -216,76 +209,96 @@ class Histogram:
         """The ``q``-th percentile (nan when empty).
 
         Exact (interpolated, numpy convention) while the raw tail is
-        complete; from the sketch -- within ``alpha`` relative error --
-        once observations have been dropped.
+        complete; from the sketch -- within its relative error -- once
+        observations have been dropped.
         """
         if self.dropped:
             return self._sketch.percentile(q)
         return float(np.percentile(self.values, q)) if len(self._values) else math.nan
 
-    def extend(self, other: "Histogram") -> None:
-        """Fold every observation of ``other`` in (sketches merge exactly)."""
+    def extend(self, other: "_SampleStore") -> None:
+        """Fold every observation of ``other`` in, in ``other``'s order
+        (sketches merge exactly)."""
         if other._sketch is None:
             if self._sketch is None and self._max_raw is None:
-                self._values.extend(other._values)
-                return
-            for v in other._values:
-                self.observe(v)
+                self._extend_raw(other)
+            else:
+                self._replay(other)
             return
-        if self._sketch is None:
-            self._spill()
-        self._sketch.merge(other._sketch)
+        self.ensure_sketch()
+        self._merge(other)
+        self._extend_raw(other)
+
+    def _extend_raw(self, other: "_SampleStore") -> None:
         self._values.extend(other._values)
 
-    def reconfigure(self, max_raw: int | None = None, alpha: float | None = None) -> None:
-        """Re-bound the instrument (meant for empty/young instruments).
+    def _merge(self, other: "_SampleStore") -> None:
+        self._sketch.merge(other._sketch)
+
+    def reconfigure(self, max_raw: int | None) -> None:
+        """Re-cap the raw tail (meant for empty/young instruments).
 
         Shrinking ``max_raw`` below the current buffer spills and trims
-        the oldest values; ``alpha`` cannot change once a sketch exists.
+        the oldest values.
         """
-        if alpha is not None:
-            if self._sketch is not None and alpha != self._alpha:
-                raise ValueError(
-                    f"histogram {self.name!r}: cannot change alpha after spilling")
-            self._alpha = alpha
-        if max_raw is not None or self._max_raw is not None:
-            self._max_raw = max_raw
-            if self._sketch is None:
-                if max_raw is not None and len(self._values) >= max_raw:
-                    self._spill()
-            else:
-                self._values = collections.deque(self._values, maxlen=max_raw)
+        _check_max_raw(self.name, max_raw)
+        self._max_raw = max_raw
+        if self._sketch is not None:
+            self._ring()
+        elif max_raw is not None and len(self._values) >= max_raw:
+            self._spill()
 
 
-class TimeSeries:
+class Histogram(_SampleStore):
+    """A bounded distribution of observations (latencies, sizes)."""
+
+    __slots__ = ()
+
+    def observe(self, value: float) -> None:
+        """Record one observation."""
+        sketch = self._sketch
+        if sketch is None:
+            values = self._values
+            values.append(value)
+            if self._max_raw is not None and len(values) >= self._max_raw:
+                self._spill()
+            return
+        sketch.observe(value)
+        self._values.append(value)  # a full ring drops its oldest value
+
+    def _replay(self, other: "Histogram") -> None:
+        for v in other._values:
+            self.observe(v)
+
+    @property
+    def sum(self) -> float:
+        """Exact sum of all observations ever recorded."""
+        if self._sketch is not None:
+            return self._sketch.sum
+        return float(builtins_sum(self._values))
+
+    @property
+    def last(self) -> float:
+        """Most recent observation (nan when empty)."""
+        return self._values[-1] if self._values else math.nan
+
+
+class TimeSeries(_SampleStore):
     """A bounded sequence of ``(time, value)`` samples.
 
     Provides summary reductions used throughout the experiment harness.
-    Samples are buffered raw in Python lists (HPC guide: vectorize
-    reductions, keep the recording path allocation-free in the common
-    case) until ``max_raw`` would be exceeded, then *spilled*: the raw
-    buffers become rings of the newest samples, a
-    :class:`QuantileSketch` carries the value distribution, and a
+    Sample times are buffered raw beside the values (HPC guide:
+    vectorize reductions, keep the recording path allocation-free in the
+    common case); on spill both buffers become rings and a
     :class:`MultiResolutionSeries` (:attr:`tiers`) keeps deterministic
-    downsampled history at widening time resolutions.  While
-    :attr:`dropped` is 0 every reduction is exact.
+    downsampled history at widening time resolutions.
     """
 
-    __slots__ = ("name", "_times", "_values", "_max_raw", "_alpha",
-                 "_resolutions", "_tier_capacity", "_sketch", "tiers")
+    __slots__ = ("_times", "tiers")
 
-    def __init__(self, name: str, max_raw: int | None = DEFAULT_MAX_RAW,
-                 alpha: float = DEFAULT_ALPHA,
-                 resolutions: typing.Sequence[float] = DEFAULT_RESOLUTIONS,
-                 tier_capacity: int = DEFAULT_TIER_CAPACITY) -> None:
-        self.name = name
+    def __init__(self, name: str, max_raw: int | None = DEFAULT_MAX_RAW) -> None:
+        super().__init__(name, max_raw)
         self._times: typing.MutableSequence[float] = []
-        self._values: typing.MutableSequence[float] = []
-        self._max_raw = max_raw
-        self._alpha = alpha
-        self._resolutions = tuple(resolutions)
-        self._tier_capacity = tier_capacity
-        self._sketch = None
         #: Downsampled multi-resolution history (None until spilled;
         #: call :meth:`ensure_sketch` to materialize eagerly).
         self.tiers = None
@@ -306,66 +319,41 @@ class TimeSeries:
         self._values.append(value)
 
     def _spill(self) -> None:
-        """Switch to sketch+tier-backed mode, folding the raw buffers in.
-
-        A reconfigure-shrink spills with more raw samples than the new
-        cap; the truncated oldest ones count as dropped.
-        """
-        mod = _sketch_module()
-        sketch = mod.QuantileSketch(self._alpha)
-        tiers = mod.MultiResolutionSeries(self._resolutions, self._tier_capacity)
-        for t, v in zip(self._times, self._values):
-            sketch.observe(v)
+        tiers = _sketch_module().MultiResolutionSeries()
+        for t, v in self._rows():
             tiers.record(t, v)
-        self._sketch = sketch
         self.tiers = tiers
-        self._times = collections.deque(self._times, maxlen=self._max_raw)
-        self._values = collections.deque(self._values, maxlen=self._max_raw)
+        super()._spill()
 
-    def __len__(self) -> int:
-        return self._sketch.count if self._sketch is not None else len(self._values)
+    def _ring(self) -> None:
+        super()._ring()
+        self._times = collections.deque(self._times, maxlen=self._max_raw)
+
+    def _rows(self) -> typing.Iterable:
+        return zip(self._times, self._values)
+
+    def _replay(self, other: "TimeSeries") -> None:
+        for t, v in other._rows():
+            self.record(t, v)
+
+    def _extend_raw(self, other: "TimeSeries") -> None:
+        super()._extend_raw(other)
+        self._times.extend(other._times)
+
+    def _merge(self, other: "TimeSeries") -> None:
+        super()._merge(other)
+        self.tiers.merge(other.tiers)
+
+    @property
+    def cells(self) -> int:
+        """Retained storage cells (raw tails + sketch + tier buckets)."""
+        cells = super().cells + len(self._times)
+        return cells if self.tiers is None else cells + self.tiers.cells
 
     @property
     def times(self) -> np.ndarray:
         """Retained sample times as a float64 array (copy)."""
         return np.fromiter(self._times, dtype=np.float64, count=len(self._times))
-
-    @property
-    def values(self) -> np.ndarray:
-        """Retained sample values as a float64 array (copy)."""
-        return np.fromiter(self._values, dtype=np.float64, count=len(self._values))
-
-    @property
-    def dropped(self) -> int:
-        """Samples no longer in the raw tail (0 = tail is complete):
-        everything the sketch holds minus what the rings still hold."""
-        sketch = self._sketch
-        return 0 if sketch is None else sketch.count - len(self._values)
-
-    @property
-    def sketch(self):
-        """The value-distribution :class:`QuantileSketch` (None until spilled)."""
-        return self._sketch
-
-    def ensure_sketch(self) -> None:
-        """Materialize sketch and tiers now (idempotent); see
-        :meth:`Histogram.ensure_sketch`."""
-        if self._sketch is None:
-            self._spill()
-
-    @property
-    def cells(self) -> int:
-        """Retained storage cells (raw tails + sketch + tier buckets)."""
-        total = 2 * len(self._values)
-        if self._sketch is not None:
-            total += self._sketch.cells + self.tiers.cells
-        return total
-
-    def mean(self) -> float:
-        """Arithmetic mean of values, exact at any volume (nan when empty)."""
-        if self.dropped:
-            return self._sketch.mean()
-        return float(np.mean(self.values)) if len(self._values) else math.nan
 
     def total(self) -> float:
         """Sum of values, exact at any volume (0 when empty)."""
@@ -373,68 +361,10 @@ class TimeSeries:
             return self._sketch.sum
         return float(np.sum(self.values)) if len(self._values) else 0.0
 
-    def max(self) -> float:
-        """Maximum value ever, exact at any volume (nan when empty)."""
-        if self.dropped:
-            return self._sketch.max
-        return float(np.max(self.values)) if len(self._values) else math.nan
-
-    def percentile(self, q: float) -> float:
-        """The ``q``-th percentile of values (nan when empty); exact
-        while the raw tail is complete, sketch-backed afterwards."""
-        if self.dropped:
-            return self._sketch.percentile(q)
-        return float(np.percentile(self.values, q)) if len(self._values) else math.nan
-
     def last(self) -> float:
         """Most recent value (nan when empty); always exact (the ring
         keeps the newest samples)."""
-        if self._values:
-            return self._values[-1]
-        return math.nan
-
-    def extend(self, other: "TimeSeries") -> None:
-        """Fold every sample of ``other`` in, in ``other``'s order."""
-        if other._sketch is None:
-            if self._sketch is None and self._max_raw is None:
-                self._times.extend(other._times)
-                self._values.extend(other._values)
-                return
-            for t, v in zip(other._times, other._values):
-                self.record(t, v)
-            return
-        if self._sketch is None:
-            self._spill()
-        self._sketch.merge(other._sketch)
-        self.tiers.merge(other.tiers)
-        self._times.extend(other._times)
-        self._values.extend(other._values)
-
-    def reconfigure(self, max_raw: int | None = None, alpha: float | None = None,
-                    resolutions: typing.Sequence[float] | None = None,
-                    tier_capacity: int | None = None) -> None:
-        """Re-bound the instrument (meant for empty/young instruments);
-        sketch/tier shape cannot change once spilled."""
-        if self._sketch is not None and any(
-                v is not None for v in (alpha, resolutions, tier_capacity)):
-            if ((alpha is not None and alpha != self._alpha)
-                    or (resolutions is not None and tuple(resolutions) != self._resolutions)
-                    or (tier_capacity is not None and tier_capacity != self._tier_capacity)):
-                raise ValueError(
-                    f"series {self.name!r}: cannot reshape sketch/tiers after spilling")
-        if alpha is not None:
-            self._alpha = alpha
-        if resolutions is not None:
-            self._resolutions = tuple(resolutions)
-        if tier_capacity is not None:
-            self._tier_capacity = tier_capacity
-        self._max_raw = max_raw
-        if self._sketch is None:
-            if max_raw is not None and len(self._values) >= max_raw:
-                self._spill()
-        else:
-            self._times = collections.deque(self._times, maxlen=max_raw)
-            self._values = collections.deque(self._values, maxlen=max_raw)
+        return self._values[-1] if self._values else math.nan
 
 
 #: plain built-in sum, aliased so ``Histogram.sum`` (a property) can use it
@@ -444,57 +374,27 @@ builtins_sum = sum
 class Monitor:
     """A registry of named instruments for one simulation run.
 
-    Keyword parameters bound new histograms/series (see
-    :class:`Histogram` / :class:`TimeSeries`); :meth:`configure` changes
-    them for current and future instruments in one call.
+    New histograms and series keep a raw tail of :data:`DEFAULT_MAX_RAW`
+    observations; :meth:`configure` re-bounds current and future ones.
     """
 
-    def __init__(self, *, histogram_max_raw: int | None = DEFAULT_MAX_RAW,
-                 series_max_raw: int | None = DEFAULT_MAX_RAW,
-                 sketch_alpha: float = DEFAULT_ALPHA,
-                 series_resolutions: typing.Sequence[float] = DEFAULT_RESOLUTIONS,
-                 tier_capacity: int = DEFAULT_TIER_CAPACITY) -> None:
+    def __init__(self) -> None:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
         self._series: dict[str, TimeSeries] = {}
-        self._histogram_max_raw = histogram_max_raw
-        self._series_max_raw = series_max_raw
-        self._sketch_alpha = sketch_alpha
-        self._series_resolutions = tuple(series_resolutions)
-        self._tier_capacity = tier_capacity
+        self._histogram_max_raw: int | None = DEFAULT_MAX_RAW
+        self._series_max_raw: int | None = DEFAULT_MAX_RAW
 
-    def configure(self, config=None, **overrides) -> "Monitor":
-        """Apply telemetry bounds to current and future instruments.
-
-        ``config`` is duck-typed against
-        :class:`~repro.observability.sketch.TelemetryConfig` (only the
-        monitor-relevant fields are read); keyword ``overrides`` win.
-        Returns self.
-        """
-        fields = ("histogram_max_raw", "series_max_raw", "sketch_alpha",
-                  "series_resolutions", "tier_capacity")
-        updates: dict[str, typing.Any] = {}
-        if config is not None:
-            for field in fields:
-                if hasattr(config, field):
-                    updates[field] = getattr(config, field)
-        for field, value in overrides.items():
-            if field not in fields:
-                raise TypeError(f"unknown telemetry field {field!r}")
-            updates[field] = value
-        if "series_resolutions" in updates:
-            updates["series_resolutions"] = tuple(updates["series_resolutions"])
-        for field, value in updates.items():
-            setattr(self, f"_{field}", value)
+    def configure(self, config: TelemetryConfig) -> "Monitor":
+        """Apply a :class:`~repro.observability.sketch.TelemetryConfig`'s
+        raw-tail caps to current and future instruments; returns self."""
+        self._histogram_max_raw = config.histogram_max_raw
+        self._series_max_raw = config.series_max_raw
         for histogram in self._histograms.values():
-            histogram.reconfigure(max_raw=self._histogram_max_raw,
-                                  alpha=self._sketch_alpha)
+            histogram.reconfigure(self._histogram_max_raw)
         for series in self._series.values():
-            series.reconfigure(max_raw=self._series_max_raw,
-                               alpha=self._sketch_alpha,
-                               resolutions=self._series_resolutions,
-                               tier_capacity=self._tier_capacity)
+            series.reconfigure(self._series_max_raw)
         return self
 
     def counter(self, name: str) -> Counter:
@@ -517,8 +417,7 @@ class Monitor:
         """Get or create the histogram called ``name``."""
         histogram = self._histograms.get(name)
         if histogram is None:
-            histogram = Histogram(name, max_raw=self._histogram_max_raw,
-                                  alpha=self._sketch_alpha)
+            histogram = Histogram(name, max_raw=self._histogram_max_raw)
             self._histograms[name] = histogram
         return histogram
 
@@ -526,10 +425,7 @@ class Monitor:
         """Get or create the time series called ``name``."""
         series = self._series.get(name)
         if series is None:
-            series = TimeSeries(name, max_raw=self._series_max_raw,
-                                alpha=self._sketch_alpha,
-                                resolutions=self._series_resolutions,
-                                tier_capacity=self._tier_capacity)
+            series = TimeSeries(name, max_raw=self._series_max_raw)
             self._series[name] = series
         return series
 

@@ -11,6 +11,8 @@ from repro.observability.slo import SLO, Signal, SLOEvaluator
 from repro.simkernel import Monitor, Simulator
 from repro.simkernel.monitor import Histogram, TimeSeries
 
+CAP_8 = TelemetryConfig(histogram_max_raw=8, series_max_raw=8)
+
 
 class TestHistogramSpill:
     def test_exact_until_the_cap(self):
@@ -21,7 +23,7 @@ class TestHistogramSpill:
         assert h.percentile(50) == float(np.percentile(h.values, 50))
 
     def test_spills_to_ring_plus_sketch_past_the_cap(self):
-        h = Histogram("h", max_raw=8, alpha=0.01)
+        h = Histogram("h", max_raw=8)
         rng = random.Random(1)
         values = [rng.expovariate(0.5) for _ in range(500)]
         for v in values:
@@ -70,17 +72,18 @@ class TestHistogramSpill:
         assert len(h.values) == 4 and h.dropped == 16
         assert len(h) == 20
 
-    def test_alpha_change_after_spill_rejected(self):
-        h = Histogram("h", max_raw=4)
-        for v in range(10):
-            h.observe(float(v))
-        with pytest.raises(ValueError, match="alpha"):
-            h.reconfigure(alpha=0.05)
+    def test_rejects_max_raw_below_one(self):
+        for make in (Histogram, TimeSeries):
+            with pytest.raises(ValueError, match="max_raw"):
+                make("x", max_raw=0)
+            store = make("x", max_raw=None)
+            with pytest.raises(ValueError, match="max_raw"):
+                store.reconfigure(max_raw=0)
 
 
 class TestTimeSeriesSpill:
     def test_tiers_materialize_on_spill(self):
-        s = TimeSeries("s", max_raw=8, resolutions=(1.0, 10.0), tier_capacity=240)
+        s = TimeSeries("s", max_raw=8)
         for t in range(100):
             s.record(float(t), float(t % 7))
         assert s.tiers is not None
@@ -114,12 +117,8 @@ class TestMonitorConfigureAndFootprint:
         assert m.histogram("h").dropped > 0
         assert m.series("s")._max_raw == 4  # new instruments get the cap
 
-    def test_configure_rejects_unknown_override(self):
-        with pytest.raises(TypeError, match="unknown"):
-            Monitor().configure(bogus_knob=1)
-
     def test_footprint_saturates_under_load(self):
-        m = Monitor(histogram_max_raw=32, series_max_raw=32)
+        m = Monitor().configure(TelemetryConfig(histogram_max_raw=32, series_max_raw=32))
         def load(n):
             for v in range(n):
                 m.histogram("lat").observe(float(v))
@@ -144,14 +143,14 @@ class TestMonitorConfigureAndFootprint:
 
     def test_merge_identical_after_spill(self):
         def build():
-            m = Monitor(histogram_max_raw=8, series_max_raw=8)
+            m = Monitor().configure(CAP_8)
             for v in range(100):
                 m.histogram("h").observe(float(v))
                 m.series("s").record(float(v), float(v))
             return m
-        merged_ab = Monitor(histogram_max_raw=8, series_max_raw=8)
+        merged_ab = Monitor().configure(CAP_8)
         merged_ab.merge(build()).merge(build())
-        merged_cd = Monitor(histogram_max_raw=8, series_max_raw=8)
+        merged_cd = Monitor().configure(CAP_8)
         merged_cd.merge(build()).merge(build())
         assert merged_ab.summary() == merged_cd.summary()
         merged_ab.histogram("h").ensure_sketch()
@@ -163,7 +162,8 @@ class TestMonitorConfigureAndFootprint:
 class TestSLOOverSketches:
     def setup_method(self):
         self.sim = Simulator()
-        self.monitor = Monitor(histogram_max_raw=16, series_max_raw=16)
+        self.monitor = Monitor().configure(
+            TelemetryConfig(histogram_max_raw=16, series_max_raw=16))
 
     def advance(self, dt):
         self.sim.schedule(dt, lambda: None)

@@ -206,6 +206,4 @@ class TestTelemetryConfig:
         with pytest.raises(ValueError):
             TelemetryConfig(histogram_max_raw=0)
         with pytest.raises(ValueError):
-            TelemetryConfig(sketch_alpha=1.5)
-        with pytest.raises(ValueError):
             TelemetryConfig(max_trace_records=0)

@@ -9,6 +9,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from repro.grid.resource import GridResource
+from repro.observability.sketch import TelemetryConfig
 from repro.observability.tracer import Tracer
 from repro.resilience.breaker import BreakerBoard
 from repro.simkernel import Monitor, Simulator
@@ -65,7 +66,8 @@ class World:
     def __init__(self, queue_cls, pilot_cls, weights):
         self.sim = Simulator()
         # tiny raw tails, so the sketch record paths run too
-        self.monitor = Monitor(histogram_max_raw=4, series_max_raw=4)
+        self.monitor = Monitor().configure(
+            TelemetryConfig(histogram_max_raw=4, series_max_raw=4))
         self.tracer = Tracer(self.sim)
         self.classes = [PriorityClass(f"c{i}", w) for i, w in enumerate(weights)]
         self.queue = queue_cls(self.sim, self.classes, monitor=self.monitor,
