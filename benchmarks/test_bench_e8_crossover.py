@@ -48,7 +48,7 @@ def run_sweep():
     return grid
 
 
-def test_e8_crossover_frontier(benchmark, table, once):
+def test_e8_crossover_frontier(benchmark, table, once, record):
     grid = once(benchmark, run_sweep)
     rows = []
     for n in SENSOR_COUNTS:
@@ -83,3 +83,8 @@ def test_e8_crossover_frontier(benchmark, table, once):
     # the handheld never wins the complex query anywhere
     all_winners = {grid[k][0] for k in grid}
     assert "handheld" not in all_winners
+
+    for n in SENSOR_COUNTS:
+        crossover = next(res for res in RESOLUTIONS if grid[(n, res)][0] == "grid")
+        record("E8", f"crossover_resolution[{n}]", crossover, unit="points/side",
+               direction="either", seed=29, area_m=60.0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import typing
 
 import numpy as np
 
@@ -25,7 +26,7 @@ class DisseminationResult:
         Time from start until the last node received the message.
     """
 
-    reached: set[int]
+    reached: typing.AbstractSet[int]
     messages: int
     energy_j: float
     per_node_energy: np.ndarray
@@ -59,7 +60,7 @@ class CollectionCost:
     latency_s: float
     messages: int
     bits_total: float
-    participating: set[int]
+    participating: typing.AbstractSet[int]
 
     @property
     def energy_j(self) -> float:

@@ -20,7 +20,7 @@ battery deaths, partitions) bump the counter, and the first query at a new
 generation discards every cached answer.  On an unchanged topology a
 relayed hop therefore answers its route query from a dict lookup instead
 of re-running BFS -- the dominant cost of E2/E3-style workloads, where
-every epoch rebuilds the same aggregation tree.
+every epoch routes over the same aggregation tree.
 
 Cached answers are bit-identical to uncached BFS: neighbor expansion
 visits node ids in increasing order, so the parent map of a full BFS
@@ -31,6 +31,17 @@ min-hop path.  Hit/miss/invalidation totals are kept on the topology
 :func:`repro.network.network.record_route_cache_metrics` folds them into
 a :class:`~repro.simkernel.monitor.Monitor` under the canonical
 ``net.route_cache.*`` names.
+
+Beside the route answers sits a memo of derived pieces
+(:meth:`Topology.memo`): any pure function of the graph whose caller
+names every other input in the key.  The query path keeps the
+base-station flood, the aggregation tree, raw and aggregated
+convergecast costs per target list, the region plan's member phase and
+the static WHERE-clause match there
+(:mod:`repro.queries.models.collection`,
+:mod:`repro.queries.targets`).  Entries die with the version, at the
+same check that drops the route answers; memo lookups are not route
+queries, so they leave the hit/miss counters alone.
 """
 
 from __future__ import annotations
@@ -77,6 +88,8 @@ class Topology:
         self._parents_cache: dict[int, dict[int, int]] = {}
         self._hops_cache: dict[int, dict[int, int]] = {}
         self._dist_cache: dict[tuple[int, int], float] = {}
+        # derived pieces (see memo), dropped with the route cache
+        self._memo: dict[typing.Hashable, typing.Any] = {}
         #: Route queries (shortest path / BFS tree / hop counts) answered
         #: from the cache without running BFS.
         self.route_cache_hits = 0
@@ -201,7 +214,24 @@ class Topology:
                 self._parents_cache.clear()
                 self._hops_cache.clear()
                 self._dist_cache.clear()
+            self._memo.clear()
             self._cache_version = self._version
+
+    def memo(self, key: typing.Hashable, build: typing.Callable[..., typing.Any], *args) -> typing.Any:
+        """``build(*args)``, computed once per topology version.
+
+        ``key`` must hold every input ``build`` reads apart from this
+        topology's graph (radio, energy model, bits, target list ...):
+        entries survive everything that does not bump :attr:`version`.
+        The value is shared by every caller until the version changes,
+        so ``build`` should return it read-only.
+        """
+        self._route_cache()
+        memo = self._memo
+        if key in memo:
+            return memo[key]
+        value = memo[key] = build(*args)
+        return value
 
     @property
     def route_cache_stats(self) -> dict[str, int]:

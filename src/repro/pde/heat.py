@@ -43,6 +43,9 @@ class HeatSolver:
         The computation grid.
     conductivity:
         Thermal conductivity ``k`` (steady) / diffusivity ``α`` (transient).
+
+    Both are fixed at construction: the scaled operator ``k * L`` is
+    assembled on the first solve and reused by every later one.
     """
 
     def __init__(self, grid: RectGrid, conductivity: float = 1.0) -> None:
@@ -50,6 +53,7 @@ class HeatSolver:
             raise ValueError("conductivity must be positive")
         self.grid = grid
         self.conductivity = conductivity
+        self._operator: sp.csr_matrix | None = None
 
     # ------------------------------------------------------------------
     def _laplacian(self) -> sp.csr_matrix:
@@ -72,6 +76,12 @@ class HeatSolver:
             sp.kron(dxx, sp.identity(g.ny, format="csr"), format="csr")
             + sp.kron(sp.identity(g.nx, format="csr"), dyy, format="csr")
         )
+
+    def _scaled_laplacian(self) -> sp.csr_matrix:
+        """``conductivity * L``, assembled once."""
+        if self._operator is None:
+            self._operator = self._laplacian() * self.conductivity
+        return self._operator
 
     def solve_steady(
         self,
@@ -108,7 +118,7 @@ class HeatSolver:
         if q.shape != g.shape:
             raise ValueError("source shape mismatch")
 
-        lap = self._laplacian() * self.conductivity
+        lap = self._scaled_laplacian()
         n = g.n_points
         fixed_flat = fixed.ravel()
         free = ~fixed_flat
@@ -147,7 +157,7 @@ class HeatSolver:
         fixed = g.boundary_mask() if fixed_mask is None else np.asarray(fixed_mask, dtype=bool)
         bvals = t0 if boundary_values is None else np.asarray(boundary_values, dtype=np.float64)
 
-        lap = self._laplacian() * self.conductivity
+        lap = self._scaled_laplacian()
         n = g.n_points
         fixed_flat = fixed.ravel()
         free = ~fixed_flat

@@ -111,17 +111,29 @@ class QueryContext:
     def __post_init__(self) -> None:
         if self.streams is None:
             self.streams = self.deployment.streams
-        #: queries already flooded into the network (keyed by text).
-        #: TAG disseminates a query once; later epochs only collect.
-        self._disseminated: set[str] = set()
+        #: queries already flooded into the network, keyed by value (two
+        #: queries built without text share ``raw == ""``).  TAG
+        #: disseminates a query once; later epochs only collect.
+        self._disseminated: set[Query] = set()
+        self._heat_solvers: dict[tuple[int, float], HeatSolver] = {}
 
     def is_disseminated(self, query: Query) -> bool:
         """Whether the network already knows this query (no re-flood)."""
-        return query.raw in self._disseminated
+        return query in self._disseminated
 
     def mark_disseminated(self, query: Query) -> None:
         """Record that this query has been flooded."""
-        self._disseminated.add(query.raw)
+        self._disseminated.add(query)
+
+    def heat_solver(self) -> HeatSolver:
+        """The DISTRIBUTION solver for the current grid resolution and
+        deployment area (its Laplacian is assembled once per solver)."""
+        key = (self.grid_resolution, self.deployment.area_m)
+        solver = self._heat_solvers.get(key)
+        if solver is None:
+            res, area = key
+            solver = self._heat_solvers[key] = HeatSolver(RectGrid(res, res, area, area))
+        return solver
 
     @property
     def sim(self):
@@ -266,12 +278,7 @@ class ExecutionModel:
 
     def _sample_targets(self, ctx: QueryContext, targets: list[int]) -> list[Reading]:
         """Sample every target sensor (paying sense energy)."""
-        readings = []
-        for sid in targets:
-            r = ctx.deployment.sample_sensor(sid)
-            if r is not None:
-                readings.append(r)
-        return readings
+        return ctx.deployment.sample_all(sensor_ids=targets)
 
     def _trace_collect(
         self,
@@ -374,9 +381,8 @@ def solve_distribution(ctx: QueryContext, positions: np.ndarray, values: np.ndar
     points; the domain boundary takes IDW-interpolated values so the
     field honours the data everywhere.
     """
-    area = ctx.deployment.area_m
-    grid = RectGrid(ctx.grid_resolution, ctx.grid_resolution, area, area)
-    solver = HeatSolver(grid)
+    solver = ctx.heat_solver()
+    grid = solver.grid
     interpolated = readings_to_grid(grid, positions, values)
     fixed = grid.boundary_mask()
     bvals = interpolated.copy()

@@ -14,6 +14,7 @@ averages, so it is *approximate*; the expected relative error shrinks as
 
 from __future__ import annotations
 
+import types
 import typing
 
 import numpy as np
@@ -74,21 +75,22 @@ class RegionAverageModel(ExecutionModel):
         row = min(int(pos[1] / cell), self.regions_per_side - 1)
         return row * self.regions_per_side + col
 
-    def _region_groups(self, ctx: QueryContext, targets: list[int]) -> dict[int, list[int]]:
+    def _members(self, ctx: QueryContext, targets: list[int]):
+        """The member phase for ``targets``, computed once per topology
+        version: ``(groups, reps, per_node, messages)`` -- region -> its
+        targets, one relay per region, the member sends' energy per node
+        (read-only) and their count."""
+        dep = ctx.deployment
+        key = ("region-members", self.regions_per_side, dep.area_m, tuple(targets),
+               dep.energy_model)
+        return dep.topology.memo(key, self._member_phase, ctx, targets)
+
+    def _member_phase(self, ctx: QueryContext, targets: list[int]):
         groups: dict[int, list[int]] = {}
         for t in targets:
             pos = ctx.deployment.topology.position_of(t)
             groups.setdefault(self._region_of(ctx, pos), []).append(t)
-        return groups
-
-    def _representatives(self, ctx: QueryContext, groups: dict[int, list[int]]) -> list[int]:
-        """One relay sensor per occupied region (lowest id: deterministic)."""
-        return [min(members) for members in groups.values()]
-
-    def _pieces(self, query: Query, ctx: QueryContext, targets: list[int]):
-        groups = self._region_groups(ctx, targets)
-        reps = self._representatives(ctx, groups)
-        flood = self._flood_cost(query, ctx)
+        # one relay sensor per occupied region (lowest id: deterministic);
         # members send one reading to their region representative
         # (single-hop cluster assumption, as in LEACH), then reps send one
         # averaged record to the base
@@ -105,6 +107,13 @@ class RegionAverageModel(ExecutionModel):
                 per_node[m] += em.tx_cost(READING_BITS, d)
                 per_node[rep] += em.rx_cost(READING_BITS) + em.cpu_cost(10.0)
                 member_msgs += 1
+        return (types.MappingProxyType({r: tuple(m) for r, m in groups.items()}),
+                tuple(min(members) for members in groups.values()),
+                collection.read_only(per_node), member_msgs)
+
+    def _pieces(self, query: Query, ctx: QueryContext, targets: list[int]):
+        groups, reps, per_node, member_msgs = self._members(ctx, targets)
+        flood = self._flood_cost(query, ctx)
         rep_collect = collection.raw_collection(ctx.deployment, reps, READING_BITS * 2)
         member_latency = ctx.deployment.radio.hop_time(READING_BITS)
         # complex parts go to the grid when reachable; during an uplink

@@ -15,7 +15,7 @@ applied by the execution models after collection.
 
 from __future__ import annotations
 
-from repro.queries.ast import Query
+from repro.queries.ast import Predicate, Query
 from repro.sensors.deployment import SensorDeployment
 
 #: Default spatial partition used for the ``room`` attribute.
@@ -54,13 +54,28 @@ def select_targets(
     """Living sensors satisfying every WHERE predicate.
 
     Predicates over unknown attributes (e.g. the measured value) are
-    skipped here -- they filter *readings*, not sensors.
+    skipped here -- they filter *readings*, not sensors.  The static
+    match depends only on positions, so it is computed once per topology
+    version; liveness also reads battery state the version does not
+    track, so it is applied on every call.
     """
     static_attrs = {"sensor_id", "room", "x", "y"}
-    preds = [p for p in query.where if p.attribute in static_attrs]
-    out = []
-    for sid in deployment.alive_sensor_ids():
+    preds = tuple(p for p in query.where if p.attribute in static_attrs)
+    key = ("targets", preds, rooms_per_side, deployment.area_m, deployment.n_sensors)
+    matched = deployment.topology.memo(key, _static_match, deployment, preds,
+                                       rooms_per_side)
+    return [sid for sid in deployment.alive_sensor_ids() if sid in matched]
+
+
+def _static_match(
+    deployment: SensorDeployment,
+    preds: tuple[Predicate, ...],
+    rooms_per_side: int,
+) -> frozenset[int]:
+    """Every sensor, dead or alive, whose static attributes satisfy ``preds``."""
+    matched = set()
+    for sid in deployment.sensor_ids:
         attrs = sensor_attributes(deployment, sid, rooms_per_side)
         if all(p.holds(attrs) for p in preds):
-            out.append(sid)
-    return out
+            matched.add(sid)
+    return frozenset(matched)

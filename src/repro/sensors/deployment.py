@@ -9,6 +9,7 @@ network, sampling one physical field.  Query-execution models
 
 from __future__ import annotations
 
+import typing
 
 import numpy as np
 
@@ -160,8 +161,14 @@ class SensorDeployment:
     # ------------------------------------------------------------------
     # sensing
     # ------------------------------------------------------------------
-    def sample_all(self, t: float | None = None) -> list[Reading]:
-        """One reading from every living sensor at time ``t`` (default now).
+    def sample_all(self, t: float | None = None,
+                   sensor_ids: typing.Sequence[int] | None = None) -> list[Reading]:
+        """One reading from each living sensor at time ``t`` (default now).
+
+        ``sensor_ids`` picks which sensors, in which order (default:
+        every sensor, by id); the result equals a :meth:`sample_sensor`
+        loop over them -- the same readings, noise draws, battery draws,
+        ``samples_taken`` and deaths.
 
         Field evaluation and noise are vectorized: one ``field.sample_at``
         over every eligible position plus one ``rng.normal(0, std, k)``
@@ -170,13 +177,18 @@ class SensorDeployment:
         and numpy Generators emit the same stream for one size-k draw as
         for k scalar draws -- so the fast path is taken whenever the fleet
         is homogeneous (shared noise rng and one ``noise_std``, which is
-        how this class builds it); heterogeneous fleets fall back to the
-        per-sensor loop.
+        how this class builds it) and no id repeats (a repeat's second
+        sample depends on the first one's battery draw); otherwise the
+        per-sensor loop runs.
         """
         time = self.sim.now if t is None else t
         topology = self.topology
+        if sensor_ids is None:
+            chosen = self.sensors
+        else:
+            chosen = [self.sensors[i] for i in sensor_ids]
         eligible = [
-            s for s in self.sensors if topology.is_alive(s.node_id) and s.alive
+            s for s in chosen if topology.is_alive(s.node_id) and s.alive
         ]
         if eligible:
             rng = eligible[0].rng
@@ -186,9 +198,10 @@ class SensorDeployment:
             )
         else:
             homogeneous = True
-        if not homogeneous:
+        repeats = sensor_ids is not None and len(set(sensor_ids)) != len(chosen)
+        if repeats or not homogeneous:
             readings = []
-            for sensor in self.sensors:
+            for sensor in chosen:
                 if topology.is_alive(sensor.node_id):
                     reading = sensor.sample(self.field, time)
                     if reading is not None:
@@ -218,7 +231,7 @@ class SensorDeployment:
                     topology.kill(sensor.node_id)
         # sensors already battery-dead but not yet reflected in the
         # topology: the scalar path killed these as it swept past them
-        for sensor in self.sensors:
+        for sensor in chosen:
             if not sensor.alive and topology.is_alive(sensor.node_id):
                 topology.kill(sensor.node_id)
         return readings

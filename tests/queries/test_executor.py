@@ -6,6 +6,8 @@ import pytest
 
 from repro.core import PervasiveGridRuntime
 from repro.queries import QueryClass, QueryExecutor, parse_query
+from repro.queries.ast import Query, SelectItem
+from repro.queries.models import InNetworkTreeModel
 from repro.queries.models.base import CostEstimate
 
 
@@ -142,6 +144,20 @@ class TestContinuous:
         first = rt.query("SELECT AVG(value) FROM sensors")[0]
         second = rt.query("SELECT AVG(value) FROM sensors")[0]
         assert second.energy_j < first.energy_j / 3
+
+    def test_distinct_programmatic_queries_each_pay_dissemination(self):
+        """Queries built without text all have ``raw == ""``; running one
+        must not mark another as already flooded."""
+        rt = make_runtime()
+        avg = Query(select=(SelectItem("value", "AVG"),))
+        peak = Query(select=(SelectItem("value", "MAX"),))
+        tree = InNetworkTreeModel()
+        targets = rt.deployment.alive_sensor_ids()
+        fresh = tree.estimate(peak, rt.ctx, targets)
+        rt.executor.submit(avg, lambda o: None)
+        rt.sim.run()
+        assert tree.estimate(peak, rt.ctx, targets).energy_j == fresh.energy_j
+        assert rt.ctx.is_disseminated(avg) and not rt.ctx.is_disseminated(peak)
 
 
 class TestFeedbackLoop:

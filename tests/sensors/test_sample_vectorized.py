@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.sensors.deployment import SensorDeployment
 from repro.sensors.field import FireField, UniformField
@@ -90,3 +91,59 @@ class TestVectorizedSampling:
                                noise_std=0.0)
         readings = dep.sample_all(0.0)
         assert [r.value for r in readings] == [21.5] * 9
+
+
+def sample_sensor_loop(dep, ids, t):
+    """What the execution models did before ``sample_all`` took ids."""
+    readings = []
+    for sid in ids:
+        reading = dep.sample_sensor(sid, t)
+        if reading is not None:
+            readings.append(reading)
+    return readings
+
+
+def sensor_state(dep):
+    return (dep.sensors[0].rng.bit_generator.state,
+            [s.battery.remaining for s in dep.sensors],
+            [s.samples_taken for s in dep.sensors],
+            dep.alive_sensor_ids(),
+            [dep.topology.is_alive(i) for i in range(dep.topology.n_nodes)])
+
+
+id_lists = st.one_of(
+    st.lists(st.integers(0, 24), max_size=25, unique=True),
+    st.lists(st.integers(0, 24), max_size=30),  # repeats take the scalar loop
+)
+
+
+class TestSubsetSampling:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 3),
+           heterogeneous=st.booleans(),
+           rounds=st.lists(st.tuples(id_lists, st.lists(st.integers(0, 24), max_size=3)),
+                           min_size=1, max_size=8))
+    # a target whose battery is empty while its topology node is alive
+    @example(seed=1, heterogeneous=False, rounds=[([5, 3, 1], [3])])
+    # the heterogeneous-fleet fallback
+    @example(seed=2, heterogeneous=True, rounds=[([9, 7, 14], [])])
+    # a repeated id whose battery dies part-way through the list
+    @example(seed=3, heterogeneous=False, rounds=[([4] * 9 + [2], [])])
+    def test_subset_equals_sample_sensor_loop(self, seed, heterogeneous, rounds):
+        """Ordered id lists, with batteries emptied between rounds behind
+        the topology's back: the same readings, noise stream, energy,
+        sample counts and deaths as a ``sample_sensor`` loop."""
+        fast = make_deployment(seed, battery_j=4e-7)
+        slow = make_deployment(seed, battery_j=4e-7)
+        if heterogeneous:
+            for dep in (fast, slow):
+                dep.sensors[7].noise_std = 1.5
+        for step, (ids, drained) in enumerate(rounds):
+            for dep in (fast, slow):
+                for sid in drained:
+                    dep.sensors[sid].battery.draw(1.0)
+            a = fast.sample_all(float(step), sensor_ids=ids)
+            b = sample_sensor_loop(slow, ids, float(step))
+            assert as_tuples(a) == as_tuples(b)
+            assert sensor_state(fast) == sensor_state(slow)
+        assert fast.total_sensor_energy_consumed() == slow.total_sensor_energy_consumed()
