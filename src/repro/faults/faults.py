@@ -163,6 +163,8 @@ class NodeCrash(Fault):
     def __init__(self, node: int, at_s: float, duration_s: float | None = None) -> None:
         super().__init__(at_s, duration_s)
         self.node = int(node)
+        if self.node < 0:
+            raise ValueError(f"node must be >= 0, got {node!r}")
         self._killed = False
 
     def describe(self) -> str:

@@ -12,12 +12,17 @@ neighbor passed the same ``np.hypot`` comparison a dense ``(n, n)``
 adjacency would make; ``tests/network/oracle.py`` rebuilds that dense
 adjacency from scratch and the tests compare every query against it.
 
+Neighbor lists are cached per *geometry*: only ``move``, ``move_all``,
+``block_links`` and ``unblock_links`` drop them.  A list keeps dead
+nodes and each read filters it by liveness, so ``kill``/``revive`` keep it.
+
 Route cache
 -----------
 Graph queries are memoized behind the :attr:`Topology.version` generation
-counter: ``kill``/``revive``/``move``/``block_links`` (mobility epochs,
-battery deaths, partitions) bump the counter, and the first query at a new
-generation discards every cached answer.  On an unchanged topology a
+counter: ``kill``/``revive``/``move``/``move_all``/``block_links``/
+``unblock_links`` (mobility epochs, battery deaths, partitions) bump the
+counter, and the first query at a new generation discards every cached
+route answer and the memo.  On an unchanged topology a
 relayed hop therefore answers its route query from a dict lookup instead
 of re-running BFS -- the dominant cost of E2/E3-style workloads, where
 every epoch routes over the same aggregation tree.
@@ -79,9 +84,10 @@ class Topology:
         self._blocked: dict[tuple[int, int], int] = {}
         self._grid = GridHashIndex(self._positions, self.range_m)
         self._version = 0
-        # per-generation neighbor-list cache
+        # neighbor lists, dead nodes kept: valid for one geometry
+        self._geometry = 0
         self._nbr_cache: dict[int, np.ndarray] = {}
-        self._nbr_cache_version = 0
+        self._nbr_cache_geometry = 0
         # route cache: all entries valid only for _cache_version == _version
         self._cache_version = 0
         self._path_cache: dict[tuple[int, int], list[int] | None] = {}
@@ -130,10 +136,17 @@ class Topology:
         """Ids of all living nodes."""
         return [int(i) for i in np.flatnonzero(self._alive)]
 
+    def _check_node(self, node: int) -> None:
+        """Raise before any state changes: a negative id would wrap."""
+        if not 0 <= node < len(self._positions):
+            raise IndexError(f"node {node} out of range for {len(self._positions)} nodes")
+
     def move(self, node: int, position: np.ndarray) -> None:
         """Set one node's position (a finite ``(x, y)`` pair)."""
+        self._check_node(node)
         self._positions[node] = as_point(position)
         self._grid.move(node, self._positions[node])
+        self._geometry += 1
         self._version += 1
 
     def move_all(self, positions: np.ndarray) -> None:
@@ -146,20 +159,23 @@ class Topology:
             raise ValueError("positions shape mismatch")
         self._positions[:] = pos
         self._grid.move_all(self._positions)
+        self._geometry += 1
         self._version += 1
 
     def kill(self, node: int) -> None:
         """Remove a node from the topology (battery death, destruction).
 
-        The grid index is untouched (liveness filters at query time);
-        cached neighbor lists and routes invalidate -- reachability
+        The grid index and the neighbor lists are untouched (liveness
+        filters at query time); cached routes invalidate -- reachability
         changed."""
+        self._check_node(node)
         if self._alive[node]:
             self._alive[node] = False
             self._version += 1
 
     def revive(self, node: int) -> None:
         """Bring a node back (used by disconnection churn models)."""
+        self._check_node(node)
         if not self._alive[node]:
             self._alive[node] = True
             self._version += 1
@@ -185,6 +201,7 @@ class Topology:
                     continue
                 key = self._pair(a, b)
                 blocked[key] = blocked.get(key, 0) + 1
+        self._geometry += 1
         self._version += 1
 
     def unblock_links(self, group_a: typing.Iterable[int], group_b: typing.Iterable[int]) -> None:
@@ -203,6 +220,7 @@ class Topology:
                         del blocked[key]
                     else:
                         blocked[key] = depth - 1
+        self._geometry += 1
         self._version += 1
 
     def _route_cache(self) -> None:
@@ -246,21 +264,21 @@ class Topology:
     # adjacency & graph queries
     # ------------------------------------------------------------------
     def _neighbor_ids(self, node: int) -> np.ndarray:
-        """Living neighbors of ``node``, ascending (memoized per generation)."""
-        if self._nbr_cache_version != self._version:
+        """Living neighbors of ``node``, ascending (cached per geometry)."""
+        alive = self._alive
+        if not alive[node]:
+            return np.empty(0, dtype=np.intp)
+        if self._nbr_cache_geometry != self._geometry:
             self._nbr_cache.clear()
-            self._nbr_cache_version = self._version
+            self._nbr_cache_geometry = self._geometry
         cached = self._nbr_cache.get(node)
         if cached is None:
             cached = self._grid_neighbor_ids(node)
             self._nbr_cache[node] = cached
-        return cached
+        return cached[alive[cached]]
 
     def _grid_neighbor_ids(self, node: int) -> np.ndarray:
-        if not self._alive[node]:
-            return np.empty(0, dtype=np.intp)
         ids = self._grid.candidates_near(node)
-        ids = ids[self._alive[ids]]
         if len(ids):
             delta = self._positions[ids] - self._positions[node]
             ids = ids[np.hypot(delta[:, 0], delta[:, 1]) <= self.range_m]

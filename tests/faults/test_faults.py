@@ -70,6 +70,11 @@ class TestNodeCrash:
         sim.run(until=3.0)
         assert seen == [(1.0, 2, False), (2.0, 2, True)]
 
+    def test_negative_node_rejected(self):
+        # a negative id would index from the end and crash another node
+        with pytest.raises(ValueError, match="node must be >= 0"):
+            NodeCrash(-1, at_s=1.0)
+
 
 class TestRegionBlackout:
     def test_kills_exactly_the_disc(self, world):

@@ -6,6 +6,8 @@ tests here pin the equivalence -- delivery logs, energy, RNG stream and
 battery state must match the historical scalar forms exactly.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -166,6 +168,19 @@ class TestBroadcastBatching:
         sim.schedule_at(0.0, lambda: topo.kill(1))  # dies before delivery
         sim.run()
         assert got == [2]
+
+    def test_receiver_copy_keeps_every_field(self):
+        """The copy is a ``Message`` equal to the original field by field,
+        with its own ``hops`` list and payload object."""
+        msg = Message(src=3, dst=None, size_bits=96.0, kind="alarm",
+                      payload={"v": [1, 2]}, hops=[3, 5], msg_id="k")
+        copy = _receiver_copy(msg)
+        assert type(copy) is Message
+        for field in dataclasses.fields(Message):
+            assert getattr(copy, field.name) == getattr(msg, field.name), field.name
+        assert copy.hops is not msg.hops
+        assert copy.payload is not msg.payload
+        assert _receiver_copy(Message(0, None, 8.0)).payload is None
 
 
 class TestBatteryBank:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.network import Topology, grid_positions, random_positions
+from repro.network.spatial import GridHashIndex
 
 
 def line_topology(n=5, spacing=10.0, range_m=12.0):
@@ -174,6 +175,76 @@ class TestPositionValidation:
         with pytest.raises(ValueError, match="finite"):
             topo.move_all(pos)
         assert topo.neighbors(3) == [2, 4]
+
+
+class TestNeighborCache:
+    @staticmethod
+    def count_recomputes(monkeypatch):
+        calls = []
+        original = GridHashIndex.candidates_near
+
+        def counting(index, node):
+            calls.append(node)
+            return original(index, node)
+
+        monkeypatch.setattr(GridHashIndex, "candidates_near", counting)
+        return calls
+
+    def test_kill_and_revive_keep_cached_lists(self, monkeypatch):
+        topo = Topology(random_positions(40, 60.0, np.random.default_rng(5)), 15.0)
+        before = [topo.neighbors(i) for i in range(40)]
+        calls = self.count_recomputes(monkeypatch)
+        victim = max(range(40), key=lambda i: len(before[i]))
+        topo.kill(victim)
+        assert topo.neighbors(victim) == []
+        for i in range(40):
+            if i != victim:
+                assert topo.neighbors(i) == [j for j in before[i] if j != victim]
+        topo.revive(victim)
+        assert [topo.neighbors(i) for i in range(40)] == before
+        assert calls == []
+
+    @pytest.mark.parametrize("change", ["move", "move_all", "block", "unblock"])
+    def test_geometry_changes_recompute(self, monkeypatch, change):
+        topo = Topology(random_positions(40, 60.0, np.random.default_rng(5)), 15.0)
+        blocked = [(0, 1)]
+        topo.block_links([0], [1])
+        for i in range(40):
+            topo.neighbors(i)
+        calls = self.count_recomputes(monkeypatch)
+        if change == "move":
+            topo.move(0, np.array([30.0, 30.0]))
+        elif change == "move_all":
+            topo.move_all(topo.positions[::-1].copy())
+        elif change == "block":
+            topo.block_links([2], [3])
+            blocked.append((2, 3))
+        else:
+            topo.unblock_links([0], [1])
+            blocked.remove((0, 1))
+        after = [topo.neighbors(i) for i in range(40)]
+        assert len(calls) == 40
+        fresh = Topology(topo.positions, 15.0)
+        for a, b in blocked:
+            fresh.block_links([a], [b])
+        assert after == [fresh.neighbors(i) for i in range(40)]
+
+
+class TestNodeIdValidation:
+    @pytest.mark.parametrize("node", [-1, -3, 3, 7])
+    @pytest.mark.parametrize("op", ["move", "kill", "revive"])
+    def test_out_of_range_id_raises_before_any_change(self, op, node):
+        topo = line_topology(n=3)
+        topo.kill(0)
+        version, positions = topo.version, topo.positions.copy()
+        args = (node, np.array([5.0, 5.0])) if op == "move" else (node,)
+        with pytest.raises(IndexError, match="out of range"):
+            getattr(topo, op)(*args)
+        assert topo.version == version
+        assert np.array_equal(topo.positions, positions)
+        assert topo.alive_nodes() == [1, 2]
+        assert topo.has_edge(1, 2) and topo.neighbors(1) == [2]
+        assert topo.neighbors(2) == [1]
 
 
 class TestPlacements:
