@@ -23,8 +23,9 @@ expressiveness gap is measurable (experiment E5):
   (the source of truth every store materializes).
 * :mod:`~repro.discovery.shard` -- consistent-hash sharding of
   descriptions by ontology class.
-* :mod:`~repro.discovery.replica` -- the service registry: sharded,
-  replicated, deterministic folds of one shared log.
+* :mod:`~repro.discovery.replica` -- the service registry: one
+  deterministic fold of a shared log, read through sharded, replicated
+  views.
 * :mod:`~repro.discovery.registry` -- the distributed broker overlay.
 * :mod:`~repro.discovery.failover` -- single-active broker groups with
   deterministic standby promotion.

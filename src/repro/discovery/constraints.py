@@ -13,6 +13,8 @@ import dataclasses
 import math
 import typing
 
+import numpy as np
+
 #: Supported comparison operators for hard constraints.
 OPERATORS: dict[str, typing.Callable[[typing.Any, typing.Any], bool]] = {
     "==": lambda a, b: a == b,
@@ -81,35 +83,47 @@ class Preference:
     def __post_init__(self) -> None:
         if self.goal not in ("minimize", "maximize"):
             raise ValueError("goal must be 'minimize' or 'maximize'")
-        if self.weight <= 0:
-            raise ValueError("weight must be positive")
+        if not (math.isfinite(self.weight) and self.weight > 0):
+            raise ValueError("weight must be positive and finite")
 
     def utilities(self, candidates: list[typing.Mapping[str, typing.Any]]) -> list[float]:
-        """Normalized utility in [0, 1] per candidate (0.5 when absent).
+        """Normalized utility in [0, 1] per candidate (0.5 when absent);
+        see :meth:`utility_array`."""
+        values = np.array([numeric_value(attrs.get(self.attribute)) for attrs in candidates],
+                          dtype=np.float64)
+        return self.utility_array(values).tolist()
+
+    def utility_array(self, values: np.ndarray) -> np.ndarray:
+        """Utilities of the candidates whose attribute values are ``values``
+        (float64, NaN where absent or non-numeric; see :func:`numeric_value`).
 
         Min-max normalized over the candidate set; a candidate set with a
         constant attribute value gets utility 1.0 everywhere (all tie).
-        Non-numeric and non-finite values (NaN, ±inf) count as absent: an
+        Non-finite values (NaN, ±inf) count as absent and get 0.5: an
         infinite value would stretch the span to infinity and collapse
-        every other candidate's utility.
+        every other candidate's utility.  A span too wide for a float is
+        taken over halved values, so no utility is ever NaN.
         """
-        values = []
-        for attrs in candidates:
-            v = attrs.get(self.attribute)
-            x = float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else math.nan
-            values.append(x if math.isfinite(x) else math.nan)
-        present = [v for v in values if not math.isnan(v)]
-        if not present:
-            return [0.5] * len(candidates)
-        lo, hi = min(present), max(present)
+        present = np.isfinite(values)
+        out = np.full(len(values), 0.5)
+        if not present.any():
+            return out
+        values = values[present]
+        lo, hi = float(values.min()), float(values.max())
         span = hi - lo
-        out = []
-        for v in values:
-            if math.isnan(v):
-                out.append(0.5)
-            elif span == 0.0:
-                out.append(1.0)
-            else:
-                u = (v - lo) / span
-                out.append(1.0 - u if self.goal == "minimize" else u)
+        if span == 0.0:
+            out[present] = 1.0
+            return out
+        if math.isinf(span):
+            values, lo, span = values * 0.5, lo * 0.5, hi * 0.5 - lo * 0.5
+        u = (values - lo) / span
+        out[present] = 1.0 - u if self.goal == "minimize" else u
         return out
+
+
+def numeric_value(value: typing.Any) -> float:
+    """An attribute value as a preference reads it: ints and floats (not
+    bools) as a float, anything else NaN (absent)."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return float(value)
+    return math.nan

@@ -74,9 +74,10 @@ def apply_event(state: dict[str, ServiceDescription], event: RegistryEvent,
                 ) -> int:
     """Apply one event to a ``name -> description`` map, in place.
 
-    ``accept`` filters *advertisements only* (shard replicas own a subset
-    of categories): a rejected advertisement drops the name, because a
-    refresh under a new category moves the service off this state.
+    ``accept`` filters *advertisements only* (a shard's own fold keeps a
+    subset of categories): a rejected advertisement drops the name,
+    because a refresh under a new category moves the service off this
+    state.
     Withdrawals always apply, so a replica never keeps a name the log has
     withdrawn.  Returns the number of descriptions withdrawn (0 for
     advertisements), letting callers count withdrawals.
@@ -159,6 +160,8 @@ class EventLog:
         """
         if after_seq < 0:
             raise ValueError("after_seq must be >= 0")
+        if upto_seq is not None and upto_seq < 0:
+            raise ValueError("upto_seq must be >= 0")
         end = len(self._events) if upto_seq is None else min(upto_seq, len(self._events))
         return self._events[after_seq:end]
 

@@ -10,7 +10,9 @@ Reasoning reads one memoized structure per class: its *hops-up map*, the
 minimum number of parent hops from the class to itself and to each of
 its ancestors.  Its keys are the ancestor closure, and its entry for the
 root is the class's depth.  Maps are built lazily, one BFS per class,
-and :meth:`Ontology.add_class` -- the only mutator -- drops them all.
+and :meth:`Ontology.add_class` -- the only mutator -- drops them all and
+bumps :attr:`Ontology.version`, which memos held elsewhere (the
+matcher's per-category-pair degrees) key on.
 """
 
 from __future__ import annotations
@@ -31,6 +33,8 @@ class Ontology:
         self._parents: dict[str, set[str]] = {root: set()}
         self._children: dict[str, set[str]] = {root: set()}
         self._up: dict[str, dict[str, int]] = {}  # memoized _hops_up maps
+        #: bumped by every new edge; memos of derived reasoning key on it
+        self.version = 0
 
     # ------------------------------------------------------------------
     # construction
@@ -57,6 +61,7 @@ class Ontology:
             self._parents[name].add(p)
             self._children[p].add(name)
             self._up.clear()
+            self.version += 1
 
     def has_class(self, name: str) -> bool:
         """True iff ``name`` is defined."""

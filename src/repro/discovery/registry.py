@@ -82,16 +82,26 @@ class DistributedBrokerNetwork:
         max_hops: int = 1,
         top_k: int | None = None,
     ) -> tuple[list[MatchResult], int]:
-        """Federated search from ``home``; returns (results, brokers_asked)."""
+        """Federated search from ``home``; returns (results, brokers_asked).
+
+        A member whose matcher ranks by degree returns only its own top
+        ``top_k``: a result of the merged top ``top_k`` has fewer than
+        ``top_k`` better names at its own broker too.
+        """
         if home not in self.registries:
             raise KeyError(f"unknown broker {home!r}")
+        if top_k is not None and top_k < 0:
+            raise ValueError("top_k must be >= 0")
         visited = {home}
         frontier = [home]
         merged: dict[str, MatchResult] = {}
         hops = 0
         while frontier:
             for name in frontier:
-                for result in self.registries[name].search(request):
+                registry = self.registries[name]
+                # only a member ranking in sort_key order can be cut at top_k
+                ask = top_k if registry.matcher.use_degrees else None
+                for result in registry.search(request, top_k=ask):
                     prev = merged.get(result.service.name)
                     if prev is None or result.sort_key() < prev.sort_key():
                         merged[result.service.name] = result

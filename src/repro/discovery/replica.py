@@ -1,38 +1,45 @@
-"""The service registry: sharded, replicated folds of one event log.
+"""The service registry: one fold of an event log, sharded and replicated.
 
 "UDDI's present highly centralized model is not appropriate for our
 scenario, but ... a distributed set of brokers could be created." (§3)
 Every registry in the system -- a broker's store, the runtime's façade,
 a standby broker's view -- is a :class:`ReplicatedRegistry`:
 
-* :class:`ReplicaRegistry` -- one shard's materialization of the log.
-  It applies every event it is handed, but keeps only descriptions
-  whose ontology class the :class:`~repro.discovery.shard.ShardMap`
-  assigns to it: an advertisement under a class it does not own drops
-  the name, and withdrawals always apply.  So every live name sits on
-  exactly the R owners of its latest class, and state is a pure
-  function of ``(log prefix, shard id)``.
 * :class:`ReplicatedRegistry` -- the client-facing store: ``n_shards``
   replicas with replication factor R (default one of each) over a
   (possibly shared) :class:`~repro.discovery.log.EventLog`.  Writes
-  append to the log; searches gather candidates from every *up* replica
-  and rank them once, so with ``replication >= 2`` any single replica
-  can be down with zero lost answers.
+  append to the log.  The registry folds every event once, into
+  ``name -> description`` and one
+  :class:`~repro.discovery.matcher.CategoryGroup` per category, so state
+  is a pure function of the log prefix.
+* :class:`ReplicaRegistry` -- one shard's read-only view of that fold:
+  the descriptions whose ontology class the
+  :class:`~repro.discovery.shard.ShardMap` assigns to the shard, and an
+  ``up`` flag.  So every live name sits on exactly the R owners of its
+  latest class.
+
+Reads see a category only while one of its owners is up, so with
+``replication >= 2`` any single replica can be down with zero lost
+answers.  A search hands the readable category groups to
+:meth:`SemanticMatcher.rank` and ranks them once; each group keeps the
+attribute columns rank builds, and a write refills only the rows it
+touched.
 
 A *live* instance subscribes to the log and stays current; a *detached*
-instance (a standby broker's view) lags behind, refuses writes, and pays
-an explicit :meth:`~ReplicatedRegistry.catch_up` replay at promotion
-time -- the "replays the log tail" step of the failover protocol in
-:mod:`repro.discovery.failover`.
+instance (a standby broker's view) lags behind with its own fold,
+refuses writes, and pays an explicit :meth:`~ReplicatedRegistry.catch_up`
+replay at promotion time -- the "replays the log tail" step of the
+failover protocol in :mod:`repro.discovery.failover`.
 """
 
 from __future__ import annotations
 
+import operator
 import typing
 
 from repro.discovery.description import ServiceDescription, ServiceRequest
-from repro.discovery.log import EventLog, RegistryEvent, apply_event
-from repro.discovery.matcher import MatchResult, SemanticMatcher
+from repro.discovery.log import EventLog, RegistryEvent
+from repro.discovery.matcher import CandidateSet, CategoryGroup, MatchResult, SemanticMatcher
 from repro.discovery.shard import ShardMap
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -40,57 +47,41 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class ReplicaRegistry:
-    """One shard replica: the log folded through a shard-ownership filter.
+    """One shard replica: its registry's fold, filtered by shard ownership.
 
     Parameters
     ----------
-    shard_id / shard_map:
-        This replica's ring position, and the class assignment it
-        filters advertisements with.
+    shard_id:
+        This replica's ring position.
+    registry:
+        The registry whose fold this shard views.
     """
 
-    def __init__(self, shard_id: int, shard_map: ShardMap,
-                 name: str | None = None) -> None:
+    def __init__(self, shard_id: int, registry: "ReplicatedRegistry") -> None:
         self.shard_id = int(shard_id)
-        self.shard_map = shard_map
-        self.name = name if name is not None else f"shard-{shard_id}"
-        self._services: dict[str, ServiceDescription] = {}
-        self.applied_seq = 0
+        self.registry = registry
+        self.name = f"{registry.name}/shard-{shard_id}"
         self.up = True  #: failure flag; down replicas drop out of reads
 
-    # ------------------------------------------------------------------
-    def _accept(self, service: ServiceDescription) -> bool:
-        return self.shard_map.owns(self.shard_id, service.category)
+    def _owns(self, category: str) -> bool:
+        return self.registry.shard_map.owns(self.shard_id, category)
 
-    def apply(self, event: RegistryEvent) -> int:
-        """Fold one event (must be the next in log order); returns the
-        number of descriptions it withdrew from this replica."""
-        removed = apply_event(self._services, event, accept=self._accept)
-        self.applied_seq = event.seq
-        return removed
-
-    def rebuild(self, log: EventLog, upto_seq: int | None = None) -> None:
-        """Reset and deterministically replay ``log`` up to ``upto_seq``."""
-        self._services.clear()
-        self.applied_seq = 0
-        for event in log.events(upto_seq=upto_seq):
-            self.apply(event)
-
-    # ------------------------------------------------------------------
     def services(self) -> list[ServiceDescription]:
         """This shard's descriptions, by name order."""
-        return [self._services[n] for n in sorted(self._services)]
+        fold = self.registry._services
+        return [fold[n] for n in sorted(fold) if self._owns(fold[n].category)]
 
     def get(self, service_name: str) -> ServiceDescription | None:
         """One advertisement by name (None when not on this shard)."""
-        return self._services.get(service_name)
+        found = self.registry._services.get(service_name)
+        return found if found is not None and self._owns(found.category) else None
 
     def __len__(self) -> int:
-        return len(self._services)
+        return sum(len(group) for category, group in self.registry._groups.items()
+                   if self._owns(category))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (f"ReplicaRegistry({self.name}, services={len(self)}, "
-                f"applied_seq={self.applied_seq}, up={self.up})")
+        return f"ReplicaRegistry({self.name}, services={len(self)}, up={self.up})"
 
 
 class ReplicatedRegistry:
@@ -118,8 +109,8 @@ class ReplicatedRegistry:
         Diagnostics label.
 
     Reads (:meth:`get`, :meth:`services`, ``len``, :meth:`search`) see
-    only *up* replicas.  Writes report what the log fold did on every
-    replica, up or not.
+    only categories with an *up* owner.  Writes report what the log fold
+    did, whatever replicas are down.
     """
 
     def __init__(self, matcher: SemanticMatcher, n_shards: int = 1,
@@ -130,13 +121,12 @@ class ReplicatedRegistry:
         self.name = name
         self.log = log if log is not None else EventLog()
         self.shard_map = ShardMap(n_shards, replication)
-        self.replicas = [
-            ReplicaRegistry(shard, self.shard_map, name=f"{name}/shard-{shard}")
-            for shard in range(n_shards)
-        ]
+        self.replicas = [ReplicaRegistry(shard, self) for shard in range(n_shards)]
         self.monitor = monitor
         self.applied_seq = 0
-        self._removed = 0  # distinct names the last applied event withdrew
+        self._services: dict[str, ServiceDescription] = {}
+        self._groups: dict[str, CategoryGroup] = {}  # non-empty categories only
+        self._removed = 0  # names the last applied event withdrew
         self._live = False
         # materialize whatever the shared log already holds
         self.catch_up(count_replay=False)
@@ -144,26 +134,68 @@ class ReplicatedRegistry:
             self.attach()
 
     # ------------------------------------------------------------------
-    # log plumbing
+    # the fold
     # ------------------------------------------------------------------
+    def _drop(self, service_name: str) -> int:
+        service = self._services.pop(service_name, None)
+        if service is None:
+            return 0
+        group = self._groups[service.category]
+        group.remove(service_name)
+        if not group.rows:
+            del self._groups[service.category]
+        return 1
+
+    def _apply(self, event: RegistryEvent) -> int:
+        """Fold one event (the next in log order); returns how many
+        advertisements it withdrew."""
+        removed = 0
+        if event.kind == "advertise" or event.kind == "refresh":
+            service = event.service
+            name, category = service.name, service.category
+            old = self._services.get(name)
+            if old is not None and old.category != category:
+                self._drop(name)
+            self._services[name] = service
+            group = self._groups.get(category)
+            if group is None:
+                group = self._groups[category] = CategoryGroup(category)
+            group.put(service)
+        elif event.kind == "withdraw":
+            removed = self._drop(event.service_name)
+        else:
+            host = event.host_node
+            doomed = [n for n, s in self._services.items() if s.host_node == host]
+            for name in doomed:
+                self._drop(name)
+            removed = len(doomed)
+        self.applied_seq = event.seq
+        return removed
+
     def _on_event(self, event: RegistryEvent) -> None:
         if event.seq <= self.applied_seq:
             return
-        removed = 0
-        for replica in self.replicas:
-            removed += replica.apply(event)
-        if removed:
-            # every live name sits on exactly R replicas, so a withdrawal
-            # drops R copies of each distinct name
-            removed //= self.shard_map.replication
-            self._count("disc.withdraw", removed)
-        self._removed = removed
-        self.applied_seq = event.seq
+        self._removed = removed = self._apply(event)
+        self._count("disc.withdraw", removed)
 
     def _count(self, counter: str, n: int = 1) -> None:
         if self.monitor is not None and n:
             self.monitor.counter(counter).add(n)
 
+    def _has_up_owner(self, category: str) -> bool:
+        replicas = self.replicas
+        return any(replicas[shard].up for shard in self.shard_map.owners_of(category))
+
+    def _readable(self) -> list[CategoryGroup]:
+        """The groups of every category with an up owner."""
+        if all(replica.up for replica in self.replicas):
+            return list(self._groups.values())
+        return [group for category, group in self._groups.items()
+                if self._has_up_owner(category)]
+
+    # ------------------------------------------------------------------
+    # log plumbing
+    # ------------------------------------------------------------------
     def _detached_write(self) -> RuntimeError:
         return RuntimeError(
             f"registry view {self.name!r} is detached: it is a crashed or "
@@ -206,41 +238,47 @@ class ReplicatedRegistry:
         return len(tail)
 
     def rebuild(self) -> None:
-        """Reset every replica and replay the whole log from seq 1 --
-        the determinism check: state must come out byte-identical."""
-        for replica in self.replicas:
-            replica.rebuild(self.log)
-        self.applied_seq = self.log.last_seq
+        """Reset the fold and replay the whole log from seq 1 -- the
+        determinism check: state must come out byte-identical."""
+        self._services.clear()
+        self._groups.clear()
+        self.applied_seq = 0
+        for event in self.log.events():
+            self._apply(event)
 
     # ------------------------------------------------------------------
     # failure injection surface
     # ------------------------------------------------------------------
+    def _replica(self, shard_id: int) -> ReplicaRegistry:
+        if not 0 <= shard_id < len(self.replicas):
+            raise IndexError(f"shard {shard_id} out of range for {len(self.replicas)} shards")
+        return self.replicas[shard_id]
+
     def mark_down(self, shard_id: int) -> None:
         """Take one replica out of the read set (host died)."""
-        self.replicas[shard_id].up = False
+        self._replica(shard_id).up = False
 
     def mark_up(self, shard_id: int) -> None:
         """Return a replica to the read set.  Its state is *still the
-        log's*: every replica applies every event, up or not, so a
-        revived replica is instantly consistent."""
-        self.replicas[shard_id].up = True
+        log's*: a replica is a view of the one fold, which applies every
+        event whatever is down, so a revived replica is instantly
+        consistent."""
+        self._replica(shard_id).up = True
 
     # ------------------------------------------------------------------
     # the registry interface
     # ------------------------------------------------------------------
     def advertise(self, service: ServiceDescription) -> None:
-        """Append an advertise event, or a refresh when any replica holds
-        the name; the replicas owning the class pick it up."""
+        """Append an advertise event, or a refresh when the name is
+        already advertised.
+
+        The registry keeps ``service`` itself, not a copy, so treat an
+        advertised description as immutable: to change one, advertise a
+        new description under the same name.
+        """
         if not self._live:
             raise self._detached_write()
-        # a plain loop, not any() over a generator: the hottest write path
-        name = service.name
-        known = False
-        for replica in self.replicas:
-            if name in replica._services:
-                known = True
-                break
-        self.log.append_advertise(service, refresh=known)
+        self.log.append_advertise(service, refresh=service.name in self._services)
         self._count("disc.advertise")
 
     def withdraw(self, service_name: str) -> bool:
@@ -259,41 +297,36 @@ class ReplicatedRegistry:
         return self._removed
 
     def get(self, service_name: str) -> ServiceDescription | None:
-        """Look up one advertisement across up replicas."""
-        for replica in self.replicas:
-            if replica.up:
-                found = replica.get(service_name)
-                if found is not None:
-                    return found
-        return None
+        """Look up one advertisement (None while no owner of its class
+        is up)."""
+        found = self._services.get(service_name)
+        return found if found is not None and self._has_up_owner(found.category) else None
 
     def services(self) -> list[ServiceDescription]:
-        """Every advertisement exactly once, by name order (replicas
-        overlap by construction; names dedup them)."""
-        merged: dict[str, ServiceDescription] = {}
-        for replica in self.replicas:
-            if replica.up:
-                merged.update(replica._services)
-        return [merged[n] for n in sorted(merged)]
+        """Every readable advertisement exactly once, by name order."""
+        return sorted((s for group in self._readable() for s in group.rows),
+                      key=operator.attrgetter("name"))
 
     def __len__(self) -> int:
-        """Distinct advertisement names across up replicas."""
-        return len(set().union(*(r._services for r in self.replicas if r.up)))
+        """Readable advertisements."""
+        return sum(map(len, self._readable()))
 
     def search(self, request: ServiceRequest,
                top_k: int | None = None) -> list[MatchResult]:
-        """Gather candidates from every up replica (dedup by name), then
-        rank the merged set **once** -- the same answer at any
-        shard/replication count as one dict holding every advertisement.
+        """Rank every readable advertisement **once** -- the same answer
+        at any shard/replication count as one dict holding every
+        advertisement.
 
         Ranking per shard and merging ranked lists would *not* be
         equivalent: preference utilities normalize over the surviving
         candidate set, so per-shard scores depend on shard contents.
-        Candidates are cheap to gather (dict merges); only the single
-        global rank pays matcher cost.
+        The candidates are the readable category groups, with the
+        attribute columns earlier searches built.
         """
+        if top_k is not None and top_k < 0:
+            raise ValueError("top_k must be >= 0")
         self._count("disc.search")
-        return self.matcher.rank(request, self.services(), top_k=top_k)
+        return self.matcher.rank(request, CandidateSet(self._readable()), top_k=top_k)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ReplicatedRegistry({self.name}, shards={len(self.replicas)}, "

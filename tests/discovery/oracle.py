@@ -1,23 +1,27 @@
-"""Reference discovery reasoning: plain BFS walks, a per-candidate loop
-and a one-dict registry.
+"""Reference discovery reasoning: plain BFS walks, a per-candidate loop,
+a one-dict registry and per-shard folds.
 
 The production :class:`~repro.discovery.ontology.Ontology` memoizes one
-hops-up map per class, and :meth:`SemanticMatcher.rank` consults the
-ontology once per distinct category.  The functions here are the direct
+hops-up map per class, and :meth:`SemanticMatcher.rank` works over
+per-category attribute columns.  The functions here are the direct
 forms those replaced -- every query walks the class graph afresh, and
-ranking evaluates each candidate independently -- so tests can assert
-the fast paths return *exactly* what these return.  They read the
-ontology's edge maps and nothing else it computes.
+ranking evaluates each candidate independently in plain Python -- so
+tests can assert the fast paths return *exactly* what these return.
+They read the ontology's edge maps and nothing else it computes.
 
 :class:`PlainRegistry` is the registry contract as one dict: what a
 :class:`~repro.discovery.replica.ReplicatedRegistry` of any shape must
-answer while at most R-1 of its replicas are down.
+answer while at most R-1 of its replicas are down.  :class:`ShardFold`
+is one shard replica folding the log on its own, the state each
+:class:`~repro.discovery.replica.ReplicaRegistry` view must show.
 """
 
 from __future__ import annotations
 
 import collections
+import math
 
+from repro.discovery.log import apply_event
 from repro.discovery.matcher import _DEGREE_BASE, MatchDegree, MatchResult
 from repro.simkernel.monitor import Monitor
 
@@ -142,6 +146,33 @@ def evaluate(matcher, request, service):
     return MatchResult(service, degree, min(score, 1.0))
 
 
+def utilities(pref, candidates):
+    """One preference's min-max utility per candidate, value by value."""
+    values = []
+    for attrs in candidates:
+        v = attrs.get(pref.attribute)
+        x = float(v) if isinstance(v, (int, float)) and not isinstance(v, bool) else math.nan
+        values.append(x if math.isfinite(x) else math.nan)
+    present = [v for v in values if not math.isnan(v)]
+    if not present:
+        return [0.5] * len(candidates)
+    lo, hi = min(present), max(present)
+    span = hi - lo
+    if math.isinf(span):  # wider than a float: normalize the halves
+        values = [v * 0.5 for v in values]
+        lo, span = lo * 0.5, hi * 0.5 - lo * 0.5
+    out = []
+    for v in values:
+        if math.isnan(v):
+            out.append(0.5)
+        elif span == 0.0:
+            out.append(1.0)
+        else:
+            u = (v - lo) / span
+            out.append(1.0 - u if pref.goal == "minimize" else u)
+    return out
+
+
 def rank(matcher, request, candidates, top_k=None):
     """The ranking contract: evaluate every candidate, blend preference
     utilities over the survivors, sort."""
@@ -152,7 +183,7 @@ def rank(matcher, request, candidates, top_k=None):
         total_weight = sum(p.weight for p in request.preferences)
         blended = [0.0] * len(survivors)
         for pref in request.preferences:
-            for i, u in enumerate(pref.utilities(attr_maps)):
+            for i, u in enumerate(utilities(pref, attr_maps)):
                 blended[i] += pref.weight * u
         survivors = [
             MatchResult(r.service, r.degree, r.score * (0.5 + 0.5 * b / total_weight))
@@ -218,3 +249,45 @@ class PlainRegistry:
     def search(self, request, top_k=None):
         self._count("disc.search")
         return self.matcher.rank(request, self.services(), top_k=top_k)
+
+
+# ----------------------------------------------------------------------
+# one shard replica
+# ----------------------------------------------------------------------
+class ShardFold:
+    """One shard replica folding every log event into its own dict.
+
+    An advertisement under a class the shard does not own drops the
+    name (a refresh may move a service off the shard); withdrawals
+    always apply.
+    """
+
+    def __init__(self, shard_id, shard_map):
+        self.shard_id = shard_id
+        self.shard_map = shard_map
+        self._services = {}
+        self.applied_seq = 0
+
+    def _accept(self, service):
+        return self.shard_map.owns(self.shard_id, service.category)
+
+    def apply(self, event):
+        removed = apply_event(self._services, event, accept=self._accept)
+        self.applied_seq = event.seq
+        return removed
+
+    def rebuild(self, log, upto_seq=None):
+        self._services.clear()
+        self.applied_seq = 0
+        for event in log.events(upto_seq=upto_seq):
+            self.apply(event)
+        return self
+
+    def services(self):
+        return [self._services[n] for n in sorted(self._services)]
+
+    def get(self, service_name):
+        return self._services.get(service_name)
+
+    def __len__(self):
+        return len(self._services)

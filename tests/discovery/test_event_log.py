@@ -108,6 +108,18 @@ class TestEventLog:
         with pytest.raises(ValueError):
             log.events(after_seq=-1)
 
+    @pytest.mark.parametrize("upto", [-1, -2])
+    def test_negative_upto_rejected(self, upto):
+        """A negative bound used to slice from the end: events(upto_seq=-1)
+        on a 3-event log returned seqs 1-2."""
+        log = EventLog()
+        for i in range(3):
+            log.append_advertise(svc(f"s{i}"))
+        with pytest.raises(ValueError, match="upto_seq"):
+            log.events(upto_seq=upto)
+        with pytest.raises(ValueError, match="upto_seq"):
+            log.replay(upto_seq=upto)
+
     def test_replay_prefix_is_deterministic(self):
         log = EventLog()
         log.append_advertise(svc("a", host=1))

@@ -8,19 +8,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.discovery import (
     Constraint,
     MatchDegree,
     Preference,
+    ReplicatedRegistry,
     SemanticMatcher,
     ServiceDescription,
     ServiceRequest,
     build_service_ontology,
 )
 from repro.workloads import ServicePopulation
-from tests.discovery import oracle
+from tests.discovery import oracle, strategies
 
 
 @pytest.fixture
@@ -93,6 +94,17 @@ class TestPreference:
     def test_non_finite_value_neutral(self, bad):
         utils = Preference("queue", "minimize").utilities([{"queue": 1}, {"queue": 3}, {"queue": bad}])
         assert utils == [1.0, 0.0, 0.5]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        """A NaN or infinite weight would turn every blended score into
+        NaN, and NaN scores sort in input order."""
+        with pytest.raises(ValueError, match="finite"):
+            Preference("queue", weight=bad)
+
+    def test_span_wider_than_a_float_stays_finite(self):
+        utils = Preference("x", "maximize").utilities([{"x": -1e308}, {"x": 0.0}, {"x": 1e308}])
+        assert utils == [0.0, 0.5, 1.0]
 
 
 class TestMatchDegrees:
@@ -223,6 +235,28 @@ class TestRank:
     def test_empty_candidates(self, matcher):
         assert matcher.rank(ServiceRequest(category="PrinterService"), []) == []
 
+    def test_negative_top_k_rejected(self, matcher):
+        candidates = [printer("a"), printer("b")]
+        with pytest.raises(ValueError, match="top_k"):
+            matcher.rank(ServiceRequest(category="PrinterService"), candidates, top_k=-1)
+
+    def test_weights_summing_beyond_a_float_rejected(self, matcher):
+        req = ServiceRequest(category="PrinterService",
+                             preferences=(Preference("q", weight=1e308), Preference("r", weight=1e308)))
+        with pytest.raises(ValueError, match="finite sum"):
+            matcher.rank(req, [printer("a", q=1, r=2), printer("b", q=2, r=1)])
+
+    def test_failing_comparison_raises_as_the_reference_does(self, matcher):
+        """A numpy scalar compared with a tuple has no truth value; the
+        column path leaves it to ``satisfied_by``, which raises."""
+        req = ServiceRequest(category="PrinterService",
+                             constraints=(Constraint("q", "<", (1, 2)),))
+        candidates = [printer("a", q=0.5), printer("b", q=np.float64(0.5))]
+        with pytest.raises(ValueError):
+            oracle.rank(matcher, req, candidates)
+        with pytest.raises(ValueError):
+            matcher.rank(req, candidates)
+
     def test_infinite_attribute_does_not_poison_ranking(self, matcher):
         """A printer advertising an infinite queue ranks as one that
         advertises no queue: scores stay in [0, 1], the others keep their
@@ -237,60 +271,106 @@ class TestRank:
 
 
 # ----------------------------------------------------------------------
-# the per-category rank against the per-candidate reference loop
+# the column rank against the per-candidate reference loop
 # ----------------------------------------------------------------------
 ONT = build_service_ontology()
 CATEGORIES = ONT.classes() + ["UnknownService"]
+#: one family, so most generated pairs match at some degree
+PRINTERS = ["PrinterService", "ColorPrinterService", "LaserPrinterService",
+            "DeviceService", "DisplayService"]
+_categories = st.one_of(st.sampled_from(PRINTERS), st.sampled_from(PRINTERS),
+                        st.sampled_from(CATEGORIES))
 DATA_TYPES = ["Data", "DataStream", "DecisionTree", "FourierSpectrum",
               "TemperatureReading", "UnknownType"]
 
 _types = st.lists(st.sampled_from(DATA_TYPES), max_size=2)
-_numbers = st.one_of(st.none(), st.integers(0, 9), st.floats(0.0, 1.0),
-                     st.sampled_from([math.inf, -math.inf, math.nan]))
 
 
 @st.composite
 def _services(draw):
-    attributes = {}
-    for key in ("queue_length", "cost_per_use"):
-        value = draw(_numbers)
-        if value is not None:
-            attributes[key] = value
     return ServiceDescription(name=draw(st.sampled_from("abcdefgh")),  # repeats allowed
-                              category=draw(st.sampled_from(CATEGORIES)),
+                              category=draw(_categories),
                               inputs=draw(_types), outputs=draw(_types),
-                              attributes=attributes)
+                              attributes=draw(strategies.attribute_maps()))
 
 
 @st.composite
 def _requests(draw):
-    constraints = []
-    if draw(st.booleans()):
-        constraints.append(Constraint("cost_per_use", "<=", draw(st.floats(0.0, 1.0))))
-    if draw(st.booleans()):
-        constraints.append(Constraint("queue_length", "<", draw(st.integers(0, 10))))
-    preferences = draw(st.lists(st.sampled_from([Preference("queue_length", "minimize"),
-                                                 Preference("cost_per_use", "maximize", 0.5)]),
-                                max_size=2, unique=True))
-    return ServiceRequest(category=draw(st.sampled_from(CATEGORIES)),
+    return ServiceRequest(category=draw(_categories),
                           inputs=draw(_types), outputs=draw(_types),
-                          constraints=constraints, preferences=preferences)
+                          constraints=draw(st.lists(strategies.constraints, max_size=2)),
+                          preferences=draw(st.lists(strategies.preferences, max_size=3)))
 
 
 def _triples(results):
     return [(r.service.name, r.degree, r.score) for r in results]
 
 
+#: An int just past 2**53 has no float64 of its own: as a float it would
+#: equal 2**53.  It must compare as the int it is.
+_BEYOND_2_53 = (
+    ServiceRequest("PrinterService", constraints=[Constraint("queue_length", "!=", 2 ** 53)]),
+    [printer("a", queue_length=2 ** 53 + 1), printer("b", queue_length=2 ** 53)])
+#: The second constraint has no truth value for "a" (a numpy scalar
+#: against a tuple), but the first already rejected "a", so it never runs.
+_REJECTED_FIRST = (
+    ServiceRequest("PrinterService", constraints=[Constraint("cost_per_use", "<", 0.5),
+                                                  Constraint("queue_length", "<", (1, 2))]),
+    [printer("a", cost_per_use=0.9, queue_length=np.float64(1.0)),
+     printer("b", cost_per_use=0.1, queue_length=1)])
+
+
+#: A bool is no number to a preference, though ``True == 1``.
+_BOOL = (ServiceRequest("PrinterService", preferences=[Preference("queue_length", "maximize")]),
+         [printer("a", queue_length=True), printer("b", queue_length=0.5),
+          printer("c", queue_length=0.0)])
+#: "a" is refreshed in place after a search built its column.
+_REFRESH = (ServiceRequest("PrinterService", preferences=[Preference("queue_length")]),
+            [printer("a", queue_length=1), printer("b", queue_length=2),
+             printer("a", queue_length=3)])
+
+
 class TestRankMatchesOracle:
-    @settings(max_examples=80, deadline=None)
-    @given(_requests(), st.lists(_services(), max_size=25), st.booleans(),
+    @settings(max_examples=300, deadline=None)
+    @given(_requests(), st.lists(_services(), min_size=1, max_size=25), st.booleans(),
            st.one_of(st.none(), st.integers(0, 12)))
+    @example(*_BEYOND_2_53, True, None)
+    @example(*_REJECTED_FIRST, True, None)
+    @example(*_BOOL, True, None)
     def test_generated_candidates(self, req, candidates, use_degrees, top_k):
         m = SemanticMatcher(ONT, use_degrees=use_degrees)
-        assert (_triples(m.rank(req, candidates, top_k=top_k))
-                == _triples(oracle.rank(m, req, candidates, top_k)))
-        assert (_triples(m.evaluate(req, s) for s in candidates)
-                == _triples(oracle.evaluate(m, req, s) for s in candidates))
+        got = strategies.outcome(m.rank, req, candidates, top_k=top_k)
+        assert got == strategies.outcome(oracle.rank, m, req, candidates, top_k)
+        if got[0] == "ok":
+            assert all(type(score) is float for _, _, score in got[1])
+        for s in candidates:
+            assert (strategies.outcome(lambda: [m.evaluate(req, s)])
+                    == strategies.outcome(lambda: [oracle.evaluate(m, req, s)]))
+
+    @settings(max_examples=100, deadline=None)
+    @given(_requests(), st.lists(_services(), min_size=1, max_size=25))
+    @example(*_REFRESH)
+    def test_registry_candidate_set(self, req, candidates):
+        """The same rank over a registry's category groups, after every
+        write: advertisements, same-category refreshes, moves and
+        withdrawals each reach the columns earlier searches built."""
+        m = SemanticMatcher(ONT)
+        registry = ReplicatedRegistry(m)
+        latest = {}
+
+        def check():
+            listing = [latest[n] for n in sorted(latest)]
+            assert (strategies.outcome(registry.search, req)
+                    == strategies.outcome(oracle.rank, m, req, listing))
+
+        for service in candidates:
+            registry.advertise(service)
+            latest[service.name] = service
+            check()
+        for name in sorted(latest)[::2]:
+            registry.withdraw(name)
+            del latest[name]
+            check()
 
     @pytest.mark.parametrize("seed", [3, 31])
     def test_service_population(self, seed):
@@ -305,3 +385,25 @@ class TestRankMatchesOracle:
                     preferences=(Preference("queue_length"), Preference("cost_per_use", weight=0.5)))
                 assert (_triples(m.rank(req, population, top_k=10))
                         == _triples(oracle.rank(m, req, population, top_k=10)))
+
+    def test_ties_at_the_cut_go_by_name(self, matcher):
+        """Equal degree and score everywhere: the top k are the k first
+        names, whatever order the rows arrive in."""
+        candidates = [printer(name) for name in "hgfedcba"]
+        req = ServiceRequest(category="PrinterService")
+        assert [r.service.name for r in matcher.rank(req, candidates, top_k=3)] == ["a", "b", "c"]
+
+    def test_ties_beyond_name_keep_input_order(self, matcher):
+        twins = [printer("a", queue_length=1), printer("a", queue_length=2)]
+        req = ServiceRequest(category="PrinterService")
+        for pair in (twins, twins[::-1]):
+            assert [r.service for r in matcher.rank(req, pair)] == pair
+
+    def test_degrees_are_memoized_until_the_ontology_changes(self):
+        ont = build_service_ontology()
+        m = SemanticMatcher(ont)
+        req = ServiceRequest(category="PrinterService")
+        novel = printer("n", category="NovelService")
+        assert m.rank(req, [novel]) == []
+        ont.add_class("NovelService", "PrinterService")
+        assert [r.degree for r in m.rank(req, [novel])] == [MatchDegree.PLUGIN]

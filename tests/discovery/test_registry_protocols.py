@@ -1,11 +1,15 @@
 """Unit tests for registries, the broker agent and baseline protocols."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.agents import ACLMessage, Agent, AgentPlatform, Performative
 from repro.discovery import (
     BrokerAgent,
     DistributedBrokerNetwork,
+    Preference,
     ReplicatedRegistry,
     SemanticMatcher,
     ServiceDescription,
@@ -15,6 +19,7 @@ from repro.discovery import (
 from repro.discovery.protocols import BluetoothSDP, JiniLookup, SLPDirectory
 from repro.simkernel import Simulator
 from repro.simkernel.monitor import Monitor
+from repro.workloads import ServicePopulation
 
 
 def make_registry(name="r"):
@@ -173,6 +178,45 @@ class TestDistributedBrokerNetwork:
         net = DistributedBrokerNetwork([make_registry("a")])
         with pytest.raises(KeyError):
             net.search(ServiceRequest(category="PrinterService"), home="ghost")
+
+    @pytest.mark.parametrize("use_degrees", [True, False])
+    def test_top_k_equals_the_full_merge_cut(self, use_degrees):
+        """Members asked for their own top k only: the merged answer is
+        the full merge's first k, duplicates across brokers included."""
+        rng = np.random.default_rng(7)
+        population = [g.description for g in ServicePopulation(rng).generate(120)]
+        regs = [ReplicatedRegistry(SemanticMatcher(build_service_ontology(), use_degrees=use_degrees),
+                                   name=f"b{i}") for i in range(3)]
+        for i, service in enumerate(population):
+            regs[i % 3].advertise(service)
+            if i % 4 == 0:  # the same name at a second broker, other attributes
+                regs[(i + 1) % 3].advertise(dataclasses.replace(
+                    service, attributes={**service.attributes, "queue_length": 9 - i % 10}))
+        net = DistributedBrokerNetwork(regs)
+        for category in ("PrinterService", "SensorService", "DataMiningService"):
+            request = ServiceRequest(category=category,
+                                     preferences=(Preference("queue_length", "minimize"),))
+            full, asked = net.search(request, home="b0", max_hops=1)
+            for k in (0, 1, 3, 10, len(full), len(full) + 5):
+                assert net.search(request, home="b0", max_hops=1, top_k=k) == (full[:k], asked)
+        # by score alone the idle general device leads; by degree the busy
+        # colour printer does, and the merge sorts by degree
+        small = [ReplicatedRegistry(regs[0].matcher, name=name) for name in ("s0", "s1")]
+        small[0].advertise(svc("specific-busy", category="ColorPrinterService", queue_length=9))
+        small[0].advertise(svc("general-idle", category="DeviceService", queue_length=0))
+        small[1].advertise(svc("display", category="DisplayService", queue_length=5))
+        net = DistributedBrokerNetwork(small)
+        request = ServiceRequest(category="PrinterService",
+                                 preferences=(Preference("queue_length", "minimize"),))
+        full, asked = net.search(request, home="s0")
+        for k in range(len(full) + 2):
+            assert net.search(request, home="s0", top_k=k) == (full[:k], asked)
+
+    def test_negative_top_k_rejected(self):
+        """top_k=-1 used to drop the last match silently."""
+        regs, net = self.make_net()
+        with pytest.raises(ValueError, match="top_k"):
+            net.search(ServiceRequest(category="PrinterService"), home="b0", max_hops=2, top_k=-1)
 
 
 class TestBrokerAgent:

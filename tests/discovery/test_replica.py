@@ -13,10 +13,9 @@ from repro.discovery import (
     build_service_ontology,
 )
 from repro.discovery.log import EventLog
-from repro.discovery.replica import ReplicaRegistry
-from repro.discovery.shard import ShardMap
 from repro.simkernel.monitor import Monitor
-from tests.discovery.oracle import PlainRegistry
+from tests.discovery import oracle, strategies
+from tests.discovery.oracle import PlainRegistry, ShardFold
 
 
 def matcher():
@@ -45,28 +44,34 @@ def moved_categories(smap):
 
 
 class TestReplicaRegistry:
+    """Shard views against :class:`ShardFold`, the shard's own fold."""
+
     def test_accepts_only_owned_categories(self):
-        smap = ShardMap(4, replication=1)
         log = EventLog()
         log.append_advertise(svc("a", category="PrinterService"))
         log.append_advertise(svc("b", category="DisplayService"))
+        rep = ReplicatedRegistry(matcher(), 4, 1, log=log)
+        smap = rep.shard_map
         owner = smap.primary_of("PrinterService")
-        replica = ReplicaRegistry(owner, smap)
-        replica.rebuild(log)
+        replica = rep.replicas[owner]
         held = {s.name for s in replica.services()}
         assert "a" in held
         if smap.primary_of("DisplayService") != owner:
             assert "b" not in held
+            assert replica.get("b") is None
+        for shard, view in enumerate(rep.replicas):
+            fold = ShardFold(shard, smap).rebuild(log)
+            assert view.services() == fold.services()
+            assert len(view) == len(fold)
 
     def test_withdrawals_always_apply(self):
-        smap = ShardMap(2, replication=2)  # both shards own everything
-        replica = ReplicaRegistry(0, smap)
-        log = EventLog()
-        log.append_advertise(svc("a", host=1))
-        log.append_withdraw("a")
-        replica.rebuild(log)
-        assert len(replica) == 0
-        assert replica.applied_seq == 2
+        rep = ReplicatedRegistry(matcher(), 2, 2)  # both shards own everything
+        rep.advertise(svc("a", host=1))
+        rep.withdraw("a")
+        for shard, replica in enumerate(rep.replicas):
+            fold = ShardFold(shard, rep.shard_map).rebuild(rep.log)
+            assert len(replica) == len(fold) == 0
+            assert fold.applied_seq == rep.applied_seq == 2
 
 
 class TestReplicatedRegistry:
@@ -212,6 +217,23 @@ class TestReplicatedRegistry:
         rep.mark_up(owner)
         assert len(rep) == 0
 
+    @pytest.mark.parametrize("shard", [-1, 4, 5])
+    def test_shard_out_of_range_raises(self, shard):
+        """A negative id used to wrap to the last shard."""
+        rep = ReplicatedRegistry(matcher(), 4, 2)
+        for mark in (rep.mark_down, rep.mark_up):
+            with pytest.raises(IndexError, match="out of range"):
+                mark(shard)
+        assert all(replica.up for replica in rep.replicas)
+
+    def test_negative_top_k_rejected(self):
+        mon = Monitor()
+        rep = ReplicatedRegistry(matcher(), 2, 1, monitor=mon)
+        populate(rep, n=6)
+        with pytest.raises(ValueError, match="top_k"):
+            rep.search(ServiceRequest(category="PrinterService"), top_k=-1)
+        assert "disc.search" not in mon.counters()
+
     def test_write_through_detached_view_raises(self):
         m = matcher()
         log = EventLog()
@@ -230,7 +252,7 @@ class TestReplicatedRegistry:
 
 
 # ----------------------------------------------------------------------
-# every shape against the one-dict registry
+# every shape against the one-dict registry and the per-shard folds
 # ----------------------------------------------------------------------
 CATEGORIES = ("PrinterService", "ColorPrinterService", "LaserPrinterService",
               "DisplayService", "ComputeService", "StorageService",
@@ -239,24 +261,21 @@ NAMES = "abcdefgh"
 HOSTS = (0, 1, 2)
 
 _request = st.builds(
-    lambda category, cost, queue, preferences: ServiceRequest(
-        category=category,
-        constraints=tuple(c for c in (
-            None if cost is None else Constraint("cost_per_use", "<=", cost),
-            None if queue is None else Constraint("queue_length", "<", queue)) if c),
-        preferences=tuple(preferences)),
+    lambda category, constraints, preferences: ServiceRequest(
+        category=category, constraints=constraints, preferences=preferences),
     st.sampled_from(CATEGORIES),
-    st.one_of(st.none(), st.sampled_from((0.25, 0.5, 1.0))),
-    st.one_of(st.none(), st.integers(0, 6)),
-    st.lists(st.sampled_from((Preference("queue_length", "minimize"),
-                              Preference("cost_per_use", "maximize", 0.5))),
-             max_size=2, unique=True),
+    st.one_of(  # the market's numeric bounds, or anything
+        st.lists(st.builds(Constraint, st.sampled_from(strategies.ATTRIBUTES),
+                           st.sampled_from(("<", "<=")), st.floats(0.0, 10.0)), max_size=2),
+        st.lists(strategies.constraints, max_size=2)),
+    st.lists(strategies.preferences, max_size=2),
 )
 _step = st.one_of(
     st.tuples(st.just("advertise"), st.sampled_from(NAMES), st.sampled_from(CATEGORIES),
-              st.sampled_from(HOSTS), st.integers(0, 6), st.sampled_from((0.2, 0.5, 0.9))),
+              st.sampled_from(HOSTS), strategies.attribute_maps()),
     st.tuples(st.just("refresh"), st.integers(0, 7),
-              st.one_of(st.none(), st.sampled_from(CATEGORIES)), st.integers(0, 6)),
+              st.one_of(st.none(), st.sampled_from(CATEGORIES)),
+              st.sampled_from(strategies.ATTRIBUTES), strategies.attribute_values),
     st.tuples(st.just("withdraw"), st.one_of(st.integers(0, 7), st.just("z"))),
     st.tuples(st.just("withdraw_host"), st.sampled_from(HOSTS)),
     st.tuples(st.just("search"), _request, st.one_of(st.none(), st.integers(0, 5))),
@@ -266,15 +285,25 @@ _step = st.one_of(
 )
 
 
-def _triples(results):
-    return [(r.service.name, r.degree, r.score) for r in results]
+def _assert_views_match_folds(registry, folds):
+    """Every shard view of ``registry`` shows what that shard's own fold
+    of the log prefix ``registry`` applied holds."""
+    for view, fold in zip(registry.replicas, folds):
+        for event in registry.log.events(fold.applied_seq, registry.applied_seq):
+            fold.apply(event)
+        assert view.services() == fold.services()
+        assert len(view) == len(fold)
+        for name in NAMES + "z":
+            assert view.get(name) is fold.get(name)
 
 
 class TestReplicatedMatchesPlainRegistry:
     """One random script drives a registry of a random shape, a standby
     view over its log and the one-dict :class:`PlainRegistry`; after
-    every step they must agree on return values, reads, rankings, the
-    logged event kinds and the ``disc.*`` counters."""
+    every step they must agree on return values, reads, rankings (also
+    against the per-candidate reference rank), the logged event kinds
+    and the ``disc.*`` counters, and every shard view of either registry
+    must equal that shard's own fold of the log."""
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 8), st.data(), st.lists(_step, min_size=5, max_size=40))
@@ -283,7 +312,7 @@ class TestReplicatedMatchesPlainRegistry:
         # every name starts live, so withdrawals and refreshes have targets
         places = data.draw(st.lists(st.tuples(st.sampled_from(CATEGORIES), st.sampled_from(HOSTS)),
                                     min_size=len(NAMES), max_size=len(NAMES)))
-        script = [("advertise", name, category, host, 0, 0.5)
+        script = [("advertise", name, category, host, {"queue_length": 0, "cost_per_use": 0.5})
                   for name, (category, host) in zip(NAMES, places)] + script
         m = matcher()
         plain = PlainRegistry(m)
@@ -291,22 +320,26 @@ class TestReplicatedMatchesPlainRegistry:
         rep = ReplicatedRegistry(m, n_shards, replication, monitor=mon)
         standby = ReplicatedRegistry(m, n_shards, replication, log=rep.log,
                                      live=False, monitor=standby_mon, name="standby")
+        folds = [ShardFold(shard, rep.shard_map) for shard in range(n_shards)]
+        standby_folds = [ShardFold(shard, rep.shard_map) for shard in range(n_shards)]
         down: set[int] = set()
         synced, replayed = 0, 0  # log events the standby applied / replayed
         frozen = []  # the standby's listing when it last synced
         for step in script:
             kind = step[0]
             if kind == "advertise":
-                _, name, category, host, queue, cost = step
-                ad = svc(name, category=category, host=host, queue_length=queue,
-                         cost_per_use=cost)
+                _, name, category, host, attributes = step
+                ad = ServiceDescription(name=name, category=category, host_node=host,
+                                        attributes=attributes)
                 assert rep.advertise(ad) is plain.advertise(ad) is None
             elif kind == "refresh":
                 live = plain.services()
                 if live:
-                    old = live[step[1] % len(live)]
-                    ad = svc(old.name, category=step[2] or old.category, host=old.host_node,
-                             queue_length=step[3], cost_per_use=old.attributes["cost_per_use"])
+                    _, index, category, key, value = step
+                    old = live[index % len(live)]
+                    ad = ServiceDescription(name=old.name, category=category or old.category,
+                                            host_node=old.host_node,
+                                            attributes={**old.attributes, key: value})
                     assert rep.advertise(ad) is plain.advertise(ad) is None
             elif kind == "withdraw":
                 live = plain.services()
@@ -316,8 +349,9 @@ class TestReplicatedMatchesPlainRegistry:
                 assert rep.withdraw_host(step[1]) == plain.withdraw_host(step[1])
             elif kind == "search":
                 _, request, top_k = step
-                assert (_triples(rep.search(request, top_k=top_k))
-                        == _triples(plain.search(request, top_k=top_k)))
+                got = strategies.outcome(rep.search, request, top_k=top_k)
+                assert got == strategies.outcome(plain.search, request, top_k=top_k)
+                assert got == strategies.outcome(oracle.rank, m, request, plain.services(), top_k)
             elif kind == "mark_down":
                 shard = step[1] % n_shards
                 if shard in down or len(down) < replication - 1:
@@ -353,6 +387,8 @@ class TestReplicatedMatchesPlainRegistry:
             assert mon.counters() == plain.monitor.counters()
             assert standby.lag == len(rep.log) - synced
             assert standby.services() == frozen
+            _assert_views_match_folds(rep, folds)
+            _assert_views_match_folds(standby, standby_folds)
             if standby.lag == 0:
                 withdrawn = mon.counters().get("disc.withdraw", 0)
                 expected = {"disc.withdraw": withdrawn, "disc.replay_events": replayed}
