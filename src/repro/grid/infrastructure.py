@@ -135,16 +135,7 @@ class GridInfrastructure:
                     span.end()
                     if on_complete is not None:
                         # re-stamp finish time to include the download leg
-                        on_complete(
-                            JobResult(
-                                job_id=result.job_id,
-                                value=result.value,
-                                submitted_at=result.submitted_at,
-                                started_at=result.started_at,
-                                finished_at=self.sim.now,
-                                resource=result.resource,
-                            )
-                        )
+                        on_complete(result._replace(finished_at=self.sim.now))
 
                 leg(job.output_bits, after_download)
 

@@ -1,9 +1,14 @@
-"""Compute job descriptions."""
+"""Compute job descriptions.
+
+A :class:`JobResult` is built per completion, so it is a ``NamedTuple``:
+immutable, and cheaper to build than a dataclass.
+"""
 
 from __future__ import annotations
 
 import dataclasses
 import itertools
+import math
 import typing
 
 _job_ids = itertools.count()
@@ -41,8 +46,10 @@ class ComputeJob:
     checkpoint_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.ops < 0 or self.input_bits < 0 or self.output_bits < 0:
-            raise ValueError("ops and bit counts must be non-negative")
+        # chained comparisons are False for NaN, so each also rejects it
+        if not (0.0 <= self.ops < math.inf and 0.0 <= self.input_bits < math.inf
+                and 0.0 <= self.output_bits < math.inf):
+            raise ValueError("ops and bit counts must be finite and non-negative")
         if not 0.0 <= self.checkpoint_fraction <= 1.0:
             raise ValueError("checkpoint_fraction must be in [0, 1]")
 
@@ -52,8 +59,7 @@ class ComputeJob:
         return self.ops * (1.0 - self.checkpoint_fraction)
 
 
-@dataclasses.dataclass(frozen=True)
-class JobResult:
+class JobResult(typing.NamedTuple):
     """Completion record for a job.
 
     Attributes

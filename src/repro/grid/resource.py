@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import typing
 
 import numpy as np
@@ -25,7 +26,7 @@ class GridResource:
     name:
         Site name (appears in :class:`~repro.grid.job.JobResult`).
     ops_per_second:
-        Effective throughput.
+        Effective throughput (finite and positive).
     fail_prob:
         Probability a job fails mid-service at this site.  A failing job
         runs for a uniform fraction of its service time, durably
@@ -45,8 +46,8 @@ class GridResource:
         fail_prob: float = 0.0,
         rng: np.random.Generator | None = None,
     ) -> None:
-        if ops_per_second <= 0:
-            raise ValueError("ops_per_second must be positive")
+        if not 0.0 < ops_per_second < math.inf:
+            raise ValueError("ops_per_second must be finite and positive")
         if not 0.0 <= fail_prob < 1.0:
             raise ValueError("fail_prob must be in [0, 1)")
         if fail_prob > 0.0 and rng is None:
@@ -125,20 +126,10 @@ class GridResource:
                     span.set(checkpoint=job.checkpoint_fraction)
                 span.end(STATUS_ERROR)
                 if on_complete is not None:
-                    on_complete(
-                        JobResult(
-                            job_id=job.job_id,
-                            value=None,
-                            submitted_at=submitted,
-                            started_at=started,
-                            finished_at=finished,
-                            resource=self.name,
-                            success=False,
-                            error="site-failure",
-                        )
-                    )
+                    on_complete(JobResult(job.job_id, None, submitted, started, finished,
+                                          self.name, False, "site-failure"))
 
-            self.sim.schedule(finished - submitted, fail, label=f"job:{job.job_id}:fail")
+            self.sim.schedule(finished - submitted, fail, label="job:fail")
             return finished
 
         finished = started + service
@@ -150,18 +141,10 @@ class GridResource:
             self.jobs_completed += 1
             span.end()
             if on_complete is not None:
-                on_complete(
-                    JobResult(
-                        job_id=job.job_id,
-                        value=value,
-                        submitted_at=submitted,
-                        started_at=started,
-                        finished_at=finished,
-                        resource=self.name,
-                    )
-                )
+                on_complete(JobResult(job.job_id, value, submitted, started, finished,
+                                      self.name))
 
-        self.sim.schedule(finished - submitted, complete, label=f"job:{job.job_id}")
+        self.sim.schedule(finished - submitted, complete, label="job")
         return finished
 
     def utilization(self, horizon_s: float) -> float:

@@ -127,7 +127,6 @@ class HookProfiler:
         self._active: dict[str, int] = {}  # recursion guard for cum time
         self._subsystem: dict[str, str] = {}
         self._collapsed: dict[str, int] = {}  # "a;b;c" -> self ns
-        self._label_memo: dict[str, str] = {}
         self._qualname_memo: dict[str, str] = {}
         self._module_memo: dict[str, str] = {}
 
@@ -177,10 +176,8 @@ class HookProfiler:
         self.events += 1
         label = event.label
         if label:
-            name = self._label_memo.get(label)
-            if name is None:
-                name = label.split(":", 1)[0]
-                self._label_memo[label] = name
+            # not memoized: labels may carry a per-event id (``hop:42``)
+            name = label.partition(":")[0]
             subsystem = self._subsystem_of(callback)
         else:
             qualname = getattr(callback, "__qualname__", "") or type(callback).__name__

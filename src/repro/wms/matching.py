@@ -6,7 +6,9 @@ runs on (:class:`ResourceDescription`, built from the live
 board's health view) and asks the central queue for work whose
 :class:`TaskRequirements` that description satisfies.  Both sides are
 plain declarative data, so matching decisions are auditable and
-deterministic -- no callback into user code decides placement.
+deterministic -- no callback into user code decides placement.  A
+description is built on every pull that finds work, so it is a
+``NamedTuple``: immutable, and cheaper to build than a dataclass.
 """
 
 from __future__ import annotations
@@ -20,8 +22,7 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.resilience.breaker import BreakerBoard
 
 
-@dataclasses.dataclass(frozen=True)
-class ResourceDescription:
+class ResourceDescription(typing.NamedTuple):
     """A pilot's offer: what its site looks like *right now*.
 
     Attributes
@@ -50,15 +51,9 @@ def describe(resource: "GridResource",
     breaker currently blocks traffic advertises ``healthy=False`` and
     stops matching health-requiring tasks until the breaker half-opens.
     """
-    healthy = True
-    if breakers is not None:
-        healthy = resource.name not in breakers.blocked_providers()
-    return ResourceDescription(
-        name=resource.name,
-        ops_per_second=resource.ops_per_second,
-        backlog_s=resource.backlog_s,
-        healthy=healthy,
-    )
+    healthy = breakers is None or resource.name not in breakers.blocked_providers()
+    return ResourceDescription(resource.name, resource.ops_per_second,
+                               resource.backlog_s, healthy)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -12,6 +12,10 @@ cannot.
 Pilots are ordinary simulator actors: they start via a zero-delay event,
 park on the queue when it is empty, and wake through scheduled events,
 so the whole fleet's behaviour is part of the deterministic event order.
+
+A compute task costs the pilot no closure: the pilot keeps its one
+task at the site in an attribute and hands the site its bound
+``_job_done``, which takes the task back with the job's result.
 """
 
 from __future__ import annotations
@@ -67,6 +71,7 @@ class PilotWorker:
         self.tasks_failed = 0
         self._started = False
         self._busy = False
+        self._task: Task | None = None  # the compute task at the site
 
     @property
     def name(self) -> str:
@@ -106,12 +111,14 @@ class PilotWorker:
             if task.job is None:
                 # created once and carried across requeues, so the
                 # checkpoint survives site failures
-                task.job = ComputeJob(ops=task.ops, input_bits=task.input_bits,
-                                      output_bits=task.output_bits, name=task.name)
-            self.resource.submit(
-                task.job, lambda result, _t=task: self._job_done(_t, result))
+                task.job = ComputeJob(task.ops, task.input_bits, task.output_bits,
+                                      None, task.name)
+            self._task = task
+            self.resource.submit(task.job, self._job_done)
 
-    def _job_done(self, task: Task, result: JobResult) -> None:
+    def _job_done(self, result: JobResult) -> None:
+        task = self._task
+        self._task = None
         if not result.success and task.attempts < self.max_attempts:
             self._busy = False
             self.queue.requeue(task)

@@ -218,8 +218,11 @@ class TaskQueueService:
         """Return a failed/preempted task to the tail of its class queue.
 
         The original ``submitted_at`` is preserved so queue-latency
-        accounting keeps charging the full wait to the task.
+        accounting keeps charging the full wait to the task.  A task
+        that is not ``running`` (claimed) raises ``ValueError``.
         """
+        if task.state != "running":
+            raise ValueError(f"cannot requeue a {task.state!r} task, only a running one")
         cq = self._class(task.priority_class)
         if not cq.tasks:
             cq.vtag = max(cq.vtag, self._vclock)
@@ -295,7 +298,9 @@ class TaskQueueService:
         return head
 
     def report(self, task: Task, success: bool) -> None:
-        """A pilot finished ``task``; close out its accounting."""
+        """A pilot finished ``task``, which must be ``running``; close it out."""
+        if task.state != "running":
+            raise ValueError(f"cannot report a {task.state!r} task, only a running one")
         cq = self._class(task.priority_class)
         task.state = "done" if success else "failed"
         task.finished_at = self.sim.now

@@ -108,8 +108,9 @@ class Task:
     def __post_init__(self) -> None:
         if not (math.isfinite(self.ops) and self.ops >= 0):
             raise ValueError("ops must be finite and non-negative")
-        if self.input_bits < 0 or self.output_bits < 0:
-            raise ValueError("bit counts must be non-negative")
+        # the claiming pilot's ComputeJob would reject these mid-run
+        if not (0.0 <= self.input_bits < math.inf and 0.0 <= self.output_bits < math.inf):
+            raise ValueError("bit counts must be finite and non-negative")
 
     @property
     def queue_wait_s(self) -> float:

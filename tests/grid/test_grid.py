@@ -1,8 +1,17 @@
 """Unit tests for the wired-grid substrate."""
 
+import math
+
 import pytest
 
-from repro.grid import ComputeJob, GridInfrastructure, GridResource, GridScheduler, Uplink
+from repro.grid import (
+    ComputeJob,
+    GridInfrastructure,
+    GridResource,
+    GridScheduler,
+    JobResult,
+    Uplink,
+)
 from repro.simkernel import Simulator
 
 
@@ -13,11 +22,57 @@ class TestComputeJob:
         with pytest.raises(ValueError):
             ComputeJob(ops=1.0, input_bits=-1.0)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["ops", "input_bits", "output_bits"])
+    def test_rejects_non_finite_sizes(self, field, value):
+        sizes = {"ops": 1.0, field: value}
+        with pytest.raises(ValueError, match="finite"):
+            ComputeJob(**sizes)
+
     def test_unique_ids(self):
         assert ComputeJob(ops=1.0).job_id != ComputeJob(ops=1.0).job_id
 
 
+class TestJobResult:
+    def make(self, **kw):
+        fields = dict(job_id=7, value=42, submitted_at=1.0, started_at=1.5,
+                      finished_at=4.0, resource="s")
+        fields.update(kw)
+        return JobResult(**fields)
+
+    def test_keyword_build_with_defaults(self):
+        r = self.make()
+        assert r.job_id == 7 and r.value == 42 and r.resource == "s"
+        assert r.success is True and r.error == ""
+        failed = self.make(success=False, error="site-failure")
+        assert not failed.success and failed.error == "site-failure"
+
+    def test_timeline_properties(self):
+        r = self.make()
+        assert r.queue_wait_s == 0.5
+        assert r.service_s == 2.5
+        assert r.turnaround_s == 3.0
+
+    def test_immutable(self):
+        r = self.make()
+        with pytest.raises(AttributeError):
+            r.success = False
+        with pytest.raises(AttributeError):
+            r.extra = 1
+
+    def test_equal_and_hashed_by_value(self):
+        assert self.make() == self.make()
+        assert hash(self.make()) == hash(self.make())
+        assert len({self.make(), self.make(), self.make(job_id=8)}) == 2
+        assert self.make() != self.make(error="late")
+
+
 class TestGridResource:
+    @pytest.mark.parametrize("rate", [math.nan, math.inf, 0.0])
+    def test_rejects_rate_not_finite_and_positive(self, rate):
+        with pytest.raises(ValueError, match="finite and positive"):
+            GridResource(Simulator(), "s", rate)
+
     def test_service_time(self):
         sim = Simulator()
         r = GridResource(sim, "s", ops_per_second=100.0)

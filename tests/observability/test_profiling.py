@@ -12,6 +12,7 @@ import json
 import pytest
 
 from repro.core.runtime import PervasiveGridRuntime
+from repro.grid import GridResource
 from repro.observability.profiling import (
     NOOP_FRAME,
     NOOP_PROFILER,
@@ -22,6 +23,7 @@ from repro.observability.profiling import (
 )
 from repro.parallel import TrialResult, TrialRunner, seed_specs
 from repro.simkernel import Monitor, Simulator
+from repro.wms import WorkloadManager
 
 
 class FakeClock:
@@ -134,6 +136,35 @@ class TestDispatchAttribution:
         prof = HookProfiler(enabled=False)
         self.run_events(prof)
         assert prof.events == 0 and len(prof) == 0
+
+    @staticmethod
+    def profiled_wms(n_jobs):
+        """A WMS run of ``n_jobs`` compute jobs, plus as many events
+        labelled per message (``hop:<id>``)."""
+        prof, _ = make()
+        sim = Simulator()
+        sim.profiler = prof
+        wm = WorkloadManager(sim, [GridResource(sim, f"s{i}", 1e6) for i in range(4)])
+        for i in range(n_jobs):
+            wm.submit_compute(1e3)
+            sim.schedule(i * 1e-3, lambda: None, label=f"hop:{i}")
+        sim.run()
+        return prof
+
+    def test_state_stays_bounded_whatever_the_labels(self):
+        small, large = self.profiled_wms(1_000), self.profiled_wms(10_000)
+
+        def rows(prof):
+            return [(r["name"], r["subsystem"]) for r in prof.handlers()]
+
+        def state_sizes(prof):
+            return {k: len(v) for k, v in vars(prof).items()
+                    if isinstance(v, (dict, list))}
+
+        assert large.events > small.events
+        assert rows(small) == rows(large)
+        assert {"job", "hop", "pilot"} <= {name for name, _ in rows(small)}
+        assert state_sizes(small) == state_sizes(large)
 
 
 class TestNoop:

@@ -5,12 +5,14 @@ every claim runs the starvation watch as its own pass, sorts the
 backlogged classes by ``(virtual tag, declaration order)`` and offers
 their heads in that order; ``depth()`` sums the class queues; every
 record looks its instrument up in the monitor by name.
-:class:`ReferencePilot` claims on every pull, empty queue or not.  The
+:class:`ReferencePilot` claims on every pull, empty queue or not, and
+carries each compute task to its completion in a closure.  The
 production :class:`~repro.wms.queues.TaskQueueService` keeps a running
 depth, picks the first class in the starvation pass, binds its
-instruments once, and its pilots skip the claim when nothing waits, so
-tests can assert the fast paths produce *exactly* what these produce:
-the same claims, tallies, telemetry and trace events.
+instruments once, and its pilots skip the claim when nothing waits and
+keep the in-flight task on the pilot, so tests can assert the fast
+paths produce *exactly* what these produce: the same claims, tallies,
+telemetry and trace events.
 """
 
 from __future__ import annotations
@@ -193,3 +195,11 @@ class ReferencePilot(PilotWorker):
                                       output_bits=task.output_bits, name=task.name)
             self.resource.submit(
                 task.job, lambda result, _t=task: self._job_done(_t, result))
+
+    def _job_done(self, task, result):
+        if not result.success and task.attempts < self.max_attempts:
+            self._busy = False
+            self.queue.requeue(task)
+            self._pull()
+            return
+        self._finish(task, result.success)

@@ -46,6 +46,13 @@ class TestTaskAndClasses:
         assert t.state == "waiting"
         assert math.isnan(t.queue_wait_s) and math.isnan(t.turnaround_s)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["input_bits", "output_bits"])
+    def test_task_rejects_non_finite_bits(self, field, value):
+        """Caught at construction, not when a pilot builds the job."""
+        with pytest.raises(ValueError, match="finite"):
+            Task(ops=1.0, **{field: value})
+
     def test_task_ids_are_unique(self):
         a, b = Task(ops=1.0), Task(ops=1.0)
         assert a.task_id != b.task_id
@@ -90,6 +97,19 @@ class TestMatching:
         assert d.ops_per_second == 1e6
         assert d.backlog_s == pytest.approx(2.0)
         assert d.healthy
+
+    def test_description_builds_by_keyword_with_defaults(self):
+        d = ResourceDescription(name="s", ops_per_second=1e6)
+        assert d.backlog_s == 0.0 and d.healthy is True
+        assert d == ResourceDescription("s", 1e6, 0.0, True)
+
+    def test_description_is_immutable_and_hashed_by_value(self):
+        d = desc()
+        with pytest.raises(AttributeError):
+            d.healthy = False
+        assert d == desc() and hash(d) == hash(desc())
+        assert len({desc(), desc(), desc(backlog=1.0)}) == 2
+        assert desc() != desc(healthy=False)
 
     def test_describe_consults_breaker_board(self):
         class Board:
@@ -216,6 +236,30 @@ class TestTaskQueueService:
         assert again.queue_wait_s == 5.0  # charged from original submit
         assert monitor.counters()["wms.tasks_requeued"] == 1.0
 
+    def test_requeue_rejects_a_waiting_task(self):
+        """Requeueing a task that was never claimed would enqueue it a
+        second time and let two claims run it."""
+        _, monitor, q = self.make()
+        t = q.submit(Task(ops=1.0))
+        with pytest.raises(ValueError, match="running"):
+            q.requeue(t)
+        assert t.state == "waiting" and q.depth() == 1
+        assert q.claim(desc()) is t and t.attempts == 1
+        assert q.claim(desc()) is None
+        assert "wms.tasks_requeued" not in monitor.counters()
+
+    def test_report_rejects_a_task_already_reported(self):
+        """A second report of one claim would count two completions
+        against one submission."""
+        _, monitor, q = self.make()
+        t = q.submit(Task(ops=1.0))
+        q.report(q.claim(desc()), True)
+        with pytest.raises(ValueError, match="running"):
+            q.report(t, True)
+        assert t.state == "done"
+        assert q.class_stats()["standard"]["completed"] == 1.0
+        assert monitor.counters()["wms.tasks_completed"] == 1.0
+
     def test_counters_and_histograms_recorded(self):
         sim, monitor, q = self.make()
         q.submit_bulk([Task(ops=1.0), Task(ops=2.0)])
@@ -324,6 +368,40 @@ class TestPilots:
         # the checkpoint accumulated across all three attempts
         assert t.job.checkpoint_fraction > 0.0
         assert pilot.tasks_failed == 1
+
+    def test_site_failure_requeues_then_reports_the_same_task(self):
+        class FailOnce:
+            """Failure draws: the first job fails halfway, later ones run."""
+
+            def __init__(self):
+                self.draws = [0.0]
+
+            def random(self):
+                return self.draws.pop() if self.draws else 1.0
+
+            def uniform(self, low, high):
+                return 0.5
+
+        sim = Simulator()
+        monitor = Monitor()
+        q = TaskQueueService(sim, monitor=monitor)
+        requeued, reported = [], []
+        requeue, report = q.requeue, q.report
+        q.requeue = lambda task: requeued.append(task) or requeue(task)
+        q.report = lambda task, ok: reported.append((task, ok)) or report(task, ok)
+        site = GridResource(sim, "site0", 1e6, fail_prob=0.5, rng=FailOnce())
+        pilot = PilotWorker(sim, q, site, max_attempts=2)
+        pilot.start()
+        t = q.submit(Task(ops=1e6))
+        sim.run()
+        assert requeued == [t] and reported == [(t, True)]
+        assert t.state == "done" and t.attempts == 2
+        assert t.job.checkpoint_fraction == 0.5
+        assert sim.now == pytest.approx(1.0)  # half, then the other half
+        assert pilot.tasks_run == 1 and pilot.tasks_failed == 0
+        assert site.jobs_failed == 1 and site.jobs_completed == 1
+        assert monitor.counters()["wms.tasks_requeued"] == 1.0
+        assert pilot._task is None
 
     def test_idle_pull_parks_without_claiming_but_polls_breakers(self):
         """A pull that finds the queue empty parks without a claim; a
