@@ -166,8 +166,7 @@ class EventLog:
         return self._events[after_seq:end]
 
     def replay(self, after_seq: int = 0, upto_seq: int | None = None,
-               *, accept: typing.Callable[[ServiceDescription], bool] | None = None,
-               into: dict[str, ServiceDescription] | None = None,
+               *, into: dict[str, ServiceDescription] | None = None,
                ) -> dict[str, ServiceDescription]:
         """Materialize a log range into a ``name -> description`` map.
 
@@ -177,7 +176,7 @@ class EventLog:
         """
         state = into if into is not None else {}
         for event in self.events(after_seq, upto_seq):
-            apply_event(state, event, accept=accept)
+            apply_event(state, event)
         return state
 
     def __len__(self) -> int:

@@ -18,12 +18,13 @@ Within a degree, candidates are ordered by a fuzzy score in [0, 1]
 combining taxonomic distance, I/O type compatibility and soft-preference
 utility.
 
-Ranking works on candidates grouped by category (:class:`CandidateSet`):
-a registry keeps its advertisements grouped, and a plain list is grouped
-in one pass.  Degree and closeness are worked out once per category
-pair, the I/O fraction once per ``(inputs, outputs)`` signature, and
-numeric comparison constraints, scores and preference utilities are
-array operations over per-category attribute columns.  Values a float64
+Ranking works over one :class:`ServiceTable`: a registry keeps its
+advertisements in one, and a plain list becomes one in list order.
+Degree and closeness are worked out once per distinct category, the I/O
+fraction once per ``(inputs, outputs)`` signature among the surviving
+rows, and numeric comparison constraints, scores and preference
+utilities are array operations over the table's attribute columns, each
+run once per search.  Values a float64
 column cannot hold exactly (bools, strings, ints beyond 2**53, numpy
 scalars, ...) take the per-row :meth:`Constraint.satisfied_by` path, so
 every ranking is the one a per-candidate loop would return
@@ -32,10 +33,8 @@ every ranking is the one a per-candidate loop would return
 
 from __future__ import annotations
 
-import bisect
 import dataclasses
 import enum
-import itertools
 import math
 import operator
 import typing
@@ -88,6 +87,9 @@ _ABSENT, _EXACT, _OTHER = 0, 1, 2
 _MISSING = object()
 #: Operators a column evaluates as one array comparison.
 _ARRAY_OPS = ("==", "!=", "<", "<=", ">", ">=")
+#: What each code column of a :class:`ServiceTable` keys its rows by.
+_CODE_KEYS = {"category": operator.attrgetter("category"),
+              "signature": operator.attrgetter("inputs", "outputs")}
 
 
 def _exact_number(value: typing.Any) -> bool:
@@ -98,38 +100,43 @@ def _exact_number(value: typing.Any) -> bool:
     return kind is float or (kind is int and -2 ** 53 <= value <= 2 ** 53)
 
 
-class CategoryGroup:
-    """One category's advertisements, with attribute columns built on
-    first use.
+class ServiceTable:
+    """Advertisements in rows, with attribute columns and code columns
+    built on first use.
 
     A column is one attribute over the rows: its values as float64 (NaN
     unless exact) beside a per-row kind -- absent, exact number (see
-    :func:`_exact_number`) or other -- and whether any row is other.
-    Descriptions are immutable, so a column stays valid until its row is
-    replaced: :meth:`put` and :meth:`remove` only note the rows they
-    touch, in O(1), and the next read refills those cells.
+    :func:`_exact_number`) or other -- and whether any row is other.  A
+    code column gives each row's code into the distinct values of one
+    :data:`_CODE_KEYS` key.  Descriptions are immutable, so a column
+    stays valid until its row is replaced: :meth:`put` and
+    :meth:`remove` only note the rows they touch, in O(1), and the next
+    read refills those cells.
 
-    ``positions`` are the rows' places in a caller's candidate list; only
-    a list can hold one name twice, so only its groups need them for the
-    final tie-break.
+    A registry grows its table by :meth:`put`, which keeps names unique;
+    a candidate list becomes a table of its own in list order, so a
+    row's index is its list position (a list can hold one name twice).
     """
 
-    __slots__ = ("category", "rows", "positions", "_index", "_columns",
-                 "_signatures", "_stale")
+    __slots__ = ("rows", "_index", "_columns", "_codes", "_stale")
 
-    def __init__(self, category: str, rows: list[ServiceDescription] | None = None,
-                 positions: list[int] | None = None) -> None:
-        self.category = category
-        self.rows = [] if rows is None else rows
-        self.positions = positions
+    def __init__(self, rows: typing.Iterable[ServiceDescription] = ()) -> None:
+        self.rows = list(rows)
         self._index: dict[str, int] = {}  # name -> row, kept by put/remove
         self._columns: dict[str, tuple[np.ndarray, np.ndarray, bool]] = {}
-        # each row's code into the distinct (inputs, outputs) signatures
-        self._signatures: tuple[np.ndarray, dict[tuple, int]] | None = None
+        self._codes: dict[str, tuple[np.ndarray, dict[typing.Any, int]]] = {}
         self._stale: set[int] = set()  # rows replaced since the last read
 
     def __len__(self) -> int:
         return len(self.rows)
+
+    def __iter__(self) -> typing.Iterator[ServiceDescription]:
+        return iter(self.rows)
+
+    def get(self, service_name: str) -> ServiceDescription | None:
+        """The row :meth:`put` holds under ``service_name``, if any."""
+        row = self._index.get(service_name)
+        return None if row is None else self.rows[row]
 
     # ------------------------------------------------------------------
     def put(self, service: ServiceDescription) -> None:
@@ -142,17 +149,21 @@ class CategoryGroup:
             self.rows[row] = service
         self._touch(row)
 
-    def remove(self, service_name: str) -> None:
-        """Drop one name; the last row moves into its place."""
-        row = self._index.pop(service_name)
+    def remove(self, service_name: str) -> bool:
+        """Drop one name (False when absent); the last row moves into its
+        place."""
+        row = self._index.pop(service_name, None)
+        if row is None:
+            return False
         last = self.rows.pop()
         if row < len(self.rows):
             self.rows[row] = last
             self._index[last.name] = row
         self._touch(row)  # past the end when the last row went: columns shrink
+        return True
 
     def _touch(self, row: int) -> None:
-        if self._columns or self._signatures is not None:
+        if self._columns or self._codes:
             self._stale.add(row)
 
     def _refresh(self) -> None:
@@ -165,14 +176,13 @@ class CategoryGroup:
                 values, kinds = np.resize(values, n), np.resize(kinds, n)
             self._fill(attribute, values, kinds, rows)
             self._columns[attribute] = values, kinds, bool((kinds == _OTHER).any())
-        if self._signatures is not None:
-            codes, index = self._signatures
+        for key, (codes, index) in list(self._codes.items()):
             if len(codes) != n:
                 codes = np.resize(codes, n)
-                self._signatures = codes, index
+                self._codes[key] = codes, index
+            get = _CODE_KEYS[key]
             for row in rows:
-                service = self.rows[row]
-                codes[row] = index.setdefault((service.inputs, service.outputs), len(index))
+                codes[row] = index.setdefault(get(self.rows[row]), len(index))
 
     def _fill(self, attribute: str, values: np.ndarray, kinds: np.ndarray,
               rows: typing.Iterable[int]) -> None:
@@ -198,16 +208,18 @@ class CategoryGroup:
                 values, kinds, bool((kinds == _OTHER).any()))
         return column
 
-    def signatures(self) -> tuple[np.ndarray, list[tuple]]:
-        """Each row's code into the distinct ``(inputs, outputs)`` pairs,
-        and those pairs."""
+    def codes(self, key: str) -> tuple[np.ndarray, list]:
+        """Each row's code into the distinct values of ``key`` (a
+        :data:`_CODE_KEYS` name), and those values by code."""
         if self._stale:
             self._refresh()
-        if self._signatures is None:
-            index: dict[tuple, int] = {}
-            codes = [index.setdefault((s.inputs, s.outputs), len(index)) for s in self.rows]
-            self._signatures = np.array(codes, dtype=np.intp), index
-        codes, index = self._signatures
+        built = self._codes.get(key)
+        if built is None:
+            index: dict[typing.Any, int] = {}
+            get = _CODE_KEYS[key]
+            codes = [index.setdefault(get(service), len(index)) for service in self.rows]
+            built = self._codes[key] = np.array(codes, dtype=np.intp), index
+        codes, index = built
         return codes, list(index)
 
     # ------------------------------------------------------------------
@@ -243,34 +255,6 @@ class CategoryGroup:
             for j in np.flatnonzero(kinds[rows] == _OTHER).tolist():
                 out[j] = numeric_value(self.rows[rows[j]].attributes[attribute])
         return out
-
-
-class CandidateSet:
-    """Candidates grouped by category, as :meth:`SemanticMatcher.rank`
-    reads them; ``len()`` counts advertisements."""
-
-    __slots__ = ("groups", "_size")
-
-    def __init__(self, groups: list[CategoryGroup]) -> None:
-        self.groups = groups
-        self._size = sum(map(len, groups))
-
-    @classmethod
-    def of(cls, candidates: typing.Iterable[ServiceDescription]) -> "CandidateSet":
-        """Group a candidate list by category in one pass, keeping each
-        row's list position."""
-        by_category: dict[str, tuple[list, list]] = {}
-        for position, service in enumerate(candidates):
-            group = by_category.get(service.category)
-            if group is None:
-                group = by_category[service.category] = ([], [])
-            group[0].append(service)
-            group[1].append(position)
-        return cls([CategoryGroup(category, rows, positions)
-                    for category, (rows, positions) in by_category.items()])
-
-    def __len__(self) -> int:
-        return self._size
 
 
 class SemanticMatcher:
@@ -367,81 +351,69 @@ class SemanticMatcher:
     def rank(
         self,
         request: ServiceRequest,
-        candidates: list[ServiceDescription] | CandidateSet,
+        candidates: list[ServiceDescription] | ServiceTable,
         top_k: int | None = None,
     ) -> list[MatchResult]:
         """Ranked list of non-FAIL matches, preference-adjusted.
 
         ``candidates`` is a list of descriptions or a registry's
-        :class:`CandidateSet`.  Each category group is matched once;
-        constraints apply in request order, each over the rows the
-        earlier ones kept.  Preference utilities (normalized over the
-        surviving candidates) multiply into the fuzzy score with
+        :class:`ServiceTable`.  The rows of every matching category are
+        the candidates; constraints apply in request order, each over the
+        rows the earlier ones kept.  Preference utilities (normalized over
+        the surviving candidates) multiply into the fuzzy score with
         weight-proportional influence; the degree remains the primary
         sort key when ``use_degrees``.  Ties on degree and score go by
         name, then by list position.
         """
         if top_k is not None and top_k < 0:
             raise ValueError("top_k must be >= 0")
-        if not isinstance(candidates, CandidateSet):
-            candidates = CandidateSet.of(candidates)
-        parts: list[tuple[CategoryGroup, np.ndarray, MatchDegree]] = []
-        scores: list[np.ndarray] = []
-        io_fractions: dict[tuple, float] = {}
-        for group in candidates.groups:
-            degree, closeness = self._category_match(request.category, group.category)
-            if degree is MatchDegree.FAIL:
-                continue
-            rows = np.arange(len(group))
-            for constraint in request.constraints:
-                if not len(rows):
-                    break
-                rows = group.satisfying(constraint, rows)
+        table = candidates if isinstance(candidates, ServiceTable) else ServiceTable(candidates)
+        category, categories = table.codes("category")
+        matches = [self._category_match(request.category, c) for c in categories]
+        matching = np.array([d is not MatchDegree.FAIL for d, _ in matches], dtype=bool)
+        rows = np.flatnonzero(matching[category])
+        for constraint in request.constraints:
             if not len(rows):
-                continue
-            codes, signatures = group.signatures()
-            fractions = []
-            for signature in signatures:
-                fraction = io_fractions.get(signature)
-                if fraction is None:
-                    fraction = io_fractions[signature] = self._io_fraction(request, *signature)
-                fractions.append(fraction)
-            base = _DEGREE_BASE[degree] if self.use_degrees else closeness
-            factor = base * (0.5 + 0.5 * closeness)
-            parts.append((group, rows, degree))
-            if len(fractions) == 1:
-                scores.append(np.full(len(rows), min(factor * fractions[0], 1.0)))
-            else:
-                scores.append(np.minimum(factor * np.array(fractions)[codes[rows]], 1.0))
-        if not parts:
+                break
+            rows = table.satisfying(constraint, rows)
+        if not len(rows):
             return []
-        score = np.concatenate(scores)
+        category = category[rows]
+        signature, signatures = table.codes("signature")
+        signature = signature[rows]
+        fraction = np.zeros(len(signatures))
+        for code in np.unique(signature).tolist():
+            fraction[code] = self._io_fraction(request, *signatures[code])
+        factor = np.array([(_DEGREE_BASE[d] if self.use_degrees else c) * (0.5 + 0.5 * c)
+                           for d, c in matches])
+        score = np.minimum(factor[category] * fraction[signature], 1.0)
         if request.preferences:
             total_weight = sum(p.weight for p in request.preferences)
             if not math.isfinite(total_weight):
                 raise ValueError("preference weights must have a finite sum")
             blended = np.zeros(len(score))
             for pref in request.preferences:
-                values = np.concatenate([group.numeric(pref.attribute, rows)
-                                         for group, rows, _ in parts])
+                values = table.numeric(pref.attribute, rows)
                 blended += float(pref.weight) * pref.utility_array(values)
             score = score * (0.5 + 0.5 * blended / float(total_weight))
-        return self._top(parts, score, top_k)
+        return self._top(table, rows, [d for d, _ in matches], category, score, top_k)
 
-    def _top(self, parts: list[tuple[CategoryGroup, np.ndarray, MatchDegree]],
-             score: np.ndarray, top_k: int | None) -> list[MatchResult]:
-        """The best ``top_k`` rows by (degree, score, name, position).
+    def _top(self, table: ServiceTable, rows: np.ndarray, degrees: list[MatchDegree],
+             category: np.ndarray, score: np.ndarray, top_k: int | None) -> list[MatchResult]:
+        """The best ``top_k`` of ``rows`` by (degree, score, name);
+        ``degrees`` is indexed by the rows' ``category`` codes.
 
         One array sort orders degree and score; only the rows that sort
-        ahead of the k-th or tie with it are compared by name.
+        ahead of the k-th or tie with it are compared by name.  Both sorts
+        are stable, so rows that tie on all three keep their row order,
+        which for a candidate list is list order.
         """
         n = len(score)
         k = n if top_k is None else min(top_k, n)
         if k == 0:
             return []
-        sizes = [len(rows) for _, rows, _ in parts]
         if self.use_degrees:
-            degree = np.repeat([int(d) for _, _, d in parts], sizes)
+            degree = np.array([int(d) for d in degrees])[category]
             order = np.lexsort((-score, -degree))
             last = order[k - 1]
             tied = (score == score[last]) & (degree == degree[last])
@@ -450,15 +422,11 @@ class SemanticMatcher:
             tied = score == score[order[k - 1]]
         # the rows sorting ahead of the k-th, and every row tied with it
         chosen = order[:k + np.count_nonzero(tied) - np.count_nonzero(tied[order[:k]])]
-        starts = list(itertools.accumulate(sizes, initial=0))
         keyed = []
-        for index, s in zip(chosen.tolist(), score[chosen].tolist()):
-            part = bisect.bisect_right(starts, index) - 1
-            group, rows, degree = parts[part]
-            row = int(rows[index - starts[part]])
-            service = group.rows[row]
-            position = row if group.positions is None else group.positions[row]
-            key = (-s, service.name, position)
+        for row, code, s in zip(rows[chosen].tolist(), category[chosen].tolist(),
+                                score[chosen].tolist()):
+            service, degree = table.rows[row], degrees[code]
+            key = (-s, service.name)
             keyed.append(((-int(degree),) + key if self.use_degrees else key,
                           service, degree, s))
         keyed.sort(key=operator.itemgetter(0))

@@ -8,10 +8,9 @@ a standby broker's view -- is a :class:`ReplicatedRegistry`:
 * :class:`ReplicatedRegistry` -- the client-facing store: ``n_shards``
   replicas with replication factor R (default one of each) over a
   (possibly shared) :class:`~repro.discovery.log.EventLog`.  Writes
-  append to the log.  The registry folds every event once, into
-  ``name -> description`` and one
-  :class:`~repro.discovery.matcher.CategoryGroup` per category, so state
-  is a pure function of the log prefix.
+  append to the log.  The registry folds every event once, into one
+  :class:`~repro.discovery.matcher.ServiceTable`, so state is a pure
+  function of the log prefix.
 * :class:`ReplicaRegistry` -- one shard's read-only view of that fold:
   the descriptions whose ontology class the
   :class:`~repro.discovery.shard.ShardMap` assigns to the shard, and an
@@ -20,10 +19,10 @@ a standby broker's view -- is a :class:`ReplicatedRegistry`:
 
 Reads see a category only while one of its owners is up, so with
 ``replication >= 2`` any single replica can be down with zero lost
-answers.  A search hands the readable category groups to
-:meth:`SemanticMatcher.rank` and ranks them once; each group keeps the
-attribute columns rank builds, and a write refills only the rows it
-touched.
+answers.  A search hands the readable advertisements to
+:meth:`SemanticMatcher.rank` and ranks them once: while every replica is
+up that is the table itself, which keeps the attribute columns rank
+builds, and a write refills only the rows it touched.
 
 A *live* instance subscribes to the log and stays current; a *detached*
 instance (a standby broker's view) lags behind with its own fold,
@@ -39,7 +38,7 @@ import typing
 
 from repro.discovery.description import ServiceDescription, ServiceRequest
 from repro.discovery.log import EventLog, RegistryEvent
-from repro.discovery.matcher import CandidateSet, CategoryGroup, MatchResult, SemanticMatcher
+from repro.discovery.matcher import MatchResult, SemanticMatcher, ServiceTable
 from repro.discovery.shard import ShardMap
 
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -68,17 +67,16 @@ class ReplicaRegistry:
 
     def services(self) -> list[ServiceDescription]:
         """This shard's descriptions, by name order."""
-        fold = self.registry._services
-        return [fold[n] for n in sorted(fold) if self._owns(fold[n].category)]
+        return sorted((s for s in self.registry._table if self._owns(s.category)),
+                      key=operator.attrgetter("name"))
 
     def get(self, service_name: str) -> ServiceDescription | None:
         """One advertisement by name (None when not on this shard)."""
-        found = self.registry._services.get(service_name)
+        found = self.registry._table.get(service_name)
         return found if found is not None and self._owns(found.category) else None
 
     def __len__(self) -> int:
-        return sum(len(group) for category, group in self.registry._groups.items()
-                   if self._owns(category))
+        return sum(self._owns(s.category) for s in self.registry._table)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ReplicaRegistry({self.name}, services={len(self)}, up={self.up})"
@@ -124,8 +122,7 @@ class ReplicatedRegistry:
         self.replicas = [ReplicaRegistry(shard, self) for shard in range(n_shards)]
         self.monitor = monitor
         self.applied_seq = 0
-        self._services: dict[str, ServiceDescription] = {}
-        self._groups: dict[str, CategoryGroup] = {}  # non-empty categories only
+        self._table = ServiceTable()
         self._removed = 0  # names the last applied event withdrew
         self._live = False
         # materialize whatever the shared log already holds
@@ -136,38 +133,19 @@ class ReplicatedRegistry:
     # ------------------------------------------------------------------
     # the fold
     # ------------------------------------------------------------------
-    def _drop(self, service_name: str) -> int:
-        service = self._services.pop(service_name, None)
-        if service is None:
-            return 0
-        group = self._groups[service.category]
-        group.remove(service_name)
-        if not group.rows:
-            del self._groups[service.category]
-        return 1
-
     def _apply(self, event: RegistryEvent) -> int:
         """Fold one event (the next in log order); returns how many
         advertisements it withdrew."""
         removed = 0
         if event.kind == "advertise" or event.kind == "refresh":
-            service = event.service
-            name, category = service.name, service.category
-            old = self._services.get(name)
-            if old is not None and old.category != category:
-                self._drop(name)
-            self._services[name] = service
-            group = self._groups.get(category)
-            if group is None:
-                group = self._groups[category] = CategoryGroup(category)
-            group.put(service)
+            self._table.put(event.service)
         elif event.kind == "withdraw":
-            removed = self._drop(event.service_name)
+            removed = int(self._table.remove(event.service_name))
         else:
             host = event.host_node
-            doomed = [n for n, s in self._services.items() if s.host_node == host]
+            doomed = [s.name for s in self._table if s.host_node == host]
             for name in doomed:
-                self._drop(name)
+                self._table.remove(name)
             removed = len(doomed)
         self.applied_seq = event.seq
         return removed
@@ -186,12 +164,12 @@ class ReplicatedRegistry:
         replicas = self.replicas
         return any(replicas[shard].up for shard in self.shard_map.owners_of(category))
 
-    def _readable(self) -> list[CategoryGroup]:
-        """The groups of every category with an up owner."""
+    def _readable(self) -> ServiceTable | list[ServiceDescription]:
+        """Every advertisement whose category has an up owner: the table
+        itself while every replica is up."""
         if all(replica.up for replica in self.replicas):
-            return list(self._groups.values())
-        return [group for category, group in self._groups.items()
-                if self._has_up_owner(category)]
+            return self._table
+        return [s for s in self._table if self._has_up_owner(s.category)]
 
     # ------------------------------------------------------------------
     # log plumbing
@@ -240,8 +218,7 @@ class ReplicatedRegistry:
     def rebuild(self) -> None:
         """Reset the fold and replay the whole log from seq 1 -- the
         determinism check: state must come out byte-identical."""
-        self._services.clear()
-        self._groups.clear()
+        self._table = ServiceTable()
         self.applied_seq = 0
         for event in self.log.events():
             self._apply(event)
@@ -278,7 +255,7 @@ class ReplicatedRegistry:
         """
         if not self._live:
             raise self._detached_write()
-        self.log.append_advertise(service, refresh=service.name in self._services)
+        self.log.append_advertise(service, refresh=self._table.get(service.name) is not None)
         self._count("disc.advertise")
 
     def withdraw(self, service_name: str) -> bool:
@@ -299,17 +276,16 @@ class ReplicatedRegistry:
     def get(self, service_name: str) -> ServiceDescription | None:
         """Look up one advertisement (None while no owner of its class
         is up)."""
-        found = self._services.get(service_name)
+        found = self._table.get(service_name)
         return found if found is not None and self._has_up_owner(found.category) else None
 
     def services(self) -> list[ServiceDescription]:
         """Every readable advertisement exactly once, by name order."""
-        return sorted((s for group in self._readable() for s in group.rows),
-                      key=operator.attrgetter("name"))
+        return sorted(self._readable(), key=operator.attrgetter("name"))
 
     def __len__(self) -> int:
         """Readable advertisements."""
-        return sum(map(len, self._readable()))
+        return len(self._readable())
 
     def search(self, request: ServiceRequest,
                top_k: int | None = None) -> list[MatchResult]:
@@ -320,13 +296,13 @@ class ReplicatedRegistry:
         Ranking per shard and merging ranked lists would *not* be
         equivalent: preference utilities normalize over the surviving
         candidate set, so per-shard scores depend on shard contents.
-        The candidates are the readable category groups, with the
+        While every replica is up the candidates are the table, with the
         attribute columns earlier searches built.
         """
         if top_k is not None and top_k < 0:
             raise ValueError("top_k must be >= 0")
         self._count("disc.search")
-        return self.matcher.rank(request, CandidateSet(self._readable()), top_k=top_k)
+        return self.matcher.rank(request, self._readable(), top_k=top_k)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ReplicatedRegistry({self.name}, shards={len(self.replicas)}, "

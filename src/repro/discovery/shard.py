@@ -17,6 +17,10 @@ import bisect
 import hashlib
 import typing
 
+#: Virtual points per shard on the ring; more points smooth the key
+#: distribution at the cost of a larger ring.
+POINTS_PER_SHARD = 32
+
 
 def stable_hash(key: str) -> int:
     """A process-independent 64-bit hash of ``key``."""
@@ -34,25 +38,18 @@ class ShardMap:
     replication:
         How many *distinct* shards hold each class (R).  ``R >= 2`` keeps
         every class searchable with any single replica down.
-    points_per_shard:
-        Virtual points per shard; more points smooth the key
-        distribution at the cost of a larger ring.
     """
 
-    def __init__(self, n_shards: int, replication: int = 1,
-                 points_per_shard: int = 32) -> None:
+    def __init__(self, n_shards: int, replication: int = 1) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
         if not 1 <= replication <= n_shards:
             raise ValueError("replication must be in [1, n_shards]")
-        if points_per_shard < 1:
-            raise ValueError("points_per_shard must be >= 1")
         self.n_shards = int(n_shards)
         self.replication = int(replication)
-        self.points_per_shard = int(points_per_shard)
         ring = []
         for shard in range(self.n_shards):
-            for point in range(self.points_per_shard):
+            for point in range(POINTS_PER_SHARD):
                 ring.append((stable_hash(f"shard-{shard}:{point}"), shard))
         ring.sort()
         self._ring_keys = [k for k, _ in ring]

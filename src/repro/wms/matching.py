@@ -78,7 +78,7 @@ class TaskRequirements:
     sites: frozenset[str] | None = None
 
     def __post_init__(self) -> None:
-        if self.min_ops_rate < 0:
+        if not self.min_ops_rate >= 0:
             raise ValueError("min_ops_rate must be non-negative")
         if not self.max_backlog_s >= 0:
             raise ValueError("max_backlog_s must be non-negative")

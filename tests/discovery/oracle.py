@@ -2,8 +2,8 @@
 a one-dict registry and per-shard folds.
 
 The production :class:`~repro.discovery.ontology.Ontology` memoizes one
-hops-up map per class, and :meth:`SemanticMatcher.rank` works over
-per-category attribute columns.  The functions here are the direct
+hops-up map per class, and :meth:`SemanticMatcher.rank` works over a
+table's attribute columns.  The functions here are the direct
 forms those replaced -- every query walks the class graph afresh, and
 ranking evaluates each candidate independently in plain Python -- so
 tests can assert the fast paths return *exactly* what these return.

@@ -351,7 +351,7 @@ class TestRankMatchesOracle:
     @given(_requests(), st.lists(_services(), min_size=1, max_size=25))
     @example(*_REFRESH)
     def test_registry_candidate_set(self, req, candidates):
-        """The same rank over a registry's category groups, after every
+        """The same rank over a registry's service table, after every
         write: advertisements, same-category refreshes, moves and
         withdrawals each reach the columns earlier searches built."""
         m = SemanticMatcher(ONT)
@@ -395,9 +395,13 @@ class TestRankMatchesOracle:
 
     def test_ties_beyond_name_keep_input_order(self, matcher):
         twins = [printer("a", queue_length=1), printer("a", queue_length=2)]
+        # one degree and score from two classes: list order, not class order
+        cousins = [printer("a", category="LaserPrinterService"),
+                   printer("a", category="LaserPrinterService", queue_length=1),
+                   printer("a", category="ColorPrinterService")]
         req = ServiceRequest(category="PrinterService")
-        for pair in (twins, twins[::-1]):
-            assert [r.service for r in matcher.rank(req, pair)] == pair
+        for tied in (twins, twins[::-1], cousins, cousins[::-1]):
+            assert [r.service for r in matcher.rank(req, tied)] == tied
 
     def test_degrees_are_memoized_until_the_ontology_changes(self):
         ont = build_service_ontology()

@@ -106,7 +106,18 @@ class TestReplicatedRegistry:
             rep.mark_up(shard)
 
     def test_len_counts_distinct_names_on_up_replicas(self):
+        """Counts and searches see the classes with an up owner, down to
+        none at all."""
         m = matcher()
+        request = ServiceRequest(category="PrinterService",
+                                 constraints=(Constraint("queue_length", "<=", 5),),
+                                 preferences=(Preference("queue_length", "minimize"),))
+
+        def check(rep):
+            assert len(rep) == len(rep.services())
+            assert (strategies.outcome(rep.search, request)
+                    == strategies.outcome(oracle.rank, m, request, rep.services()))
+
         for replication in (1, 2):
             rep = ReplicatedRegistry(m, 4, replication)
             populate(rep)
@@ -114,11 +125,13 @@ class TestReplicatedRegistry:
             assert len(rep) == len(rep.services()) == 24 - 5
             for shard in range(4):
                 rep.mark_down(shard)
-                assert len(rep) == len(rep.services())
+                check(rep)
                 rep.mark_up(shard)
             for shard in range(4):
                 rep.mark_down(shard)
+                check(rep)
             assert len(rep) == 0
+            assert rep.search(request) == []
 
     def test_rebuild_is_byte_identical(self):
         m = matcher()

@@ -24,8 +24,6 @@ class TestShardMap:
             ShardMap(2, replication=3)
         with pytest.raises(ValueError):
             ShardMap(2, replication=0)
-        with pytest.raises(ValueError):
-            ShardMap(2, points_per_shard=0)
 
     def test_owners_are_distinct_and_replicated(self):
         smap = ShardMap(8, replication=3)

@@ -83,10 +83,13 @@ class TestMatching:
         assert req.accepts(desc(healthy=False))
 
     def test_requirements_validation(self):
-        with pytest.raises(ValueError):
-            TaskRequirements(min_ops_rate=-1.0)
-        with pytest.raises(ValueError):
-            TaskRequirements(max_backlog_s=-1.0)
+        # NaN passes a `< 0` check, and a NaN min_ops_rate then admitted
+        # every site: `rate < nan` is False too
+        for bad in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                TaskRequirements(min_ops_rate=bad)
+            with pytest.raises(ValueError):
+                TaskRequirements(max_backlog_s=bad)
 
     def test_describe_reads_live_resource_state(self):
         sim = Simulator()
