@@ -83,25 +83,25 @@ def make_pde_executor(area_m: float, resolution: int = 24):
     """Executor for ``PDESolverService``: readings in, temperature field out.
 
     Input payload: ``{"positions": (m, 2) array, "values": (m,) array}``.
+    One :class:`~repro.pde.heat.HeatSolver` per resolution lives in the
+    closure, so each grid is factored once across calls.
     """
     from repro.pde.grid import RectGrid
     from repro.pde.heat import HeatSolver
-    from repro.pde.interpolate import readings_to_grid
+    from repro.pde.interpolate import anchor_readings
+
+    solvers: dict[int, HeatSolver] = {}
 
     def executor(params: dict, inputs: dict) -> np.ndarray:
         (payload,) = inputs.values()
         positions = np.asarray(payload["positions"], dtype=float)
         values = np.asarray(payload["values"], dtype=float)
         res = int(params.get("resolution", resolution))
-        grid = RectGrid(res, res, area_m, area_m)
-        interpolated = readings_to_grid(grid, positions, values)
-        fixed = grid.boundary_mask()
-        bvals = interpolated.copy()
-        for pos, val in zip(positions, values):
-            i, j = grid.nearest_index(pos)
-            fixed[i, j] = True
-            bvals[i, j] = val
-        return HeatSolver(grid).solve_steady(bvals, fixed_mask=fixed)
+        solver = solvers.get(res)
+        if solver is None:
+            solver = solvers[res] = HeatSolver(RectGrid(res, res, area_m, area_m))
+        bvals, fixed = anchor_readings(solver.grid, positions, values)
+        return solver.solve_steady(bvals, fixed_mask=fixed)
 
     return executor
 

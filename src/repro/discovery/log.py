@@ -109,8 +109,8 @@ class EventLog:
         outside a simulation.
 
     Consumers either *subscribe* (live registries receive each event as
-    it lands) or *replay* (:meth:`events`/:meth:`replay` rebuild state
-    from any prefix -- what a promoted standby does with the log tail).
+    it lands) or *replay* (fold :meth:`events` of any range into their
+    state -- what a promoted standby does with the log tail).
     """
 
     def __init__(self, clock: typing.Callable[[], float] | None = None) -> None:
@@ -164,20 +164,6 @@ class EventLog:
             raise ValueError("upto_seq must be >= 0")
         end = len(self._events) if upto_seq is None else min(upto_seq, len(self._events))
         return self._events[after_seq:end]
-
-    def replay(self, after_seq: int = 0, upto_seq: int | None = None,
-               *, into: dict[str, ServiceDescription] | None = None,
-               ) -> dict[str, ServiceDescription]:
-        """Materialize a log range into a ``name -> description`` map.
-
-        Replaying ``[0, upto]`` into an empty map is the deterministic
-        rebuild the acceptance tests rely on; replaying ``(synced, last]``
-        into existing state is a standby's catch-up.
-        """
-        state = into if into is not None else {}
-        for event in self.events(after_seq, upto_seq):
-            apply_event(state, event)
-        return state
 
     def __len__(self) -> int:
         return len(self._events)

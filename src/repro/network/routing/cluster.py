@@ -64,15 +64,20 @@ class ClusterFormation:
             # random pick when the Bernoulli draws all miss.
             heads = [candidates[int(self.rng.integers(len(candidates)))]]
         self.heads = sorted(heads)
+        # one candidates × heads distance table; argmin keeps the first
+        # (lowest-id) head on ties, and a head always leads its own cluster
+        # even when another head sits on the same spot
+        cand_pos = topo.positions[candidates]
         head_pos = topo.positions[self.heads]
-        self.membership = {}
-        for node in candidates:
-            if node in self.heads:
-                self.membership[node] = node
-                continue
-            delta = head_pos - topo.positions[node][None, :]
-            dists = np.hypot(delta[:, 0], delta[:, 1])
-            self.membership[node] = self.heads[int(np.argmin(dists))]
+        nearest = np.hypot(
+            head_pos[:, 0] - cand_pos[:, 0, None],
+            head_pos[:, 1] - cand_pos[:, 1, None],
+        ).argmin(axis=1)
+        head_set = set(self.heads)
+        self.membership = {
+            node: node if node in head_set else self.heads[i]
+            for node, i in zip(candidates, nearest.tolist())
+        }
 
     def members_of(self, head: int) -> list[int]:
         """Member node ids assigned to ``head`` (the head itself excluded)."""

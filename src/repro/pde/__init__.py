@@ -11,22 +11,24 @@ runs for the *Complex* query class:
 
 * :mod:`~repro.pde.grid` -- rectangular computation grids.
 * :mod:`~repro.pde.interpolate` -- scattering sparse sensor readings onto
-  grid points (inverse-distance weighting).
+  grid points (inverse-distance weighting), and anchoring them as a steady
+  solve's Dirichlet data.
 * :mod:`~repro.pde.heat` -- steady-state and transient heat equation via
-  sparse 5-point-stencil linear systems (scipy.sparse), plus the
-  operation-count model the partitioner's estimators use.
+  sparse 5-point-stencil linear systems (scipy.sparse; one interior LU
+  factor per steady solver), plus the operation-count model the
+  partitioner's estimators use.
 """
 
 from repro.pde.grid import RectGrid
-from repro.pde.interpolate import idw_interpolate, readings_to_grid
+from repro.pde.interpolate import anchor_readings, idw_interpolate
 from repro.pde.heat import HeatSolver, solve_ops_estimate
 from repro.pde.grid3d import BoxGrid
 from repro.pde.heat3d import HeatSolver3D, solve3d_ops_estimate
 
 __all__ = [
     "RectGrid",
+    "anchor_readings",
     "idw_interpolate",
-    "readings_to_grid",
     "HeatSolver",
     "solve_ops_estimate",
     "BoxGrid",

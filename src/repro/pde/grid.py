@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -23,8 +25,8 @@ class RectGrid:
     def __init__(self, nx: int, ny: int, width: float, height: float) -> None:
         if nx < 2 or ny < 2:
             raise ValueError("grid needs at least 2 points per axis")
-        if width <= 0 or height <= 0:
-            raise ValueError("physical extent must be positive")
+        if not (0.0 < width < math.inf and 0.0 < height < math.inf):
+            raise ValueError("physical extent must be positive and finite")
         self.nx = int(nx)
         self.ny = int(ny)
         self.width = float(width)

@@ -4,6 +4,8 @@
 and irregular; the PDE grid is dense and regular.  We use inverse-distance
 weighting (Shepard's method), the standard robust choice for scattered
 environmental data, fully vectorized over grid points.
+:func:`anchor_readings` turns readings into the Dirichlet data of a
+steady solve, which needs IDW values on the grid boundary only.
 """
 
 from __future__ import annotations
@@ -57,15 +59,25 @@ def idw_interpolate(
     return (weights @ values) / weights.sum(axis=1)
 
 
-def readings_to_grid(
+def anchor_readings(
     grid: RectGrid,
     positions: np.ndarray,
     values: np.ndarray,
-    power: float = 2.0,
-) -> np.ndarray:
-    """Interpolate sensor readings onto every point of ``grid``.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dirichlet data for a steady solve from scattered sensor readings.
 
-    Returns an ``(nx, ny)`` field array.
+    The grid boundary takes the readings' IDW-interpolated values, and each
+    reading pins its nearest grid point to its own value (a later reading
+    on the same point wins, and a reading may pin a boundary point).
+    Returns ``(values, fixed_mask)`` for
+    :meth:`~repro.pde.heat.HeatSolver.solve_steady`; entries off the mask
+    are zero, because the solve never reads them.
     """
-    flat = idw_interpolate(positions, values, grid.points(), power=power)
-    return flat.reshape(grid.shape)
+    fixed = grid.boundary_mask()
+    field = np.zeros(grid.shape)
+    field[fixed] = idw_interpolate(positions, values, grid.points()[fixed.ravel()])
+    for pos, val in zip(positions, values):
+        i, j = grid.nearest_index(pos)
+        fixed[i, j] = True
+        field[i, j] = val
+    return field, fixed

@@ -40,7 +40,7 @@ from repro.grid.infrastructure import GridInfrastructure
 
 from repro.pde.grid import RectGrid
 from repro.pde.heat import HeatSolver
-from repro.pde.interpolate import readings_to_grid
+from repro.pde.interpolate import anchor_readings
 from repro.observability.tracer import NOOP_TRACER, STATUS_ERROR, STATUS_OK, Tracer
 from repro.queries.ast import Query
 from repro.queries.functions import compute_aggregate, is_aggregate
@@ -127,7 +127,8 @@ class QueryContext:
 
     def heat_solver(self) -> HeatSolver:
         """The DISTRIBUTION solver for the current grid resolution and
-        deployment area (its Laplacian is assembled once per solver)."""
+        deployment area (its Laplacian and interior factor are built once
+        per solver)."""
         key = (self.grid_resolution, self.deployment.area_m)
         solver = self._heat_solvers.get(key)
         if solver is None:
@@ -379,17 +380,10 @@ def solve_distribution(ctx: QueryContext, positions: np.ndarray, values: np.ndar
 
     Sensor readings become Dirichlet anchors at their nearest grid
     points; the domain boundary takes IDW-interpolated values so the
-    field honours the data everywhere.
+    field honours the data everywhere (:func:`anchor_readings`).
     """
     solver = ctx.heat_solver()
-    grid = solver.grid
-    interpolated = readings_to_grid(grid, positions, values)
-    fixed = grid.boundary_mask()
-    bvals = interpolated.copy()
-    for pos, val in zip(positions, values):
-        i, j = grid.nearest_index(pos)
-        fixed[i, j] = True
-        bvals[i, j] = val
+    bvals, fixed = anchor_readings(solver.grid, positions, values)
     return solver.solve_steady(bvals, fixed_mask=fixed)
 
 

@@ -9,6 +9,10 @@ ranking evaluates each candidate independently in plain Python -- so
 tests can assert the fast paths return *exactly* what these return.
 They read the ontology's edge maps and nothing else it computes.
 
+:func:`replay` materializes a log range into a fresh ``name ->
+description`` map with :func:`~repro.discovery.log.apply_event`, the
+deterministic rebuild a log of any shape must support.
+
 :class:`PlainRegistry` is the registry contract as one dict: what a
 :class:`~repro.discovery.replica.ReplicatedRegistry` of any shape must
 answer while at most R-1 of its replicas are down.  :class:`ShardFold`
@@ -199,6 +203,14 @@ def rank(matcher, request, candidates, top_k=None):
 # ----------------------------------------------------------------------
 # the registry
 # ----------------------------------------------------------------------
+def replay(log, after_seq=0, upto_seq=None):
+    """Fold the events with ``after_seq < seq <= upto_seq`` into a new map."""
+    state = {}
+    for event in log.events(after_seq, upto_seq):
+        apply_event(state, event)
+    return state
+
+
 class PlainRegistry:
     """One broker's advertisements in one ``name -> description`` dict.
 

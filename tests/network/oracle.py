@@ -10,6 +10,10 @@ blocked links, and answers routes with a plain lowest-id-first BFS.  It
 shares nothing with the grid hash except the ``np.hypot`` distance
 comparison, so agreement on every query is evidence that the index, the
 per-generation neighbor cache and the route cache are exact.
+
+:func:`leach_form` is one LEACH formation round as a per-node loop: the
+reference for :meth:`repro.network.routing.ClusterFormation.form`, which
+assigns every member at once from a members × heads distance table.
 """
 
 import collections
@@ -113,3 +117,26 @@ class DenseTopology:
             return True
         reached = self.bfs_tree(nodes[0])
         return all(n in reached for n in nodes)
+
+
+def leach_form(topology, sink, rng, head_fraction):
+    """``(heads, membership)`` of one round, each node's nearest head
+    found on its own; draws from ``rng`` exactly as the production round."""
+    candidates = [n for n in topology.alive_nodes() if n != sink]
+    if not candidates:
+        return [], {}
+    draws = rng.random(len(candidates))
+    heads = [n for n, d in zip(candidates, draws) if d < head_fraction]
+    if not heads:
+        heads = [candidates[int(rng.integers(len(candidates)))]]
+    heads = sorted(heads)
+    head_pos = topology.positions[heads]
+    membership = {}
+    for node in candidates:
+        if node in heads:
+            membership[node] = node
+            continue
+        delta = head_pos - topology.positions[node][None, :]
+        dists = np.hypot(delta[:, 0], delta[:, 1])
+        membership[node] = heads[int(np.argmin(dists))]
+    return heads, membership

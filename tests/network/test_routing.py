@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.network import RadioEnergyModel, RadioModel, Topology, grid_positions
 from repro.network.routing import AggregationTree, ClusterFormation, Flooding, Gossip
+from tests.network import oracle
 
 RADIO = RadioModel(bandwidth_bps=1e6, latency_s=0.01, range_m=12.0)
 EM = RadioEnergyModel()
@@ -223,3 +224,37 @@ class TestClusterFormation:
         cf = ClusterFormation(topo, sink=0, rng=np.random.default_rng(0))
         assert cf.heads == []
         assert cf.membership == {}
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=40),
+        st.sampled_from([1e-9, 0.05, 0.2, 0.5, 1.0]),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.lists(st.integers(min_value=0, max_value=39), max_size=12),
+    )
+    def test_matches_per_node_loop(self, n, frac, lattice, seed, kills):
+        """Vectorized assignment = the per-node loop (tests/network/oracle.py)
+        through random deaths: same heads, the same membership in the same
+        order with plain ints, and the same RNG state afterwards.  On a
+        4×4 lattice nodes share positions, so heads co-locate and argmin
+        ties; a near-zero fraction exercises the all-draws-miss fallback."""
+        rng = np.random.default_rng(seed)
+        if lattice:
+            positions = rng.integers(0, 4, size=(n, 2)) * 10.0
+        else:
+            positions = rng.uniform(0.0, 50.0, size=(n, 2))
+        topo = Topology(positions, range_m=15.0)
+        sink = int(rng.integers(n))
+        fast_rng, loop_rng = np.random.default_rng(seed + 1), np.random.default_rng(seed + 1)
+        cf = ClusterFormation(topo, sink=sink, rng=fast_rng, head_fraction=frac)
+        for round_ in range(len(kills) + 1):
+            if round_:
+                topo.kill(kills[round_ - 1] % n)
+                cf.form()
+            heads, membership = oracle.leach_form(topo, sink, loop_rng, frac)
+            assert cf.heads == heads
+            assert list(cf.membership.items()) == list(membership.items())
+            assert all(type(node) is int and type(head) is int
+                       for node, head in cf.membership.items())
+            assert fast_rng.bit_generator.state == loop_rng.bit_generator.state

@@ -1,10 +1,15 @@
 """Unit tests for grids, interpolation and heat solvers."""
 
+import math
+import types
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from repro.pde import HeatSolver, RectGrid, idw_interpolate, readings_to_grid, solve_ops_estimate
+from repro.pde import HeatSolver, RectGrid, anchor_readings, idw_interpolate, solve_ops_estimate
+from repro.queries.models.base import solve_distribution
+from tests.pde import oracle
 
 
 class TestRectGrid:
@@ -46,6 +51,12 @@ class TestRectGrid:
             RectGrid(1, 5, 1.0, 1.0)
         with pytest.raises(ValueError):
             RectGrid(5, 5, 0.0, 1.0)
+        # a NaN extent made dx NaN; an infinite one put every point in row 0
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                RectGrid(5, 5, bad, 1.0)
+            with pytest.raises(ValueError, match="finite"):
+                RectGrid(5, 5, 1.0, bad)
 
 
 class TestIDW:
@@ -75,12 +86,21 @@ class TestIDW:
         with pytest.raises(ValueError):
             idw_interpolate(np.zeros((2, 2)), np.zeros(3), np.zeros((1, 2)))
 
-    def test_readings_to_grid_shape(self):
+    def test_anchor_readings(self):
         g = RectGrid(6, 7, 10.0, 10.0)
-        pts = np.array([[2.0, 2.0], [8.0, 8.0]])
-        field = readings_to_grid(g, pts, np.array([10.0, 30.0]))
-        assert field.shape == (6, 7)
-        assert 10.0 - 1e-9 <= field.mean() <= 30.0 + 1e-9
+        pts = np.array([[2.0, 2.0], [8.0, 8.0], [10.0, 5.0], [2.1, 1.9]])
+        field, fixed = anchor_readings(g, pts, np.array([10.0, 30.0, 25.0, 12.0]))
+        assert field.shape == fixed.shape == (6, 7)
+        # the boundary plus one point per distinct nearest cell
+        assert (fixed[g.boundary_mask()]).all()
+        assert fixed[1, 1] and fixed[4, 5] and fixed[5, 3]
+        assert int(fixed[g.interior_mask()].sum()) == 2
+        # the later of two readings on one cell wins; a reading pins a
+        # boundary point over its interpolated value
+        assert field[1, 1] == 12.0 and field[4, 5] == 30.0 and field[5, 3] == 25.0
+        edge = field[g.boundary_mask()]
+        assert (edge >= 10.0 - 1e-9).all() and (edge <= 30.0 + 1e-9).all()
+        assert (field[~fixed] == 0.0).all()
 
 
 class TestHeatSolver:
@@ -160,6 +180,12 @@ class TestHeatSolver:
             solver.solve_steady(np.zeros(g.shape), fixed_mask=np.zeros(g.shape, dtype=bool))
         with pytest.raises(ValueError):
             solver.step_transient(np.zeros(g.shape), dt=0.0)
+        # non-finite inputs used to yield NaN fields instead of an error
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match="finite"):
+                HeatSolver(g, conductivity=bad)
+            with pytest.raises(ValueError, match="finite"):
+                solver.step_transient(np.zeros(g.shape), dt=bad)
 
     def test_ops_estimate_grows_superlinearly(self):
         small = RectGrid(10, 10, 1.0, 1.0)
@@ -184,3 +210,86 @@ class TestHeatSolver:
         field = HeatSolver(g).solve_steady(bvals)
         assert field.min() >= vals.min() - 1e-8
         assert field.max() <= vals.max() + 1e-8
+
+
+def assert_matches_oracle(field, reference):
+    """Equal to rounding: 1e-10 relative to the reference field's scale."""
+    scale = float(np.abs(reference).max())
+    np.testing.assert_allclose(field, reference, rtol=1e-10, atol=1e-10 * scale)
+
+
+#: grids from 2×2 up to 12×12, square or not, with unequal spacings
+grids = st.builds(
+    RectGrid,
+    st.integers(min_value=2, max_value=12),
+    st.integers(min_value=2, max_value=12),
+    st.floats(min_value=0.5, max_value=80.0),
+    st.floats(min_value=0.5, max_value=80.0),
+)
+
+
+def anchored_mask(grid, rng, n_anchors):
+    """The grid boundary plus ``n_anchors`` random interior points (every
+    interior point once ``n_anchors`` reaches their count)."""
+    fixed = grid.boundary_mask()
+    interior = np.flatnonzero(~fixed.ravel())
+    picked = rng.choice(interior, min(n_anchors, len(interior)), replace=False)
+    fixed.ravel()[picked] = True
+    return fixed
+
+
+class TestMatchesPerMaskOracle:
+    """The shared factor with anchors as a low-rank correction, and the
+    boundary-only interpolation, agree with slicing and solving each
+    mask's free block (:mod:`tests.pde.oracle`)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        grids,
+        st.floats(min_value=0.05, max_value=20.0),
+        st.integers(min_value=0, max_value=40),
+        st.booleans(),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @example(RectGrid(2, 7, 3.0, 11.0), 1.0, 5, True, 0)  # no interior at all
+    @example(RectGrid(6, 5, 2.0, 9.0), 2.5, 40, True, 1)  # every interior point pinned
+    def test_solve_steady(self, grid, conductivity, n_anchors, with_source, seed):
+        rng = np.random.default_rng(seed)
+        fixed = anchored_mask(grid, rng, n_anchors)
+        bvals = rng.uniform(-20.0, 80.0, size=grid.shape)
+        source = rng.normal(0.0, 50.0, size=grid.shape) if with_source else None
+        solver = HeatSolver(grid, conductivity=conductivity)
+        field = solver.solve_steady(bvals, source=source, fixed_mask=fixed)
+        # a second mask on the same solver reuses its one factor
+        again = anchored_mask(grid, rng, n_anchors // 2)
+        field2 = solver.solve_steady(bvals, source=source, fixed_mask=again)
+        assert_matches_oracle(field, oracle.solve_steady(solver, bvals, source, fixed))
+        assert_matches_oracle(field2, oracle.solve_steady(solver, bvals, source, again))
+        assert (field[fixed] == bvals[fixed]).all()
+
+    @settings(max_examples=40, deadline=None)
+    @given(grids, st.integers(min_value=1, max_value=30),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_solve_distribution(self, grid, n_readings, seed):
+        rng = np.random.default_rng(seed)
+        # readings inside the extent and a few past it (clamped to the edge)
+        extent = np.array([grid.width, grid.height])
+        positions = rng.uniform(-0.1, 1.1, size=(n_readings, 2)) * extent
+        values = rng.uniform(-20.0, 80.0, size=n_readings)
+        solver = HeatSolver(grid)
+        ctx = types.SimpleNamespace(heat_solver=lambda: solver)
+        assert_matches_oracle(
+            solve_distribution(ctx, positions, values),
+            oracle.solve_distribution(solver, positions, values),
+        )
+
+    @settings(max_examples=30, deadline=None)
+    @given(grids, st.integers(min_value=0, max_value=40),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    def test_mask_missing_a_boundary_point_rejected(self, grid, n_anchors, seed):
+        rng = np.random.default_rng(seed)
+        fixed = anchored_mask(grid, rng, n_anchors)
+        boundary = np.flatnonzero(grid.boundary_mask().ravel())
+        fixed.ravel()[rng.choice(boundary)] = False
+        with pytest.raises(ValueError, match="boundary"):
+            HeatSolver(grid).solve_steady(np.zeros(grid.shape), fixed_mask=fixed)
