@@ -76,8 +76,18 @@ def anchor_readings(
     fixed = grid.boundary_mask()
     field = np.zeros(grid.shape)
     field[fixed] = idw_interpolate(positions, values, grid.points()[fixed.ravel()])
-    for pos, val in zip(positions, values):
-        i, j = grid.nearest_index(pos)
-        fixed[i, j] = True
-        field[i, j] = val
+    # every reading's nearest cell in one pass, as RectGrid.nearest_index
+    # computes it (np.rint rounds half to even, like round())
+    pts = np.asarray(positions, dtype=np.float64)
+    if np.isnan(pts).any():
+        raise ValueError("reading positions must not be NaN")
+    i = np.minimum(np.rint(np.clip(pts[:, 0], 0.0, grid.width) / grid.dx), grid.nx - 1)
+    j = np.minimum(np.rint(np.clip(pts[:, 1], 0.0, grid.height) / grid.dy), grid.ny - 1)
+    cells = i.astype(np.intp) * grid.ny + j.astype(np.intp)
+    # numpy leaves the winner of a repeated fancy-index store unspecified,
+    # so pick each cell's last reading first: unique over the reversed
+    # order returns each cell's first index there
+    cells, last = np.unique(cells[::-1], return_index=True)
+    fixed.ravel()[cells] = True
+    field.ravel()[cells] = np.asarray(values, dtype=np.float64)[::-1][last]
     return field, fixed

@@ -14,8 +14,11 @@ park on the queue when it is empty, and wake through scheduled events,
 so the whole fleet's behaviour is part of the deterministic event order.
 
 A compute task costs the pilot no closure: the pilot keeps its one
-task at the site in an attribute and hands the site its bound
-``_job_done``, which takes the task back with the job's result.
+task at the site and that task's :class:`~repro.grid.job.ComputeJob` in
+attributes, and hands the site its bound ``_job_done``, which takes both
+back with the job's result.  The pilot holds the job while it runs.  The
+task holds it only after a failure, so the checkpoint rides every
+requeue; a task whose job never failed keeps no job.
 """
 
 from __future__ import annotations
@@ -48,7 +51,8 @@ class PilotWorker:
     max_attempts:
         Compute tasks that fail at this site are requeued (centrally,
         preserving their submission stamp) until they have been tried
-        this many times in total; after that the failure is final.
+        this many times in total; after that the failure is final.  An
+        ``int`` of at least 1 (not a ``bool``).
     """
 
     def __init__(
@@ -60,18 +64,20 @@ class PilotWorker:
         breakers: "BreakerBoard | None" = None,
         max_attempts: int = 3,
     ) -> None:
-        if max_attempts < 1:
-            raise ValueError("max_attempts must be at least 1")
+        if (isinstance(max_attempts, bool) or not isinstance(max_attempts, int)
+                or max_attempts < 1):
+            raise ValueError(f"max_attempts must be an int >= 1, got {max_attempts!r}")
         self.sim = sim
         self.queue = queue
         self.resource = resource
         self.breakers = breakers
-        self.max_attempts = int(max_attempts)
+        self.max_attempts = max_attempts
         self.tasks_run = 0
         self.tasks_failed = 0
         self._started = False
         self._busy = False
         self._task: Task | None = None  # the compute task at the site
+        self._job: ComputeJob | None = None  # and its job
 
     @property
     def name(self) -> str:
@@ -108,22 +114,27 @@ class PilotWorker:
         if task.run is not None:
             task.run(lambda success, _t=task: self._finish(_t, success))
         else:
-            if task.job is None:
-                # created once and carried across requeues, so the
-                # checkpoint survives site failures
-                task.job = ComputeJob(task.ops, task.input_bits, task.output_bits,
-                                      None, task.name)
+            job = task.job  # set only if an earlier attempt failed
+            if job is None:
+                job = ComputeJob(task.ops, task.input_bits, task.output_bits,
+                                 None, task.name)
             self._task = task
-            self.resource.submit(task.job, self._job_done)
+            self._job = job
+            self.resource.submit(job, self._job_done)
 
     def _job_done(self, result: JobResult) -> None:
         task = self._task
-        self._task = None
-        if not result.success and task.attempts < self.max_attempts:
-            self._busy = False
-            self.queue.requeue(task)
-            self._pull()
-            return
+        job = self._job
+        self._task = self._job = None
+        if not result.success:
+            # the task carries the checkpointed job from here on, so a
+            # requeue only pays for the remaining work
+            task.job = job
+            if task.attempts < self.max_attempts:
+                self._busy = False
+                self.queue.requeue(task)
+                self._pull()
+                return
         self._finish(task, result.success)
 
     def _finish(self, task: Task, success: bool) -> None:

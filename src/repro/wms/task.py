@@ -54,7 +54,7 @@ DEFAULT_CLASSES = (
 )
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Task:
     """One unit of queued work.
 
@@ -80,10 +80,12 @@ class Task:
     input_bits / output_bits:
         Data shipped with a compute task (forwarded to the job).
     job:
-        The underlying :class:`~repro.grid.job.ComputeJob`, created
-        lazily by the first claiming pilot.  It rides along through
-        requeues so ``checkpoint_fraction`` survives site failures and a
-        re-submission only pays for the remaining work.
+        The :class:`~repro.grid.job.ComputeJob` of a compute task whose
+        job failed at a site, else ``None``.  A claiming pilot builds the
+        job and holds it while it runs; only a failure hands it to the
+        task, so ``checkpoint_fraction`` survives every requeue and a
+        re-submission only pays for the remaining work.  A task whose
+        job never failed holds no job, even once it is done.
     state / submitted_at / dispatched_at / finished_at / site / attempts:
         Lifecycle bookkeeping stamped by the queue service and pilots.
     """

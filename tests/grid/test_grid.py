@@ -1,6 +1,7 @@
 """Unit tests for the wired-grid substrate."""
 
 import math
+import types
 
 import pytest
 
@@ -119,13 +120,16 @@ class TestGridResource:
         with pytest.raises(ValueError):
             GridResource(Simulator(), "s", 0.0)
 
-    def test_utilization(self):
+    def test_submit_builds_no_closure(self):
+        """Completions are slotted records, so a submission allocates no
+        function or cells (tests/grid/oracle.py keeps the closure form)."""
+        assert GridResource.submit.__code__.co_cellvars == ()
         sim = Simulator()
         r = GridResource(sim, "s", 100.0)
         r.submit(ComputeJob(ops=500.0))
-        sim.run()
-        assert r.utilization(10.0) == pytest.approx(0.5)
-        assert r.utilization(0.0) == 0.0
+        completion = sim._events.peek().callback
+        assert not isinstance(completion, types.FunctionType)
+        assert not hasattr(completion, "__dict__")
 
 
 class TestGridScheduler:

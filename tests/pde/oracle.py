@@ -9,7 +9,9 @@ mask and hands them to ``scipy.sparse.linalg.spsolve``, and the readings
 are interpolated onto every grid point before the anchors overwrite
 theirs.  They read the solver's grid, conductivity and assembled
 operator and nothing else it computes, so tests can assert the fast
-paths agree with them to rounding.
+paths agree with them to rounding.  :func:`anchor_readings` pins the
+readings one at a time through ``RectGrid.nearest_index``, the loop the
+production function replaced with one array pass.
 """
 
 from __future__ import annotations
@@ -48,3 +50,15 @@ def solve_distribution(solver, positions, values):
         fixed[i, j] = True
         bvals[i, j] = val
     return solve_steady(solver, bvals, fixed_mask=fixed)
+
+
+def anchor_readings(grid, positions, values):
+    """Boundary IDW, then each reading pins its nearest cell in turn."""
+    fixed = grid.boundary_mask()
+    field = np.zeros(grid.shape)
+    field[fixed] = idw_interpolate(positions, values, grid.points()[fixed.ravel()])
+    for pos, val in zip(positions, values):
+        i, j = grid.nearest_index(pos)
+        fixed[i, j] = True
+        field[i, j] = val
+    return field, fixed

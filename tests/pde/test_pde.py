@@ -228,6 +228,18 @@ grids = st.builds(
 )
 
 
+def reading_axis(n, step):
+    """Reading coordinates along one axis: on grid nodes (so cells
+    repeat), half-way between nodes, anywhere from two cells before the
+    axis to two past it, and at either infinity."""
+    cells = st.one_of(
+        st.integers(min_value=-2, max_value=n + 1).map(float),
+        st.integers(min_value=-2, max_value=n + 1).map(lambda k: k + 0.5),
+        st.floats(min_value=-2.0, max_value=n + 1.0),
+    )
+    return cells.map(lambda u: u * step) | st.sampled_from((-math.inf, math.inf))
+
+
 def anchored_mask(grid, rng, n_anchors):
     """The grid boundary plus ``n_anchors`` random interior points (every
     interior point once ``n_anchors`` reaches their count)."""
@@ -282,6 +294,31 @@ class TestMatchesPerMaskOracle:
             solve_distribution(ctx, positions, values),
             oracle.solve_distribution(solver, positions, values),
         )
+
+    @settings(max_examples=80, deadline=None)
+    @given(grids, st.data())
+    def test_anchor_readings_match_per_reading_loop(self, grid, data):
+        """Bit-identical to pinning the readings one at a time, with
+        repeated cells, half-way positions and positions off the grid."""
+        readings = data.draw(st.lists(
+            st.tuples(reading_axis(grid.nx, grid.dx), reading_axis(grid.ny, grid.dy),
+                      st.floats(min_value=-50.0, max_value=150.0)),
+            min_size=1, max_size=40))
+        positions = np.array([(x, y) for x, y, _ in readings])
+        values = np.array([v for _, _, v in readings])
+        with np.errstate(all="ignore"):  # readings all at infinity: IDW gives NaN
+            field, fixed = anchor_readings(grid, positions, values)
+            ref_field, ref_fixed = oracle.anchor_readings(grid, positions, values)
+        np.testing.assert_array_equal(fixed, ref_fixed)
+        np.testing.assert_array_equal(field, ref_field)
+
+    @pytest.mark.parametrize("position", [(math.nan, 1.0), (1.0, math.nan)])
+    def test_anchor_readings_nan_position_rejected(self, position):
+        grid = RectGrid(5, 5, 4.0, 4.0)
+        positions = np.array([(1.0, 1.0), position])
+        for anchor in (anchor_readings, oracle.anchor_readings):
+            with pytest.raises(ValueError), np.errstate(all="ignore"):
+                anchor(grid, positions, np.array([1.0, 2.0]))
 
     @settings(max_examples=30, deadline=None)
     @given(grids, st.integers(min_value=0, max_value=40),

@@ -1,6 +1,10 @@
 """Tests for the workload-management service: queues, matching, pilots."""
 
+import copy
+import dataclasses
+import gc
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -56,6 +60,23 @@ class TestTaskAndClasses:
     def test_task_ids_are_unique(self):
         a, b = Task(ops=1.0), Task(ops=1.0)
         assert a.task_id != b.task_id
+
+    def test_task_is_slotted(self):
+        t = Task(ops=1.0)
+        assert not hasattr(t, "__dict__")
+        with pytest.raises(AttributeError):
+            t.priority = "bulk"  # a misspelt field fails instead of sticking
+
+    def test_task_copies_with_equal_fields(self):
+        t = Task(ops=2.5e6, priority_class="bulk", owner="h7", name="t",
+                 requirements=TaskRequirements(min_ops_rate=1e6), input_bits=8.0,
+                 output_bits=16.0, job=ComputeJob(2.5e6, checkpoint_fraction=0.25),
+                 state="done", submitted_at=1.0, dispatched_at=1.5, finished_at=3.0,
+                 site="s0", attempts=2)
+        names = [f.name for f in dataclasses.fields(Task)]
+        for twin in (copy.copy(t), dataclasses.replace(t), pickle.loads(pickle.dumps(t))):
+            assert twin is not t and twin == t
+            assert [getattr(twin, n) for n in names] == [getattr(t, n) for n in names]
 
     def test_default_catalog_shape(self):
         names = [c.name for c in DEFAULT_CLASSES]
@@ -440,6 +461,19 @@ class TestPilots:
         with pytest.raises(ValueError):
             PilotWorker(sim, q, site, max_attempts=0)
 
+    @pytest.mark.parametrize("bad", [0, -2, 2.9, 2.0, True, False, math.inf,
+                                     math.nan, "3", None])
+    def test_max_attempts_must_be_a_positive_int(self, bad):
+        """Not truncated (2.9 was 2 attempts), read as a count (True was
+        1), or left to overflow (inf raised OverflowError)."""
+        sim = Simulator()
+        site = GridResource(sim, "site0", 1e6)
+        with pytest.raises(ValueError, match="max_attempts"):
+            PilotWorker(sim, TaskQueueService(sim), site, max_attempts=bad)
+        with pytest.raises(ValueError, match="max_attempts"):
+            WorkloadManager(sim, [site], max_attempts=bad)
+        assert WorkloadManager(sim, [site], max_attempts=1).pilots[0].max_attempts == 1
+
 
 class TestWorkloadManager:
     def test_needs_at_least_one_site(self):
@@ -482,6 +516,25 @@ class TestWorkloadManager:
         c = rt.monitor.counters()
         assert c["wms.tasks_completed"] == 1.0
 
+    def test_tasks_hold_a_job_only_after_it_failed(self):
+        """The pilot holds a job while it runs; only a failure leaves it
+        on the task, for its checkpoint."""
+        sim = Simulator()
+        sites = [GridResource(sim, f"s{i}", 1e6 * (i + 1), fail_prob=0.3,
+                              rng=np.random.default_rng(i)) for i in range(4)]
+        wm = WorkloadManager(sim, sites, max_attempts=2)
+        tasks = [wm.submit_compute(1e6, owner=f"u{i % 3}") for i in range(60)]
+        sim.run()
+        assert all(t.state in ("done", "failed") for t in tasks)
+        failed_once = [t.attempts > 1 or t.state == "failed" for t in tasks]
+        assert 0 < sum(failed_once) < len(tasks)
+        for t, failed in zip(tasks, failed_once):
+            if failed:
+                assert t.job is not None and t.job.checkpoint_fraction > 0.0
+            else:
+                assert t.job is None
+        assert all(p._task is None and p._job is None for p in wm.pilots)
+
     def test_deterministic_across_identical_runs(self):
         def world():
             sim = Simulator()
@@ -496,6 +549,47 @@ class TestWorkloadManager:
             return monitor.summary(), wm.stats(), sim.now
 
         assert world() == world()
+
+
+class TestCollectorIndependence:
+    """Nothing a WMS run computes depends on when the cyclic garbage
+    collector runs."""
+
+    @staticmethod
+    def world():
+        sim = Simulator()
+        monitor = Monitor()
+        sites = [GridResource(sim, f"s{i}", 1e6 * (1 + i % 5),
+                              fail_prob=0.2 if i % 3 == 0 else 0.0,
+                              rng=np.random.default_rng(i)) for i in range(24)]
+        wm = WorkloadManager(sim, sites, monitor=monitor, max_attempts=2)
+        rng = np.random.default_rng(7)
+
+        def batch(n):
+            wm.submit_bulk([Task(ops=float(rng.uniform(5e5, 1.5e6)),
+                                 priority_class=DEFAULT_CLASSES[i % 3].name,
+                                 owner=f"h{i % 25}") for i in range(n)])
+
+        batch(240)
+        for k in range(6):
+            sim.schedule(1.0 + 0.5 * k, lambda: batch(20), label="test.batch")
+        sim.run()
+        return wm.queue.class_stats(), monitor.summary(), sim.now
+
+    def test_same_results_with_the_collector_off_or_eager(self):
+        thresholds, enabled = gc.get_threshold(), gc.isenabled()
+        try:
+            gc.disable()
+            off = self.world()
+            gc.enable()
+            gc.set_threshold(1)
+            before = gc.get_stats()[0]["collections"]
+            eager = self.world()
+            assert gc.get_stats()[0]["collections"] > before
+        finally:
+            gc.set_threshold(*thresholds)
+            (gc.enable if enabled else gc.disable)()
+        assert off == eager
 
 
 class TestWmsSlos:
