@@ -37,7 +37,7 @@ expressiveness gap is measurable (experiment E5):
 from repro.discovery.ontology import Ontology, build_service_ontology
 from repro.discovery.constraints import Constraint, Preference
 from repro.discovery.description import ServiceDescription, ServiceRequest
-from repro.discovery.log import EventLog, RegistryEvent, apply_event
+from repro.discovery.log import EventLog, RegistryEvent
 from repro.discovery.matcher import MatchDegree, MatchResult, SemanticMatcher
 from repro.discovery.shard import ShardMap, stable_hash
 from repro.discovery.replica import ReplicaRegistry, ReplicatedRegistry
@@ -54,7 +54,6 @@ __all__ = [
     "ServiceRequest",
     "EventLog",
     "RegistryEvent",
-    "apply_event",
     "MatchDegree",
     "MatchResult",
     "SemanticMatcher",

@@ -5,11 +5,12 @@ scenario" (§3) -- and neither is a single in-memory dict.  Every mutation
 of the service directory is an immutable :class:`RegistryEvent` appended
 to an :class:`EventLog` with a monotonic sequence number; registries,
 shard replicas and standby brokers are all *materializations* of a log
-prefix.  Because :func:`apply_event` is a pure function of
-``(state, event)``, any consumer replaying the same prefix reconstructs
-byte-identical state -- the property the E13-D crash-storm benchmark
-asserts, and the reason a broker crash can never lose advertisements
-that reached the log.
+prefix.  Every registry folds events into its one
+:class:`~repro.discovery.matcher.ServiceTable`, and the fold is a pure
+function of ``(state, event)``, so any consumer replaying the same prefix
+reconstructs byte-identical state -- the property the E13-D crash-storm
+benchmark asserts, and the reason a broker crash can never lose
+advertisements that reached the log.
 """
 
 from __future__ import annotations
@@ -67,35 +68,6 @@ class RegistryEvent:
         """The ontology class the event concerns (None for withdrawals,
         whose shard owner is whoever currently holds the name)."""
         return self.service.category if self.service is not None else None
-
-
-def apply_event(state: dict[str, ServiceDescription], event: RegistryEvent,
-                *, accept: typing.Callable[[ServiceDescription], bool] | None = None,
-                ) -> int:
-    """Apply one event to a ``name -> description`` map, in place.
-
-    ``accept`` filters *advertisements only* (a shard's own fold keeps a
-    subset of categories): a rejected advertisement drops the name,
-    because a refresh under a new category moves the service off this
-    state.
-    Withdrawals always apply, so a replica never keeps a name the log has
-    withdrawn.  Returns the number of descriptions withdrawn (0 for
-    advertisements), letting callers count withdrawals.
-    """
-    if event.kind in ("advertise", "refresh"):
-        service = event.service
-        if accept is None or accept(service):
-            state[service.name] = service
-        elif service.name in state:
-            del state[service.name]
-        return 0
-    if event.kind == "withdraw":
-        return 1 if state.pop(event.service_name, None) is not None else 0
-    # withdraw-host
-    doomed = [n for n, s in state.items() if s.host_node == event.host_node]
-    for name in doomed:
-        del state[name]
-    return len(doomed)
 
 
 class EventLog:

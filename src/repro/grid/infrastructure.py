@@ -1,4 +1,5 @@
-"""The grid façade: sites + scheduler + uplink in one object."""
+"""The grid façade: sites, minimum-completion-time placement and the uplink
+in one object."""
 
 from __future__ import annotations
 
@@ -9,7 +10,6 @@ from repro.observability.tracer import NOOP_SPAN, NOOP_TRACER, STATUS_ERROR, Tra
 from repro.simkernel import Monitor, Simulator
 from repro.grid.job import ComputeJob, JobResult
 from repro.grid.resource import GridResource
-from repro.grid.scheduler import GridScheduler
 from repro.grid.uplink import Uplink
 
 
@@ -23,7 +23,7 @@ class GridInfrastructure:
     site_rates:
         ops/second of each compute site (default: one workstation-class
         and one supercomputer-class site, the paper's "from the ASCI
-        terraflop machines to workstations" span).
+        terraflop machines to workstations" span); at least one.
     uplink:
         WAN link from the base station (default 10 Mb/s, 50 ms).
 
@@ -32,6 +32,12 @@ class GridInfrastructure:
     caller's callback.  :meth:`estimate_offload_time` predicts the same
     pipeline without executing it -- the Decision Maker compares this
     estimate against in-network execution.
+
+    The best site is the one with the earliest predicted finish (queue
+    wait + service time), the MCT (minimum completion time) heuristic of
+    the paper's era's grid metaschedulers; ties go to the earlier site.
+    Each job gets one attempt: cross-site retry from a checkpoint is the
+    WMS pilot's requeue (:class:`~repro.wms.pilot.PilotWorker`).
     """
 
     def __init__(
@@ -47,18 +53,19 @@ class GridInfrastructure:
             GridResource(sim, name=f"site{i}", ops_per_second=rate)
             for i, rate in enumerate(site_rates)
         ]
-        self.scheduler = GridScheduler(self.resources)
+        if not self.resources:
+            raise ValueError("the grid needs at least one site")
         self.uplink = uplink or Uplink(sim)
         self.monitor = monitor
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.set_instrumentation(self.monitor, self.tracer)
 
     def set_instrumentation(self, monitor: Monitor | None, tracer: Tracer | None) -> None:
-        """Point the whole grid (sites, scheduler, uplink) at one
-        monitor/tracer pair; either may be None/no-op."""
+        """Point the whole grid (sites, uplink) at one monitor/tracer
+        pair; either may be None/no-op."""
         self.monitor = monitor
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        for part in (self.scheduler, self.uplink, *self.resources):
+        for part in (self.uplink, *self.resources):
             part.monitor = monitor
             part.tracer = self.tracer
 
@@ -77,7 +84,7 @@ class GridInfrastructure:
         if not self.uplink.online:
             return math.inf
         upload = self.uplink.transfer_time(job.input_bits)
-        compute = self.scheduler.estimate_turnaround(job)
+        compute = min(r.estimate_turnaround(job) for r in self.resources)
         download = self.uplink.transfer_time(job.output_bits)
         return upload + compute + download
 
@@ -86,16 +93,15 @@ class GridInfrastructure:
         job: ComputeJob,
         on_complete: typing.Callable[[JobResult], None] | None = None,
         on_failure: typing.Callable[[str], None] | None = None,
-        max_attempts: int = 1,
     ) -> None:
         """Run ``job`` on the grid: upload, execute, download, callback.
 
-        Failures (uplink offline at either transfer leg, or the job
-        failing on-site with attempts exhausted) invoke ``on_failure``
-        with a reason tag; without an ``on_failure`` the uplink's
-        ``RuntimeError`` propagates as before.  ``max_attempts`` enables
-        checkpointed re-submission across sites (see
-        :meth:`GridScheduler.submit`).
+        The job runs once, on the site with the earliest predicted
+        finish when its upload lands.  Failures (uplink offline at
+        either transfer leg, or the job failing on-site) invoke
+        ``on_failure`` with a reason tag; without an ``on_failure`` the
+        uplink's ``RuntimeError`` propagates, and a failed
+        :class:`JobResult` reaches ``on_complete``.
         """
 
         tracer = self.tracer
@@ -144,12 +150,19 @@ class GridInfrastructure:
                 # site selection is the grid's wall-clock cost; frame it so
                 # the flamegraph separates scheduling from event dispatch
                 with profiler.frame("grid.schedule", "grid"):
-                    self.scheduler.submit(job, after_compute, max_attempts=max_attempts)
+                    self._dispatch(job, after_compute)
             else:
-                self.scheduler.submit(job, after_compute, max_attempts=max_attempts)
+                self._dispatch(job, after_compute)
 
         leg(job.input_bits, after_upload)
 
-    def fastest_rate(self) -> float:
-        """ops/second of the fastest site (used by cost estimators)."""
-        return max(r.ops_per_second for r in self.resources)
+    def _dispatch(self, job: ComputeJob,
+                  on_complete: typing.Callable[[JobResult], None]) -> None:
+        """Submit ``job`` to the site with the earliest predicted finish."""
+        site = min(self.resources, key=lambda r: r.estimate_turnaround(job))
+        if self.tracer.enabled:
+            self.tracer.event("grid.dispatch", job_id=job.job_id, site=site.name,
+                              attempt=1)
+        site.submit(job, on_complete)
+        if self.monitor is not None:
+            self.monitor.counter("grid.jobs_dispatched").add()

@@ -41,7 +41,7 @@ class GridResource:
         runs for a uniform fraction of its service time, durably
         checkpoints the work done (advancing ``job.checkpoint_fraction``)
         and reports ``JobResult(success=False, error="site-failure")`` --
-        the scheduler's re-submission path picks it up from there.
+        a WMS pilot requeues the task from there, checkpoint and all.
     rng:
         Failure-draw generator; required when ``fail_prob > 0`` (draw it
         from a named stream so failures are reproducible).

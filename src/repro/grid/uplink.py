@@ -107,13 +107,6 @@ class Uplink:
         except ValueError:
             pass
 
-    def when_online(self, callback: typing.Callable[[], None]) -> None:
-        """Run ``callback`` now if online, else once at the next recovery."""
-        if self._online:
-            callback()
-        else:
-            self._deferred.append(callback)
-
     # ------------------------------------------------------------------
     # transfers
     # ------------------------------------------------------------------
@@ -122,18 +115,6 @@ class Uplink:
         if bits < 0:
             raise ValueError("bits must be non-negative")
         return bits / self.bandwidth_bps + self.latency_s
-
-    def estimate_completion(self, bits: float) -> float:
-        """Finish time if a transfer of ``bits`` were submitted now.
-
-        Returns ``math.inf`` during an outage: an offline uplink has no
-        finite completion time, so planners comparing estimates will
-        never choose grid offload while the backhaul is down.
-        """
-        if not self._online:
-            return math.inf
-        start = max(self._free_at, self.sim.now)
-        return start + self.transfer_time(bits)
 
     def transfer(self, bits: float, on_complete: typing.Callable[[], None] | None = None) -> float:
         """Start a transfer; returns its finish time.

@@ -265,20 +265,3 @@ class BatteryBank:
         frac = np.where(self.capacity == np.inf, 1.0, frac)
         frac = np.where(self.capacity == 0.0, 0.0, frac)
         return frac
-
-    def draw_many(self, node_ids: np.ndarray, joules: float) -> np.ndarray:
-        """Charge the same ``joules`` to every listed node, vectorized.
-
-        Equivalent to calling ``battery(i).draw(joules)`` for each listed
-        node (each id must appear at most once per call); returns the
-        per-node alive flags in the same order.
-        """
-        if joules < 0:
-            raise ValueError("cannot draw negative energy")
-        ids = np.asarray(node_ids, dtype=np.intp)
-        remaining = self._remaining[ids]
-        taken = np.minimum(joules, remaining)
-        self.consumed[ids] += taken
-        self._remaining[ids] = remaining - taken
-        self.draws[ids] += 1
-        return self._remaining[ids] > 0.0

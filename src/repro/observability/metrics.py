@@ -92,7 +92,6 @@ CONVENTIONS: dict[str, MetricSpec] = _catalog([
     MetricSpec("queries.latency", "histogram", "s", "per-epoch turnaround"),
     # grid
     MetricSpec("grid.jobs_dispatched", "counter", "1", "jobs dispatched to a site"),
-    MetricSpec("grid.jobs_resubmitted", "counter", "1", "checkpointed re-submissions"),
     MetricSpec("grid.uplink_transfers", "counter", "1", "WAN transfers started"),
     MetricSpec("grid.uplink_deferred", "counter", "1", "transfers queued through an outage"),
     MetricSpec("grid.queue_wait", "histogram", "s", "job queue waits"),

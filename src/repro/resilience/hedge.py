@@ -1,20 +1,17 @@
 """Hedged requests: duplicate slow work to a backup, take the first answer.
 
 The tail-tolerance trick from "The Tail at Scale": if the primary
-request has not answered within a latency budget (typically a high
-percentile of observed latencies), launch the same request against a
-second provider and accept whichever finishes first.  Losers are simply
-ignored -- in this callback-style codebase that means their completions
-hit a guard and drop.
+request has not answered within a latency budget, launch the same
+request against a second provider and accept whichever finishes first.
+Losers are simply ignored -- in this callback-style codebase that means
+their completions hit a guard and drop.  :class:`Hedge` is the policy;
+the composers' discovery hedge waves (:mod:`repro.composition.reactive`)
+run it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import typing
-
-from repro.observability.tracer import NOOP_TRACER, Tracer
-from repro.simkernel import Simulator, TimeSeries
 
 
 @dataclasses.dataclass(frozen=True)
@@ -38,74 +35,3 @@ class Hedge:
             raise ValueError("delay_s must be positive")
         if self.max_hedges < 1:
             raise ValueError("max_hedges must be >= 1")
-
-    @classmethod
-    def from_percentile(cls, series: TimeSeries, pct: float = 95.0,
-                        floor_s: float = 0.1, max_hedges: int = 1) -> "Hedge":
-        """Build a policy whose delay is a percentile of observed
-        latencies (the canonical choice); ``floor_s`` guards empty or
-        degenerate series."""
-        delay = max(series.percentile(pct), floor_s) if len(series) else floor_s
-        return cls(delay_s=delay, max_hedges=max_hedges)
-
-
-class HedgedCall:
-    """One hedged invocation: first result wins, stragglers are dropped.
-
-    Parameters
-    ----------
-    sim:
-        Shared simulator (drives the hedge timer).
-    hedge:
-        The policy (delay and backup count).
-    launch:
-        ``launch(wave, done)`` starts request wave ``wave`` (0 = primary)
-        and must eventually call ``done(result)``; waves after the first
-        are only started if the earlier ones have not completed.  A
-        launch may decline (no backup available) by simply not calling
-        ``done``.
-    on_complete:
-        Called exactly once, with the first result delivered.
-    tracer:
-        Span/event sink; hedge waves after the primary emit a
-        ``resilience.hedge`` event.
-    """
-
-    def __init__(
-        self,
-        sim: Simulator,
-        hedge: Hedge,
-        launch: typing.Callable[[int, typing.Callable[[typing.Any], None]], None],
-        on_complete: typing.Callable[[typing.Any], None],
-        tracer: Tracer | None = None,
-    ) -> None:
-        self.sim = sim
-        self.hedge = hedge
-        self._launch = launch
-        self._on_complete = on_complete
-        self.done = False
-        self.waves = 0
-        self.won_by: int | None = None
-        self.tracer = tracer if tracer is not None else NOOP_TRACER
-
-    def start(self) -> None:
-        """Fire the primary request and arm the hedge timer."""
-        self._fire(0)
-
-    def _fire(self, wave: int) -> None:
-        if self.done:
-            return
-        self.waves = wave + 1
-        if wave > 0 and self.tracer.enabled:
-            self.tracer.event("resilience.hedge", kind="call", wave=wave)
-        self._launch(wave, lambda result, _w=wave: self._finish(_w, result))
-        if wave < self.hedge.max_hedges:
-            self.sim.schedule(self.hedge.delay_s, lambda: self._fire(wave + 1),
-                              label=f"hedge:{wave + 1}")
-
-    def _finish(self, wave: int, result: typing.Any) -> None:
-        if self.done:
-            return
-        self.done = True
-        self.won_by = wave
-        self._on_complete(result)

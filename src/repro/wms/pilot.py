@@ -12,6 +12,13 @@ cannot.
 Pilots are ordinary simulator actors: they start via a zero-delay event,
 park on the queue when it is empty, and wake through scheduled events,
 so the whole fleet's behaviour is part of the deterministic event order.
+A pilot whose claim refuses waiting work (the head's requirements reject
+its site, or its breaker is open) parks too, and passes its wake on to
+the longest-parked pilot (:meth:`~repro.wms.queues.TaskQueueService.pass_on`).
+
+Each pilot's requeue of a failed compute task is the grid's one retry
+loop: the task goes back to the central queue carrying its checkpointed
+job, so whichever site claims it next runs only the remaining work.
 
 A compute task costs the pilot no closure: the pilot keeps its one
 task at the site and that task's :class:`~repro.grid.job.ComputeJob` in
@@ -107,6 +114,11 @@ class PilotWorker:
             desc = describe(self.resource, self.breakers)
             if waiting:
                 task = queue.claim(desc)
+                if task is None:
+                    # this site refused the work: a pilot parked behind
+                    # this one may take it
+                    queue.pass_on(self._pull)
+                    return
         if task is None:
             queue.park(self._pull)
             return

@@ -13,8 +13,9 @@ at the current virtual clock instead of cashing in unbounded credit.
 
 Everything is deterministic: queues are FIFO, the class pick is
 ``min((tag, declaration order))``, parked pilots wake in parking order
-through ordinary simulator events, and no RNG or wall clock is ever
-consulted -- serial and sharded runs of the same workload are
+through ordinary simulator events (a pilot that refuses waiting work
+passes its wake on to the longest-parked one), and no RNG or wall clock
+is ever consulted -- serial and sharded runs of the same workload are
 bit-identical (the E15 determinism gate).
 
 Observability: ``wms.*`` counters/histograms/series on the attached
@@ -138,6 +139,7 @@ class TaskQueueService:
         self._vclock = 0.0  # virtual time of the last dispatch
         self._depth = 0  # waiting tasks over every class
         self._waiters: collections.deque[typing.Callable[[], None]] = collections.deque()
+        self._passes = 0  # refusal passes left since the last submit or requeue
         self._metrics = _Instruments(monitor) if monitor is not None else None
 
     # ------------------------------------------------------------------
@@ -327,12 +329,27 @@ class TaskQueueService:
         """
         self._waiters.append(wake)
 
+    def pass_on(self, wake: typing.Callable[[], None]) -> None:
+        """Park a pilot whose claim refused waiting work, and wake the
+        longest-parked pilot in its place.
+
+        Heads match per site, so a pilot parked behind the refusing one
+        may accept what it refused.  Each queue change (a submit or a
+        requeue) allows one pass per pilot then parked, so a round in
+        which every site refuses ends.
+        """
+        self._waiters.append(wake)
+        if self._passes:
+            self._passes -= 1
+            self.sim.schedule(0.0, self._waiters.popleft(), label="wms.wake")
+
     def _wake(self, n: int) -> None:
         woken = 0
         while self._waiters and woken < n:
             wake = self._waiters.popleft()
             self.sim.schedule(0.0, wake, label="wms.wake")
             woken += 1
+        self._passes = len(self._waiters)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         depths = {name: len(c.tasks) for name, c in self._classes.items()}

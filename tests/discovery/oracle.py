@@ -9,9 +9,11 @@ ranking evaluates each candidate independently in plain Python -- so
 tests can assert the fast paths return *exactly* what these return.
 They read the ontology's edge maps and nothing else it computes.
 
-:func:`replay` materializes a log range into a fresh ``name ->
-description`` map with :func:`~repro.discovery.log.apply_event`, the
-deterministic rebuild a log of any shape must support.
+:func:`apply_event` folds one log event into a ``name -> description``
+dict, the fold every production registry now does into its one
+:class:`~repro.discovery.matcher.ServiceTable`.  :func:`replay`
+materializes a log range into a fresh map with it, the deterministic
+rebuild a log of any shape must support.
 
 :class:`PlainRegistry` is the registry contract as one dict: what a
 :class:`~repro.discovery.replica.ReplicatedRegistry` of any shape must
@@ -25,7 +27,6 @@ from __future__ import annotations
 import collections
 import math
 
-from repro.discovery.log import apply_event
 from repro.discovery.matcher import _DEGREE_BASE, MatchDegree, MatchResult
 from repro.simkernel.monitor import Monitor
 
@@ -203,6 +204,32 @@ def rank(matcher, request, candidates, top_k=None):
 # ----------------------------------------------------------------------
 # the registry
 # ----------------------------------------------------------------------
+def apply_event(state, event, *, accept=None):
+    """Apply one event to a ``name -> description`` map, in place.
+
+    ``accept`` filters *advertisements only* (a shard's own fold keeps a
+    subset of categories): a rejected advertisement drops the name,
+    because a refresh under a new category moves the service off this
+    state.  Withdrawals always apply, so a replica never keeps a name
+    the log has withdrawn.  Returns the number of descriptions withdrawn
+    (0 for advertisements).
+    """
+    if event.kind in ("advertise", "refresh"):
+        service = event.service
+        if accept is None or accept(service):
+            state[service.name] = service
+        elif service.name in state:
+            del state[service.name]
+        return 0
+    if event.kind == "withdraw":
+        return 1 if state.pop(event.service_name, None) is not None else 0
+    # withdraw-host
+    doomed = [n for n, s in state.items() if s.host_node == event.host_node]
+    for name in doomed:
+        del state[name]
+    return len(doomed)
+
+
 def replay(log, after_seq=0, upto_seq=None):
     """Fold the events with ``after_seq < seq <= upto_seq`` into a new map."""
     state = {}

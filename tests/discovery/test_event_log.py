@@ -3,8 +3,9 @@
 import pytest
 
 from repro.discovery import ServiceDescription
-from repro.discovery.log import EventLog, RegistryEvent, apply_event
+from repro.discovery.log import EventLog, RegistryEvent
 from tests.discovery import oracle
+from tests.discovery.oracle import apply_event
 
 
 def svc(name, category="PrinterService", host=None):

@@ -146,7 +146,8 @@ class TestUplinkOutageFault:
         injector.schedule(UplinkOutage(at_s=1.0, duration_s=3.0))
         sim.run(until=2.0)
         assert not uplink.online
-        assert uplink.estimate_completion(1e6) == math.inf
+        with pytest.raises(RuntimeError, match="offline"):
+            uplink.transfer(1e6)
         sim.run(until=5.0)
         assert uplink.online
         assert uplink.outages == 1

@@ -1,4 +1,4 @@
-"""Reference grid site: job completions as closures.
+"""Reference grid forms: job completions as closures, placement by scan.
 
 :class:`~repro.grid.resource.GridResource` schedules one slotted
 completion record per job.  :class:`ReferenceResource` is the form that
@@ -7,10 +7,20 @@ submission's state and schedules that.  Both draw the same failures from
 the same generator, so tests can assert the record produces *exactly*
 what the closures produce: the same results, callback order and times,
 site tallies, checkpoints and spans.
+
+:class:`ReferenceGrid` places jobs the way the grid's separate scheduler
+object once did, with one attempt per job: an explicit scan for the site
+with the earliest predicted finish (MCT, minimum completion time), the
+first such site on ties, and the offload estimate read back from that
+site.  :class:`~repro.grid.infrastructure.GridInfrastructure` must place,
+estimate, trace and count exactly as it does.
 """
 
 from __future__ import annotations
 
+import math
+
+from repro.grid.infrastructure import GridInfrastructure
 from repro.grid.job import JobResult
 from repro.grid.resource import GridResource
 from repro.observability.tracer import NOOP_SPAN, STATUS_ERROR
@@ -64,3 +74,31 @@ class ReferenceResource(GridResource):
 
         self.sim.schedule(finished - submitted, complete, label="job")
         return finished
+
+
+class ReferenceGrid(GridInfrastructure):
+    """Same constructor and surface as :class:`GridInfrastructure`."""
+
+    def best_resource(self, job):
+        best = self.resources[0]
+        for site in self.resources[1:]:
+            if site.estimate_turnaround(job) < best.estimate_turnaround(job):
+                best = site
+        return best
+
+    def estimate_offload_time(self, job):
+        if not self.uplink.online:
+            return math.inf
+        upload = self.uplink.transfer_time(job.input_bits)
+        compute = self.best_resource(job).estimate_turnaround(job)
+        download = self.uplink.transfer_time(job.output_bits)
+        return upload + compute + download
+
+    def _dispatch(self, job, on_complete):
+        site = self.best_resource(job)
+        if self.tracer.enabled:
+            self.tracer.event("grid.dispatch", job_id=job.job_id, site=site.name,
+                              attempt=1)
+        site.submit(job, on_complete)
+        if self.monitor is not None:
+            self.monitor.counter("grid.jobs_dispatched").add()

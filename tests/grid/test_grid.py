@@ -9,11 +9,11 @@ from repro.grid import (
     ComputeJob,
     GridInfrastructure,
     GridResource,
-    GridScheduler,
     JobResult,
     Uplink,
 )
-from repro.simkernel import Simulator
+from repro.observability.tracer import Tracer
+from repro.simkernel import Monitor, Simulator
 
 
 class TestComputeJob:
@@ -133,34 +133,42 @@ class TestGridResource:
 
 
 class TestGridScheduler:
+    """Minimum-completion-time placement in :class:`GridInfrastructure`."""
+
+    def offload(self, grid, job):
+        results = []
+        grid.offload(job, results.append)
+        grid.sim.run()
+        (result,) = results
+        return result
+
     def test_picks_fastest_when_idle(self):
         sim = Simulator()
-        slow = GridResource(sim, "slow", 10.0)
-        fast = GridResource(sim, "fast", 1000.0)
-        sched = GridScheduler([slow, fast])
-        assert sched.best_resource(ComputeJob(ops=100.0)) is fast
+        grid = GridInfrastructure(sim, site_rates=(10.0, 1000.0))
+        assert self.offload(grid, ComputeJob(ops=100.0)).resource == "site1"
 
     def test_load_balances_to_idle_site(self):
         sim = Simulator()
-        fast = GridResource(sim, "fast", 1000.0)
-        slow = GridResource(sim, "slow", 900.0)
-        sched = GridScheduler([fast, slow])
-        # saturate the fast site
-        fast.submit(ComputeJob(ops=100_000.0))
-        assert sched.best_resource(ComputeJob(ops=100.0)) is slow
+        grid = GridInfrastructure(sim, site_rates=(1000.0, 900.0))
+        fast = grid.resources[0]
+        fast.submit(ComputeJob(ops=100_000.0))  # saturate the fast site
+        assert self.offload(grid, ComputeJob(ops=100.0)).resource == "site1"
 
     def test_submit_dispatches_and_counts(self):
         sim = Simulator()
-        sched = GridScheduler([GridResource(sim, "a", 100.0)])
-        results = []
-        sched.submit(ComputeJob(ops=100.0), results.append)
-        sim.run()
-        assert results[0].resource == "a"
-        assert sched.dispatched == 1
+        monitor = Monitor()
+        tracer = Tracer(sim)
+        grid = GridInfrastructure(sim, site_rates=(100.0,), monitor=monitor,
+                                  tracer=tracer)
+        job = ComputeJob(ops=100.0)
+        assert self.offload(grid, job).resource == "site0"
+        assert monitor.counter("grid.jobs_dispatched").value == 1
+        (dispatch,) = [e for e in tracer.events() if e.name == "grid.dispatch"]
+        assert dispatch.attrs == {"job_id": job.job_id, "site": "site0", "attempt": 1}
 
     def test_needs_resources(self):
-        with pytest.raises(ValueError):
-            GridScheduler([])
+        with pytest.raises(ValueError, match="at least one site"):
+            GridInfrastructure(Simulator(), site_rates=())
 
 
 class TestUplink:
@@ -224,7 +232,3 @@ class TestGridInfrastructure:
         grid.offload(job, results.append)
         sim.run()
         assert results[0].finished_at == pytest.approx(est)
-
-    def test_fastest_rate(self):
-        grid = GridInfrastructure(Simulator(), site_rates=(1e9, 1e12))
-        assert grid.fastest_rate() == 1e12

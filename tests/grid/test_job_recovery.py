@@ -1,4 +1,4 @@
-"""Tests for job failure, checkpointed re-submission, and uplink outages."""
+"""Tests for job failure, its checkpoint, and uplink outages."""
 
 import math
 
@@ -8,9 +8,8 @@ import pytest
 from repro.grid.infrastructure import GridInfrastructure
 from repro.grid.job import ComputeJob
 from repro.grid.resource import GridResource
-from repro.grid.scheduler import GridScheduler
 from repro.grid.uplink import Uplink
-from repro.simkernel import Simulator
+from repro.simkernel import Monitor, Simulator
 
 
 class TestFailingResource:
@@ -98,113 +97,30 @@ class TestFailingResource:
 
 
 class TestCheckpointedResubmission:
-    def make_grid(self, flaky_fail=0.999):
-        sim = Simulator()
-        # the flaky site is much faster, so MCT always picks it first
-        flaky = GridResource(sim, "flaky", 1e9, fail_prob=flaky_fail,
-                             rng=np.random.default_rng(1))
-        steady = GridResource(sim, "steady", 1e6)
-        return sim, flaky, steady, GridScheduler([flaky, steady])
-
-    def test_resubmits_to_next_best_site(self):
-        sim, flaky, steady, sched = self.make_grid()
-        job = ComputeJob(ops=1e6)
-        results = []
-        first = sched.submit(job, results.append, max_attempts=2)
-        sim.run()
-        assert first is flaky
-        (r,) = results
-        assert r.success
-        assert r.resource == "steady"
-        assert sched.resubmissions == 1
-        assert sched.dispatched == 1  # one logical job
-
-    def test_checkpoint_shrinks_second_attempt(self):
-        sim, flaky, steady, sched = self.make_grid()
-        job = ComputeJob(ops=1e6)
-        results = []
-        sched.submit(job, results.append, max_attempts=2)
-        sim.run()
-        (r,) = results
-        # the steady site only ran the remaining fraction: strictly less
-        # than the 1.0 s a from-scratch run would take
-        assert r.service_s < 1.0
-        assert r.service_s == pytest.approx(job.remaining_ops / steady.ops_per_second)
-
-    def test_attempts_exhausted_reports_failure(self):
-        sim = Simulator()
-        sites = [
-            GridResource(sim, f"f{i}", 1e9, fail_prob=0.999, rng=np.random.default_rng(i))
-            for i in range(2)
-        ]
-        sched = GridScheduler(sites)
-        results = []
-        sched.submit(ComputeJob(ops=1e6), results.append, max_attempts=2)
-        sim.run()
-        (r,) = results
-        assert not r.success
-        assert r.error == "site-failure"
+    """The grid runs each job once.  Resubmission from the checkpoint is
+    the WMS pilot's requeue (``tests/wms/test_wms.py::TestPilots``)."""
 
     def test_single_attempt_passes_failure_through(self):
-        sim, flaky, steady, sched = self.make_grid()
-        results = []
-        sched.submit(ComputeJob(ops=1e6), results.append)  # max_attempts=1
-        sim.run()
-        assert not results[0].success
-        assert sched.resubmissions == 0
-
-    def test_exclusion_resets_after_every_site_failed(self):
-        """max_attempts > n_sites: once every site has failed the job,
-        the exclusion resets and later attempts dispatch again (a site
-        that failed once is better than no site)."""
-        from repro.observability.tracer import Tracer
-
         sim = Simulator()
-        sites = [
-            GridResource(sim, f"f{i}", 1e9, fail_prob=0.999,
-                         rng=np.random.default_rng(i))
-            for i in range(2)
-        ]
-        sched = GridScheduler(sites)
-        sched.tracer = Tracer(sim)
+        monitor = Monitor()
+        # the flaky site is much faster, so MCT picks it
+        grid = GridInfrastructure(sim, site_rates=(1e9, 1e6), monitor=monitor)
+        flaky, steady = grid.resources
+        flaky.fail_prob = 0.999
+        flaky.rng = np.random.default_rng(1)
+        job = ComputeJob(ops=1e6)
         results = []
-        sched.submit(ComputeJob(ops=1e6), results.append, max_attempts=5)
+        grid.offload(job, results.append)
         sim.run()
         (r,) = results
         assert not r.success
-        assert sched.resubmissions == 4
-        dispatches = [rec for rec in sched.tracer.records
-                      if rec.name == "grid.dispatch"]
-        assert [d.attrs["attempt"] for d in dispatches] == [1, 2, 3, 4, 5]
-        # the first two attempts exhaust the distinct sites; attempts
-        # 3..5 only happen because the exclusion reset re-opened the pool
-        assert {d.attrs["site"] for d in dispatches[:2]} == {"f0", "f1"}
-        assert all(d.attrs["site"] in {"f0", "f1"} for d in dispatches[2:])
-
-    def test_best_resource_accepts_any_abstract_set(self):
-        """``exclude`` takes frozenset (the default), set, or dict keys."""
-        sim = Simulator()
-        a = GridResource(sim, "a", 1e9)
-        b = GridResource(sim, "b", 1e6)
-        sched = GridScheduler([a, b])
-        job = ComputeJob(ops=1e6)
-        assert sched.best_resource(job) is a
-        assert sched.best_resource(job, exclude=frozenset({"a"})) is b
-        assert sched.best_resource(job, exclude={"a"}) is b
-        assert sched.best_resource(job, exclude={"a": 1}.keys()) is b
-        # excluding everything re-opens the full pool
-        assert sched.best_resource(job, exclude={"a", "b"}) is a
+        assert r.resource == "site0" and r.error == "site-failure"
+        assert 0.0 < job.checkpoint_fraction < 1.0
+        assert steady.jobs_completed == steady.jobs_failed == 0
+        assert monitor.counter("grid.jobs_dispatched").value == 1
 
 
 class TestUplinkAvailability:
-    def test_estimate_completion_offline_is_inf(self):
-        sim = Simulator()
-        uplink = Uplink(sim)
-        assert math.isfinite(uplink.estimate_completion(1e6))
-        uplink.online = False
-        assert uplink.estimate_completion(1e6) == math.inf
-        assert uplink.estimate_completion(0.0) == math.inf
-
     def test_subscribers_observe_both_edges(self):
         sim = Simulator()
         uplink = Uplink(sim)
@@ -231,18 +147,6 @@ class TestUplinkAvailability:
         sim.run()
         assert uplink.transfers == 1
         assert done and done[0] >= 5.0
-
-    def test_when_online_defers_until_recovery(self):
-        sim = Simulator()
-        uplink = Uplink(sim)
-        calls = []
-        uplink.when_online(lambda: calls.append("now"))
-        assert calls == ["now"]
-        uplink.set_online(False)
-        uplink.when_online(lambda: calls.append("later"))
-        assert calls == ["now"]
-        uplink.set_online(True)
-        assert calls == ["now", "later"]
 
 
 class TestOffloadFailurePaths:
@@ -280,16 +184,3 @@ class TestOffloadFailurePaths:
         sim.run()
         assert completions == []
         assert failures == ["uplink-offline"]
-
-    def test_offload_with_resubmission_succeeds(self):
-        sim = Simulator()
-        grid = GridInfrastructure(sim)
-        grid.resources[1].fail_prob = 0.999  # the fast site MCT prefers
-        grid.resources[1].rng = np.random.default_rng(3)
-        results = []
-        grid.offload(ComputeJob(ops=1e6, input_bits=1e3, output_bits=1e3),
-                     results.append, max_attempts=2)
-        sim.run()
-        (r,) = results
-        assert r.success
-        assert r.resource == "site0"

@@ -201,21 +201,12 @@ class TestBatteryBank:
             assert s.depleted == v.depleted
             assert s.fraction_remaining == v.fraction_remaining
 
-    def test_draw_many_matches_scalar_draws(self):
-        caps = [1e-3, 5e-4, float("inf"), 0.0, 2e-3]
-        singles = [Battery(c) for c in caps]
-        bank = BatteryBank(caps)
-        alive_scalar = [singles[i].draw(6e-4) for i in range(5)]
-        alive_vec = bank.draw_many(np.arange(5), 6e-4)
-        assert alive_scalar == list(alive_vec)
-        assert [b.remaining for b in singles] == list(bank.remaining)
-        assert [b.consumed for b in singles] == list(bank.consumed)
-        assert list(bank.draws) == [1] * 5
-
     def test_fleet_accounting(self):
         bank = BatteryBank.uniform(100, 2e-4)
-        bank.draw_many(np.arange(40), 1e-4)
-        bank.draw_many(np.arange(10), 2e-4)  # overdraw: deplete 10 cells
+        for i in range(40):
+            bank.battery(i).draw(1e-4)
+        for i in range(10):
+            bank.battery(i).draw(2e-4)  # overdraw: deplete 10 cells
         assert bank.depleted_count == 10
         assert int(bank.alive_mask.sum()) == 90
         assert bank.total_consumed == pytest.approx(40 * 1e-4 + 10 * 1e-4)
@@ -248,5 +239,3 @@ class TestBatteryBank:
             BatteryBank(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="negative energy"):
             BatteryBank.uniform(2).battery(0).draw(-1.0)
-        with pytest.raises(ValueError, match="negative energy"):
-            BatteryBank.uniform(2).draw_many([0], -1.0)

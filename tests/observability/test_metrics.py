@@ -25,7 +25,7 @@ class TestCatalog:
     def test_expected_canonical_names_present(self):
         expected = {
             "net.msgs_sent", "energy.j_spent", "queries.latency",
-            "grid.jobs_resubmitted", "composition.rebinds",
+            "wms.tasks_requeued", "composition.rebinds",
             "faults.injected", "resilience.breaker_trips",
         }
         assert expected <= set(CONVENTIONS)

@@ -35,7 +35,7 @@ from repro.network import Topology
 from repro.observability.analysis import Trace, critical_path, subsystem_rollup
 from repro.observability.tracer import Tracer
 from repro.queries.models import GridOffloadModel
-from repro.resilience import BreakerBoard, Hedge, HedgedCall, RetryPolicy
+from repro.resilience import BreakerBoard, Hedge, RetryPolicy
 from repro.simkernel import Monitor, RandomStreams, Simulator
 
 
@@ -291,51 +291,6 @@ class TestE13Trace:
                 parent = trace.span_by_id(event.parent_id)
                 assert parent is not None
                 assert parent.subsystem == "composition"
-
-
-class TestHedgedCallTrace:
-    def test_hedge_wave_emits_attributed_event(self):
-        sim = Simulator()
-        tracer = Tracer(sim)
-        sim.tracer = tracer
-        calls = []
-
-        def launch(wave, done):
-            calls.append(wave)
-            if wave == 1:  # only the backup ever answers
-                sim.schedule(1.0, lambda: done("backup"))
-
-        got = []
-        span = tracer.span("composition.execute")
-
-        def finish(result):
-            got.append(result)
-            span.end()
-
-        call = HedgedCall(sim, Hedge(delay_s=2.0, max_hedges=1), launch,
-                          finish, tracer=tracer)
-        with tracer.use(span):
-            call.start()
-        sim.run()
-        assert got == ["backup"] and call.won_by == 1
-        (event,) = [e for e in tracer.events() if e.name == "resilience.hedge"]
-        assert event.attrs == {"kind": "call", "wave": 1}
-        assert event.time_s == 2.0
-        # attributed under the span that launched the call
-        assert event.trace_id == span.trace_id
-
-    def test_primary_win_fires_no_hedge_event(self):
-        sim = Simulator()
-        tracer = Tracer(sim)
-        sim.tracer = tracer
-        got = []
-        call = HedgedCall(sim, Hedge(delay_s=5.0, max_hedges=2),
-                          lambda wave, done: sim.schedule(1.0, lambda: done(wave)),
-                          got.append, tracer=tracer)
-        call.start()
-        sim.run()
-        assert got == [0]
-        assert [e for e in tracer.events() if e.name == "resilience.hedge"] == []
 
 
 class TestBreakerTrace:

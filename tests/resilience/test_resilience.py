@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.resilience import BreakerBoard, CircuitBreaker, Hedge, HedgedCall, RetryPolicy
-from repro.simkernel import Monitor, Simulator, TimeSeries
+from repro.resilience import BreakerBoard, CircuitBreaker, Hedge, RetryPolicy
+from repro.simkernel import Monitor, Simulator
 
 
 class TestRetryPolicy:
@@ -150,46 +150,6 @@ class TestBreakerBoard:
 
 
 class TestHedgedCall:
-    def test_fast_primary_never_hedges(self):
-        sim = Simulator()
-        hedge = Hedge(delay_s=5.0)
-        results = []
-
-        def launch(wave, done):
-            sim.schedule(1.0, lambda: done(f"wave{wave}"))
-
-        call = HedgedCall(sim, hedge, launch, results.append)
-        call.start()
-        sim.run()
-        assert results == ["wave0"]
-        assert call.waves == 1
-        assert call.won_by == 0
-
-    def test_slow_primary_loses_to_hedge(self):
-        sim = Simulator()
-        hedge = Hedge(delay_s=2.0)
-        results = []
-
-        def launch(wave, done):
-            delay = 100.0 if wave == 0 else 1.0
-            sim.schedule(delay, lambda: done(f"wave{wave}"))
-
-        call = HedgedCall(sim, hedge, launch, results.append)
-        call.start()
-        sim.run()
-        assert results == ["wave1"]  # first result wins, once
-        assert call.waves == 2
-        assert call.won_by == 1
-
-    def test_from_percentile(self):
-        series = TimeSeries("lat")
-        for i in range(100):
-            series.record(float(i), float(i))
-        hedge = Hedge.from_percentile(series, pct=95.0)
-        assert hedge.delay_s == pytest.approx(95.0, abs=1.0)
-        empty = Hedge.from_percentile(TimeSeries("none"), floor_s=0.25)
-        assert empty.delay_s == 0.25
-
     def test_validation(self):
         with pytest.raises(ValueError):
             Hedge(delay_s=0.0)

@@ -6,7 +6,10 @@ backlogged classes by ``(virtual tag, declaration order)`` and offers
 their heads in that order; ``depth()`` sums the class queues; every
 record looks its instrument up in the monitor by name.
 :class:`ReferencePilot` claims on every pull, empty queue or not, and
-carries each compute task to its completion in a closure.  The
+carries each compute task to its completion in a closure.  A reference
+pilot that refuses waiting work hands its wake to the longest-parked
+pilot the last queue change left unwoken and unpassed, kept as an
+explicit list; production keeps only a count of the passes left.  The
 production :class:`~repro.wms.queues.TaskQueueService` keeps a running
 depth, picks the first class in the starvation pass, binds its
 instruments once, and its pilots skip the claim when nothing waits and
@@ -55,6 +58,7 @@ class ReferenceQueue:
                          for i, spec in enumerate(classes)}
         self._vclock = 0.0
         self._waiters = collections.deque()
+        self._unpassed = []  # parked at the last change, not yet passed a wake
 
     def depth(self, priority_class=None):
         if priority_class is not None:
@@ -155,11 +159,19 @@ class ReferenceQueue:
     def park(self, wake):
         self._waiters.append(wake)
 
+    def pass_on(self, wake):
+        self._waiters.append(wake)
+        if self._unpassed:
+            passed = self._unpassed.pop(0)
+            self._waiters.remove(passed)
+            self.sim.schedule(0.0, passed, label="wms.wake")
+
     def _wake(self, n):
         woken = 0
         while self._waiters and woken < n:
             self.sim.schedule(0.0, self._waiters.popleft(), label="wms.wake")
             woken += 1
+        self._unpassed = list(self._waiters)
 
     def _check_starvation(self, now):
         for cq in self._classes.values():
@@ -184,7 +196,10 @@ class ReferencePilot(PilotWorker):
             return
         task = self.queue.claim(describe(self.resource, self.breakers))
         if task is None:
-            self.queue.park(self._pull)
+            if self.queue.depth():
+                self.queue.pass_on(self._pull)
+            else:
+                self.queue.park(self._pull)
             return
         self._busy = True
         if task.run is not None:

@@ -3,7 +3,9 @@
 requeues, reports, breaker trips and clock advances drives a production
 world and a reference world side by side, and after every step both must
 agree on the claimed task, the depths, the class tallies, the monitor
-summary and every trace event."""
+summary and every trace event.  A ``pinned`` step lets every pilot park
+and then submits one task only a named site accepts, so a pilot parked
+behind a refusing one must be passed the wake."""
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -25,6 +27,7 @@ from repro.wms import (
 from tests.wms.oracle import ReferencePilot, ReferenceQueue
 
 STARVATION_S = 4.0
+SETTLE_S = 1_000.0  # long enough for every pilot to finish and park
 SITES = (("a", 1e6, 0.3), ("b", 4e6, 0.0))  # name, ops/s, fail_prob
 #: Every requirement rejects some offers; the first accepts any healthy site.
 REQUIREMENTS = (
@@ -55,6 +58,7 @@ step = st.one_of(
     st.tuples(st.just("advance"), st.sampled_from((0.0, 0.7, 2.5, 4.5, 9.0))),
     st.tuples(st.just("trip"), st.sampled_from(("a", "b"))),
     st.tuples(st.just("heal"), st.sampled_from(("a", "b"))),
+    st.tuples(st.just("pinned"), st.sampled_from(("a", "b")), task_spec),
 )
 #: Weights drawn from a small set, so ties between classes are common.
 weights = st.lists(st.sampled_from((1.0, 2.0, 3.0)), min_size=3, max_size=3)
@@ -84,7 +88,7 @@ class World:
         self.held = []  # hand-claimed tasks
         self.next_id = 0
 
-    def task(self, cls, ops, req, payload_s, ok):
+    def task(self, cls, ops, req, payload_s, ok, requirements=None):
         sim = self.sim
 
         def run(done):
@@ -93,7 +97,7 @@ class World:
         self.next_id += 1
         return Task(ops=ops, priority_class=self.classes[cls].name,
                     name=f"t{self.next_id}", task_id=self.next_id,
-                    requirements=REQUIREMENTS[req],
+                    requirements=requirements or REQUIREMENTS[req],
                     run=None if payload_s is None else run)
 
     def apply(self, op):
@@ -115,6 +119,10 @@ class World:
             self.board.record_failure(op[1])
         elif kind == "heal":
             self.board.record_success(op[1])
+        elif kind == "pinned":
+            self.sim.run(until=self.sim.now + SETTLE_S)
+            only = TaskRequirements(sites=frozenset({op[1]}))
+            self.queue.submit(self.task(*op[2], requirements=only))
         return None
 
     def observe(self):

@@ -475,6 +475,54 @@ class TestPilots:
         assert WorkloadManager(sim, [site], max_attempts=1).pilots[0].max_attempts == 1
 
 
+class TestRefusedClaims:
+    """A pilot whose claim refuses waiting work parks and passes the wake
+    to the longest-parked pilot, at most once per parked pilot for each
+    submit or requeue."""
+
+    def parked(self, sim, rates, breakers=None):
+        sites = [GridResource(sim, name, rate) for name, rate in rates.items()]
+        wm = WorkloadManager(sim, sites, breakers=breakers).start()
+        sim.run()  # every pilot parks on the empty queue
+        return wm
+
+    def test_task_only_a_later_parked_site_accepts_runs_there(self):
+        sim = Simulator()
+        wm = self.parked(sim, {"slow": 1e6, "fast": 1e9})
+        task = wm.submit_compute(1e6, requirements=TaskRequirements(min_ops_rate=1e8))
+        sim.run(until=100.0)
+        assert task.state == "done" and task.site == "fast"
+        assert wm.queue.depth() == 0
+
+    def test_task_a_breaker_blocks_runs_on_the_idle_site(self):
+        from repro.resilience.breaker import BreakerBoard
+
+        sim = Simulator()
+        board = BreakerBoard(sim, failure_threshold=1)
+        wm = self.parked(sim, {"a": 1e6, "b": 1e6}, breakers=board)
+        board.record_failure("a")
+        task = wm.submit_compute(1e6)
+        sim.run(until=10_000.0)
+        assert task.state == "done" and task.site == "b"
+        assert wm.queue.depth() == 0
+
+    def test_round_where_every_site_refuses_ends(self):
+        sim = Simulator()
+        wm = self.parked(sim, {f"s{i}": 1e6 for i in range(5)})
+        offers = []
+        claim = wm.queue.claim
+        wm.queue.claim = lambda desc: offers.append(desc.name) or claim(desc)
+        before = sim.events_executed
+        task = wm.submit_compute(
+            1e6, requirements=TaskRequirements(sites=frozenset({"nowhere"})))
+        sim.run(max_events=100)
+        assert sim.pending == 0  # quiet, not cut short
+        # the submit woke s0, which passed to the four parked behind it
+        assert offers == ["s0", "s1", "s2", "s3", "s4"]
+        assert sim.events_executed - before == 5
+        assert task.state == "waiting" and wm.queue.depth() == 1
+
+
 class TestWorkloadManager:
     def test_needs_at_least_one_site(self):
         with pytest.raises(ValueError):
