@@ -30,6 +30,7 @@ from repro.network.churn import ChurnProcess
 from repro.simkernel import RandomStreams, Simulator
 
 N_COMPOSITIONS = 30
+SEED = 17
 MEAN_UP_S = 120.0
 GAP_S = 60.0
 
@@ -111,7 +112,7 @@ def run_sweep():
     rows = {}
     for mode in ("centralized", "distributed"):
         for availability in (0.95, 0.8, 0.6, 0.4):
-            world = ChurnWorld(mode, availability, seed=17)
+            world = ChurnWorld(mode, availability, seed=SEED)
             results = world.run()
             ok = [r for r in results if r.success]
             rows[(mode, availability)] = {
@@ -123,12 +124,17 @@ def run_sweep():
     return rows
 
 
-def test_e6_composition_under_churn(benchmark, table, once):
+def test_e6_composition_under_churn(benchmark, table, once, record):
     rows = once(benchmark, run_sweep)
     out = []
     for (mode, availability), stats in sorted(rows.items()):
         out.append([mode, availability, stats["success"], stats["mean_attempts"],
                     stats["mean_rebinds"], stats["mean_latency"]])
+        # ratios of counts: every composition binds through registry.search,
+        # so any change in a ranking shows here
+        for metric in ("success", "mean_attempts", "mean_rebinds"):
+            record("E6", f"{metric}[{mode}/{availability}]", stats[metric],
+                   direction="either", seed=SEED, compositions=N_COMPOSITIONS)
     table(
         f"E6: composite-service success vs host availability ({N_COMPOSITIONS} runs each)",
         ["mode", "availability", "success", "attempts", "rebinds", "latency (s)"],

@@ -86,16 +86,10 @@ class Preference:
         if not (math.isfinite(self.weight) and self.weight > 0):
             raise ValueError("weight must be positive and finite")
 
-    def utilities(self, candidates: list[typing.Mapping[str, typing.Any]]) -> list[float]:
-        """Normalized utility in [0, 1] per candidate (0.5 when absent);
-        see :meth:`utility_array`."""
-        values = np.array([numeric_value(attrs.get(self.attribute)) for attrs in candidates],
-                          dtype=np.float64)
-        return self.utility_array(values).tolist()
-
     def utility_array(self, values: np.ndarray) -> np.ndarray:
-        """Utilities of the candidates whose attribute values are ``values``
-        (float64, NaN where absent or non-numeric; see :func:`numeric_value`).
+        """Utilities in [0, 1] of the candidates whose attribute values are
+        ``values`` (float64, NaN where absent or non-numeric; see
+        :func:`numeric_value`).
 
         Min-max normalized over the candidate set; a candidate set with a
         constant attribute value gets utility 1.0 everywhere (all tie).
@@ -104,20 +98,30 @@ class Preference:
         every other candidate's utility.  A span too wide for a float is
         taken over halved values, so no utility is ever NaN.
         """
-        present = np.isfinite(values)
-        out = np.full(len(values), 0.5)
-        if not present.any():
-            return out
-        values = values[present]
-        lo, hi = float(values.min()), float(values.max())
+        out = None
+        lo = hi = math.nan
+        if len(values):
+            lo, hi = float(values.min()), float(values.max())
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            # a NaN or an infinity among them (min and max pass NaN on):
+            # normalize over the finite values, the rest get 0.5
+            present = np.isfinite(values)
+            out = np.full(len(values), 0.5)
+            if not present.any():
+                return out
+            values = values[present]
+            lo, hi = float(values.min()), float(values.max())
         span = hi - lo
         if span == 0.0:
-            out[present] = 1.0
-            return out
-        if math.isinf(span):
-            values, lo, span = values * 0.5, lo * 0.5, hi * 0.5 - lo * 0.5
-        u = (values - lo) / span
-        out[present] = 1.0 - u if self.goal == "minimize" else u
+            utility = np.full(len(values), 1.0)
+        else:
+            if math.isinf(span):
+                values, lo, span = values * 0.5, lo * 0.5, hi * 0.5 - lo * 0.5
+            u = (values - lo) / span
+            utility = 1.0 - u if self.goal == "minimize" else u
+        if out is None:
+            return utility
+        out[present] = utility
         return out
 
 

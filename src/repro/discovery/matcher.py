@@ -19,21 +19,24 @@ combining taxonomic distance, I/O type compatibility and soft-preference
 utility.
 
 Ranking works over one :class:`ServiceTable`: a registry keeps its
-advertisements in one, and a plain list becomes one in list order.
-Degree and closeness are worked out once per distinct category, the I/O
-fraction once per ``(inputs, outputs)`` signature among the surviving
-rows, and numeric comparison constraints, scores and preference
-utilities are array operations over the table's attribute columns, each
-run once per search.  Values a float64
-column cannot hold exactly (bools, strings, ints beyond 2**53, numpy
-scalars, ...) take the per-row :meth:`Constraint.satisfied_by` path, so
-every ranking is the one a per-candidate loop would return
-(``tests/discovery/oracle.py`` holds that loop).
+advertisements in one, and a plain list becomes one in list order.  A
+search is one mask pass over the whole table: the rows of the matching
+categories start a boolean mask, and each numeric comparison constraint
+ands in one array comparison over its attribute column; only the rows
+left standing are gathered.  Degree and closeness are worked out once
+per category pair, memoized until the ontology gains an edge, and the
+I/O fraction once per search for each advertised ``(inputs, outputs)``
+signature the surviving rows hold; scores and preference utilities are
+array operations over the surviving rows.  Values a float64 column cannot
+hold exactly (bools, strings, ints beyond 2**53, numpy scalars, ...)
+take the per-row :meth:`Constraint.satisfied_by` path, only on rows
+every earlier constraint kept, so every ranking is the one a
+per-candidate loop would return (``tests/discovery/oracle.py`` holds
+that loop).
 """
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import math
 import operator
@@ -41,7 +44,7 @@ import typing
 
 import numpy as np
 
-from repro.discovery.constraints import OPERATORS, Constraint, numeric_value
+from repro.discovery.constraints import OPERATORS, numeric_value
 from repro.discovery.description import ServiceDescription, ServiceRequest
 from repro.discovery.ontology import Ontology
 
@@ -66,12 +69,12 @@ _DEGREE_BASE = {
 }
 
 
-@dataclasses.dataclass(frozen=True)
-class MatchResult:
+class MatchResult(typing.NamedTuple):
     """One candidate's evaluation against a request.
 
-    Sortable: better results first (higher degree, then higher score,
-    then name for determinism).
+    A plain tuple of its three fields.  :meth:`sort_key` puts better
+    results first (higher degree, then higher score, then name for
+    determinism).
     """
 
     service: ServiceDescription
@@ -100,6 +103,19 @@ def _exact_number(value: typing.Any) -> bool:
     return kind is float or (kind is int and -2 ** 53 <= value <= 2 ** 53)
 
 
+def _fit(view: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` cells of the buffer behind ``view`` (its
+    ``base``), as a view.  A buffer with no room for ``n`` is first
+    copied into one twice as large.  Cells past ``len(view)`` hold
+    whatever the buffer held; the caller refills them."""
+    buffer = view.base
+    if n > len(buffer):
+        grown = np.empty(max(n, 2 * len(buffer)), dtype=buffer.dtype)
+        grown[:len(view)] = view
+        buffer = grown
+    return buffer[:n]
+
+
 class ServiceTable:
     """Advertisements in rows, with attribute columns and code columns
     built on first use.
@@ -111,7 +127,9 @@ class ServiceTable:
     :data:`_CODE_KEYS` key.  Descriptions are immutable, so a column
     stays valid until its row is replaced: :meth:`put` and
     :meth:`remove` only note the rows they touch, in O(1), and the next
-    read refills those cells.
+    read refills those cells.  Every column is a view of the live rows
+    into a buffer (the view's ``base``) that grows by doubling, so rows
+    come and go without a copy per read (:func:`_fit`).
 
     A registry grows its table by :meth:`put`, which keeps names unique;
     a candidate list becomes a table of its own in list order, so a
@@ -167,33 +185,42 @@ class ServiceTable:
             self._stale.add(row)
 
     def _refresh(self) -> None:
-        """Resize every built column to the rows and refill its stale cells."""
+        """Fit every built column to the rows and refill its stale cells."""
         n = len(self.rows)
         rows = [row for row in self._stale if row < n]
         self._stale = set()
-        for attribute, (values, kinds, _) in list(self._columns.items()):
+        for attribute, (values, kinds, other) in list(self._columns.items()):
             if len(values) != n:
-                values, kinds = np.resize(values, n), np.resize(kinds, n)
-            self._fill(attribute, values, kinds, rows)
-            self._columns[attribute] = values, kinds, bool((kinds == _OTHER).any())
+                values, kinds = _fit(values, n), _fit(kinds, n)
+            # a withdrawal only clears other rows: rescan when one may have gone
+            if self._fill(attribute, values, kinds, rows) or other:
+                other = bool((kinds == _OTHER).any())
+            self._columns[attribute] = values, kinds, other
         for key, (codes, index) in list(self._codes.items()):
             if len(codes) != n:
-                codes = np.resize(codes, n)
+                codes = _fit(codes, n)
                 self._codes[key] = codes, index
             get = _CODE_KEYS[key]
             for row in rows:
                 codes[row] = index.setdefault(get(self.rows[row]), len(index))
 
     def _fill(self, attribute: str, values: np.ndarray, kinds: np.ndarray,
-              rows: typing.Iterable[int]) -> None:
+              rows: typing.Iterable[int]) -> bool:
+        """Refill ``rows``' cells of one column; True if any is other."""
+        other = False
         for row in rows:
             value = self.rows[row].attributes.get(attribute, _MISSING)
             if _exact_number(value):
                 values[row] = value
                 kinds[row] = _EXACT
+            elif value is _MISSING:
+                values[row] = math.nan
+                kinds[row] = _ABSENT
             else:
                 values[row] = math.nan
-                kinds[row] = _ABSENT if value is _MISSING else _OTHER
+                kinds[row] = _OTHER
+                other = True
+        return other
 
     def column(self, attribute: str) -> tuple[np.ndarray, np.ndarray, bool]:
         """``(values, kinds, any other)`` of one attribute over every row."""
@@ -202,10 +229,9 @@ class ServiceTable:
         column = self._columns.get(attribute)
         if column is None:
             n = len(self.rows)
-            values, kinds = np.empty(n), np.empty(n, dtype=np.int8)
-            self._fill(attribute, values, kinds, range(n))
+            values, kinds = np.empty(n)[:n], np.empty(n, dtype=np.int8)[:n]
             column = self._columns[attribute] = (
-                values, kinds, bool((kinds == _OTHER).any()))
+                values, kinds, self._fill(attribute, values, kinds, range(n)))
         return column
 
     def codes(self, key: str) -> tuple[np.ndarray, list]:
@@ -218,34 +244,11 @@ class ServiceTable:
             index: dict[typing.Any, int] = {}
             get = _CODE_KEYS[key]
             codes = [index.setdefault(get(service), len(index)) for service in self.rows]
-            built = self._codes[key] = np.array(codes, dtype=np.intp), index
+            built = self._codes[key] = np.array(codes, dtype=np.intp)[:len(codes)], index
         codes, index = built
         return codes, list(index)
 
     # ------------------------------------------------------------------
-    def satisfying(self, constraint: Constraint, rows: np.ndarray) -> np.ndarray:
-        """The ``rows`` whose advertisement satisfies ``constraint``.
-
-        A comparison with an exact-number operand is one array operation
-        over the exact rows; other rows, ``in``/``contains`` and other
-        operands go through :meth:`Constraint.satisfied_by` row by row.
-        Absent rows fail (closed world).
-        """
-        values, kinds, other = self.column(constraint.attribute)
-        kinds = kinds[rows]
-        if constraint.op in _ARRAY_OPS and _exact_number(constraint.value):
-            keep = (kinds == _EXACT) & OPERATORS[constraint.op](
-                values[rows], float(constraint.value))
-            if not other:
-                return rows[keep]
-            slow = np.flatnonzero(kinds == _OTHER)
-        else:
-            keep = np.zeros(len(rows), dtype=bool)
-            slow = np.flatnonzero(kinds != _ABSENT)
-        for j in slow.tolist():
-            keep[j] = constraint.satisfied_by(self.rows[rows[j]].attributes)
-        return rows[keep]
-
     def numeric(self, attribute: str, rows: np.ndarray) -> np.ndarray:
         """The ``rows``' values of ``attribute`` as a preference reads them
         (:func:`~repro.discovery.constraints.numeric_value`)."""
@@ -339,15 +342,6 @@ class SemanticMatcher:
             match = self._pairs[requested, advertised] = (degree, closeness)
         return match
 
-    def evaluate(self, request: ServiceRequest, service: ServiceDescription) -> MatchResult:
-        """Degree + fuzzy score for one candidate (no preference utility).
-
-        Preference utilities need the whole candidate set for
-        normalization, so they are applied in :meth:`rank`.
-        """
-        ranked = self.rank(dataclasses.replace(request, preferences=()), [service])
-        return ranked[0] if ranked else MatchResult(service, MatchDegree.FAIL, 0.0)
-
     def rank(
         self,
         request: ServiceRequest,
@@ -358,8 +352,9 @@ class SemanticMatcher:
 
         ``candidates`` is a list of descriptions or a registry's
         :class:`ServiceTable`.  The rows of every matching category are
-        the candidates; constraints apply in request order, each over the
-        rows the earlier ones kept.  Preference utilities (normalized over
+        the candidates; constraints apply in request order, and one that
+        needs :meth:`Constraint.satisfied_by` calls it only on rows every
+        earlier constraint kept.  Preference utilities (normalized over
         the surviving candidates) multiply into the fuzzy score with
         weight-proportional influence; the degree remains the primary
         sort key when ``use_degrees``.  Ties on degree and score go by
@@ -370,19 +365,34 @@ class SemanticMatcher:
         table = candidates if isinstance(candidates, ServiceTable) else ServiceTable(candidates)
         category, categories = table.codes("category")
         matches = [self._category_match(request.category, c) for c in categories]
-        matching = np.array([d is not MatchDegree.FAIL for d, _ in matches], dtype=bool)
-        rows = np.flatnonzero(matching[category])
+        keep = np.array([d is not MatchDegree.FAIL for d, _ in matches], dtype=bool)[category]
         for constraint in request.constraints:
-            if not len(rows):
-                break
-            rows = table.satisfying(constraint, rows)
+            values, kinds, other = table.column(constraint.attribute)
+            # the rows left to satisfied_by: other rows (every present row
+            # when the column cannot decide), among those still kept
+            if constraint.op in _ARRAY_OPS and _exact_number(constraint.value):
+                slow = keep & (kinds == _OTHER) if other else None
+                passed = OPERATORS[constraint.op](values, float(constraint.value))
+                if constraint.op == "!=":
+                    passed &= kinds == _EXACT  # a NaN cell (absent, other) is != anything
+                keep &= passed
+            else:
+                slow = keep & (kinds != _ABSENT)
+                keep = np.zeros(len(keep), dtype=bool)
+            if slow is not None:
+                for row in np.flatnonzero(slow).tolist():
+                    keep[row] = constraint.satisfied_by(table.rows[row].attributes)
+        rows = np.flatnonzero(keep)
         if not len(rows):
             return []
         category = category[rows]
         signature, signatures = table.codes("signature")
         signature = signature[rows]
+        # one I/O fraction per signature the surviving rows hold
+        present = np.zeros(len(signatures), dtype=bool)
+        present[signature] = True
         fraction = np.zeros(len(signatures))
-        for code in np.unique(signature).tolist():
+        for code in np.flatnonzero(present).tolist():
             fraction[code] = self._io_fraction(request, *signatures[code])
         factor = np.array([(_DEGREE_BASE[d] if self.use_degrees else c) * (0.5 + 0.5 * c)
                            for d, c in matches])
@@ -391,10 +401,11 @@ class SemanticMatcher:
             total_weight = sum(p.weight for p in request.preferences)
             if not math.isfinite(total_weight):
                 raise ValueError("preference weights must have a finite sum")
-            blended = np.zeros(len(score))
-            for pref in request.preferences:
-                values = table.numeric(pref.attribute, rows)
-                blended += float(pref.weight) * pref.utility_array(values)
+            terms = [float(p.weight) * p.utility_array(table.numeric(p.attribute, rows))
+                     for p in request.preferences]
+            blended = terms[0]  # every term is >= +0.0: a zeros start would add nothing
+            for term in terms[1:]:
+                blended += term
             score = score * (0.5 + 0.5 * blended / float(total_weight))
         return self._top(table, rows, [d for d, _ in matches], category, score, top_k)
 
@@ -422,12 +433,12 @@ class SemanticMatcher:
             tied = score == score[order[k - 1]]
         # the rows sorting ahead of the k-th, and every row tied with it
         chosen = order[:k + np.count_nonzero(tied) - np.count_nonzero(tied[order[:k]])]
-        keyed = []
-        for row, code, s in zip(rows[chosen].tolist(), category[chosen].tolist(),
-                                score[chosen].tolist()):
-            service, degree = table.rows[row], degrees[code]
-            key = (-s, service.name)
-            keyed.append(((-int(degree),) + key if self.use_degrees else key,
-                          service, degree, s))
+        services = table.rows
+        picked = zip(rows[chosen].tolist(), category[chosen].tolist(), score[chosen].tolist())
+        if self.use_degrees:
+            keyed = [((-degrees[code], -s, services[row].name), row, code, s)
+                     for row, code, s in picked]
+        else:
+            keyed = [((-s, services[row].name), row, code, s) for row, code, s in picked]
         keyed.sort(key=operator.itemgetter(0))
-        return [MatchResult(service, degree, s) for _, service, degree, s in keyed[:k]]
+        return [MatchResult(services[row], degrees[code], s) for _, row, code, s in keyed[:k]]

@@ -14,6 +14,8 @@ simulation alive.
 
 from __future__ import annotations
 
+import math
+
 from repro.observability.tracer import NOOP_TRACER, Tracer
 from repro.simkernel import Monitor, Simulator
 
@@ -77,6 +79,18 @@ class CircuitBreaker:
         """Current state after lazy open -> half-open promotion."""
         self._poll()
         return self._state
+
+    @property
+    def half_opens_at(self) -> float | None:
+        """The first simulated time at which this circuit, open now, reads
+        half-open (``inf`` when it never does); None unless it is open."""
+        if self.state != OPEN:
+            return None
+        # opened_at + timeout may round below the time the lazy check passes
+        time = self._opened_at + self.recovery_timeout_s
+        while time - self._opened_at < self.recovery_timeout_s:
+            time = math.nextafter(time, math.inf)
+        return time
 
     @property
     def blocked(self) -> bool:
@@ -162,6 +176,13 @@ class BreakerBoard:
     def blocked_providers(self) -> set[str]:
         """Names of all providers whose breaker currently blocks traffic."""
         return {name for name, b in self._breakers.items() if b.blocked}
+
+    def next_half_open(self) -> float | None:
+        """The earliest time an open breaker here half-opens (None when
+        none is open or none of the open ones ever half-opens)."""
+        times = [t for t in (b.half_opens_at for b in self._breakers.values())
+                 if t is not None and t < math.inf]
+        return min(times, default=None)
 
     def record_success(self, provider: str) -> None:
         """Report one success for ``provider``."""

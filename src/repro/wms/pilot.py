@@ -15,6 +15,9 @@ so the whole fleet's behaviour is part of the deterministic event order.
 A pilot whose claim refuses waiting work (the head's requirements reject
 its site, or its breaker is open) parks too, and passes its wake on to
 the longest-parked pilot (:meth:`~repro.wms.queues.TaskQueueService.pass_on`).
+When every parked pilot has refused and a breaker on the pilots' board
+is open, the queue wakes them again when the first such breaker
+half-opens (:meth:`~repro.wms.queues.TaskQueueService.wake_at`).
 
 Each pilot's requeue of a failed compute task is the grid's one retry
 loop: the task goes back to the central queue carrying its checkpointed
@@ -116,8 +119,12 @@ class PilotWorker:
                 task = queue.claim(desc)
                 if task is None:
                     # this site refused the work: a pilot parked behind
-                    # this one may take it
-                    queue.pass_on(self._pull)
+                    # this one may take it.  When none is left to ask,
+                    # ask again as the first open breaker half-opens.
+                    if not queue.pass_on(self._pull) and self.breakers is not None:
+                        time = self.breakers.next_half_open()
+                        if time is not None:
+                            queue.wake_at(time)
                     return
         if task is None:
             queue.park(self._pull)

@@ -140,6 +140,7 @@ class TaskQueueService:
         self._depth = 0  # waiting tasks over every class
         self._waiters: collections.deque[typing.Callable[[], None]] = collections.deque()
         self._passes = 0  # refusal passes left since the last submit or requeue
+        self._wake_pending = False  # a wake_at event is scheduled
         self._metrics = _Instruments(monitor) if monitor is not None else None
 
     # ------------------------------------------------------------------
@@ -329,19 +330,39 @@ class TaskQueueService:
         """
         self._waiters.append(wake)
 
-    def pass_on(self, wake: typing.Callable[[], None]) -> None:
+    def pass_on(self, wake: typing.Callable[[], None]) -> bool:
         """Park a pilot whose claim refused waiting work, and wake the
         longest-parked pilot in its place.
 
         Heads match per site, so a pilot parked behind the refusing one
         may accept what it refused.  Each queue change (a submit or a
         requeue) allows one pass per pilot then parked, so a round in
-        which every site refuses ends.
+        which every site refuses ends.  Returns False when no pass is
+        left: this refusal ended the round.
         """
         self._waiters.append(wake)
-        if self._passes:
-            self._passes -= 1
-            self.sim.schedule(0.0, self._waiters.popleft(), label="wms.wake")
+        if not self._passes:
+            return False
+        self._passes -= 1
+        self.sim.schedule(0.0, self._waiters.popleft(), label="wms.wake")
+        return True
+
+    def wake_at(self, time: float) -> None:
+        """At simulated ``time``, wake parked pilots as a submit of every
+        waiting task would: one per task, longest-parked first, with one
+        pass per pilot left parked.
+
+        For waiting work that a site may accept later although nothing
+        changes in the queue (its breaker half-opens).  While one such
+        wake is pending, another call does nothing.
+        """
+        if not self._wake_pending:
+            self.sim.schedule_at(time, self._timed_wake, label="wms.wake")
+            self._wake_pending = True
+
+    def _timed_wake(self) -> None:
+        self._wake_pending = False
+        self._wake(self._depth)
 
     def _wake(self, n: int) -> None:
         woken = 0

@@ -4,6 +4,8 @@ These encode the paper's printer scenario directly: find a printer with
 the shortest queue, geographically closest, color within a cost bound.
 """
 
+import dataclasses
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 from repro.discovery import (
     Constraint,
     MatchDegree,
+    MatchResult,
     Preference,
     ReplicatedRegistry,
     SemanticMatcher,
@@ -20,6 +23,7 @@ from repro.discovery import (
     ServiceRequest,
     build_service_ontology,
 )
+from repro.discovery.constraints import numeric_value
 from repro.workloads import ServicePopulation
 from tests.discovery import oracle, strategies
 
@@ -31,6 +35,18 @@ def matcher():
 
 def printer(name, category="PrinterService", **attrs):
     return ServiceDescription(name=name, category=category, attributes=attrs, interfaces=("Printer",))
+
+
+def utilities(pref, candidates):
+    """``pref``'s utility for each attribute map, as a search reads it."""
+    values = np.array([numeric_value(attrs.get(pref.attribute)) for attrs in candidates])
+    return pref.utility_array(values).tolist()
+
+
+def alone(matcher, request, service):
+    """``service`` ranked on its own: its one result, or None if it fails."""
+    ranked = matcher.rank(request, [service])
+    return ranked[0] if ranked else None
 
 
 class TestConstraint:
@@ -60,25 +76,25 @@ class TestConstraint:
 class TestPreference:
     def test_minimize_ranks_low_first(self):
         p = Preference("queue", "minimize")
-        utils = p.utilities([{"queue": 0}, {"queue": 10}, {"queue": 5}])
+        utils = utilities(p, [{"queue": 0}, {"queue": 10}, {"queue": 5}])
         assert utils[0] == 1.0 and utils[1] == 0.0 and utils[2] == pytest.approx(0.5)
 
     def test_maximize(self):
         p = Preference("speed", "maximize")
-        utils = p.utilities([{"speed": 1.0}, {"speed": 3.0}])
+        utils = utilities(p, [{"speed": 1.0}, {"speed": 3.0}])
         assert utils == [0.0, 1.0]
 
     def test_missing_value_neutral(self):
         p = Preference("queue", "minimize")
-        utils = p.utilities([{"queue": 0}, {}, {"queue": 10}])
+        utils = utilities(p, [{"queue": 0}, {}, {"queue": 10}])
         assert utils[1] == 0.5
 
     def test_constant_attribute_all_tie(self):
         p = Preference("queue", "minimize")
-        assert p.utilities([{"queue": 2}, {"queue": 2}]) == [1.0, 1.0]
+        assert utilities(p, [{"queue": 2}, {"queue": 2}]) == [1.0, 1.0]
 
     def test_all_missing(self):
-        assert Preference("x").utilities([{}, {}]) == [0.5, 0.5]
+        assert utilities(Preference("x"), [{}, {}]) == [0.5, 0.5]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -87,12 +103,12 @@ class TestPreference:
             Preference("x", weight=0.0)
 
     def test_bool_not_treated_as_number(self):
-        utils = Preference("flag", "maximize").utilities([{"flag": True}, {"flag": 2.0}, {"flag": 1.0}])
+        utils = utilities(Preference("flag", "maximize"), [{"flag": True}, {"flag": 2.0}, {"flag": 1.0}])
         assert utils[0] == 0.5  # neutral
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_non_finite_value_neutral(self, bad):
-        utils = Preference("queue", "minimize").utilities([{"queue": 1}, {"queue": 3}, {"queue": bad}])
+        utils = utilities(Preference("queue", "minimize"), [{"queue": 1}, {"queue": 3}, {"queue": bad}])
         assert utils == [1.0, 0.0, 0.5]
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -103,8 +119,18 @@ class TestPreference:
             Preference("queue", weight=bad)
 
     def test_span_wider_than_a_float_stays_finite(self):
-        utils = Preference("x", "maximize").utilities([{"x": -1e308}, {"x": 0.0}, {"x": 1e308}])
+        utils = utilities(Preference("x", "maximize"), [{"x": -1e308}, {"x": 0.0}, {"x": 1e308}])
         assert utils == [0.0, 0.5, 1.0]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(strategies.attribute_values, max_size=8),
+           st.sampled_from(("minimize", "maximize")))
+    def test_utility_array_matches_reference(self, values, goal):
+        """All finite or not, the array form gives the value-by-value
+        reference's utilities."""
+        pref = Preference("x", goal)
+        maps = [{"x": v} for v in values]
+        assert utilities(pref, maps) == oracle.utilities(pref, maps)
 
 
 class TestMatchDegrees:
@@ -131,11 +157,13 @@ class TestMatchDegrees:
 
 
 class TestEvaluate:
+    """One candidate ranked on its own."""
+
     def test_exact_scores_highest(self, matcher):
         req = ServiceRequest(category="PrinterService")
-        exact = matcher.evaluate(req, printer("p1"))
-        plugin = matcher.evaluate(req, printer("p2", category="ColorPrinterService"))
-        subsume = matcher.evaluate(req, printer("p3", category="DeviceService"))
+        exact = alone(matcher, req, printer("p1"))
+        plugin = alone(matcher, req, printer("p2", category="ColorPrinterService"))
+        subsume = alone(matcher, req, printer("p3", category="DeviceService"))
         assert exact.score > plugin.score > subsume.score > 0.0
 
     def test_constraint_violation_fails(self, matcher):
@@ -143,29 +171,27 @@ class TestEvaluate:
             category="PrinterService",
             constraints=(Constraint("cost_per_page", "<=", 0.10),),
         )
-        cheap = matcher.evaluate(req, printer("cheap", cost_per_page=0.05))
-        pricey = matcher.evaluate(req, printer("pricey", cost_per_page=0.50))
+        cheap = alone(matcher, req, printer("cheap", cost_per_page=0.05))
         assert cheap.degree is MatchDegree.EXACT
-        assert pricey.degree is MatchDegree.FAIL
-        assert pricey.score == 0.0
+        assert alone(matcher, req, printer("pricey", cost_per_page=0.50)) is None
 
     def test_io_compatibility_affects_score(self, matcher):
         req = ServiceRequest(category="DataMiningService", outputs=("DecisionTree",))
         produces = ServiceDescription("a", "DataMiningService", outputs=("DecisionTree",))
         produces_not = ServiceDescription("b", "DataMiningService", outputs=("FourierSpectrum",))
-        assert matcher.evaluate(req, produces).score > matcher.evaluate(req, produces_not).score
+        assert alone(matcher, req, produces).score > alone(matcher, req, produces_not).score
 
     def test_io_plugin_outputs_accepted(self, matcher):
         # requesting generic Data output; service produces DecisionTree (a Data)
         req = ServiceRequest(category="DataMiningService", outputs=("Data",))
         svc = ServiceDescription("a", "DataMiningService", outputs=("DecisionTree",))
-        assert matcher.evaluate(req, svc).score > 0.5
+        assert alone(matcher, req, svc).score > 0.5
 
     def test_service_inputs_must_be_suppliable(self, matcher):
         req = ServiceRequest(category="DataMiningService", inputs=("DataStream",))
         ok = ServiceDescription("a", "DataMiningService", inputs=("DataStream",))
         starved = ServiceDescription("b", "DataMiningService", inputs=("DecisionTree",))
-        assert matcher.evaluate(req, ok).score > matcher.evaluate(req, starved).score
+        assert alone(matcher, req, ok).score > alone(matcher, req, starved).score
 
 
 class TestRank:
@@ -270,6 +296,28 @@ class TestRank:
         assert forward == backward == [("a", 1.0), ("b", 0.75), ("d", 0.75), ("c", 0.5)]
 
 
+class TestMatchResult:
+    def test_fields_and_sort_key(self):
+        service = printer("a")
+        result = MatchResult(service, MatchDegree.PLUGIN, 0.5)
+        assert result.service is service
+        assert result.degree is MatchDegree.PLUGIN and result.score == 0.5
+        assert result.sort_key() == (-3, -0.5, "a")
+
+    def test_is_a_tuple_of_its_fields(self):
+        service = printer("a")
+        result = MatchResult(service, MatchDegree.EXACT, 1.0)
+        assert result == (service, MatchDegree.EXACT, 1.0)
+        assert tuple(result) == (service, MatchDegree.EXACT, 1.0)
+
+    def test_sort_key_orders_degree_then_score_then_name(self):
+        results = [MatchResult(printer(name), degree, score) for name, degree, score in [
+            ("c", MatchDegree.PLUGIN, 0.9), ("b", MatchDegree.EXACT, 0.5),
+            ("a", MatchDegree.PLUGIN, 0.9), ("d", MatchDegree.EXACT, 0.7)]]
+        ranked = sorted(results, key=MatchResult.sort_key)
+        assert [r.service.name for r in ranked] == ["d", "b", "a", "c"]
+
+
 # ----------------------------------------------------------------------
 # the column rank against the per-candidate reference loop
 # ----------------------------------------------------------------------
@@ -330,6 +378,33 @@ _REFRESH = (ServiceRequest("PrinterService", preferences=[Preference("queue_leng
              printer("a", queue_length=3)])
 
 
+_HOSTS = (0, 1, 2, 3)
+
+
+def _is_exact(value):
+    """Is ``value`` a number a float64 column holds exactly?"""
+    return type(value) is float or (type(value) is int and abs(value) <= 2 ** 53)
+
+
+@st.composite
+def _hosted(draw, name, values):
+    """A service called ``name`` on one of :data:`_HOSTS`, each attribute
+    drawn from ``values`` or absent."""
+    attributes = {key: draw(values) for key in strategies.ATTRIBUTES if draw(st.integers(0, 3))}
+    return ServiceDescription(name=name, category=draw(_categories),
+                              inputs=draw(_types), outputs=draw(_types),
+                              attributes=attributes, host_node=draw(st.sampled_from(_HOSTS)))
+
+
+@st.composite
+def _requests_with_ne(draw):
+    """A request whose first constraint is ``!=`` an exact-number operand."""
+    request = draw(_requests())
+    ne = Constraint(draw(st.sampled_from(strategies.ATTRIBUTES)), "!=",
+                    draw(strategies.exact_values))
+    return dataclasses.replace(request, constraints=(ne, *request.constraints))
+
+
 class TestRankMatchesOracle:
     @settings(max_examples=300, deadline=None)
     @given(_requests(), st.lists(_services(), min_size=1, max_size=25), st.booleans(),
@@ -343,9 +418,9 @@ class TestRankMatchesOracle:
         assert got == strategies.outcome(oracle.rank, m, req, candidates, top_k)
         if got[0] == "ok":
             assert all(type(score) is float for _, _, score in got[1])
-        for s in candidates:
-            assert (strategies.outcome(lambda: [m.evaluate(req, s)])
-                    == strategies.outcome(lambda: [oracle.evaluate(m, req, s)]))
+        for s in candidates:  # a one-row table
+            assert (strategies.outcome(m.rank, req, [s])
+                    == strategies.outcome(oracle.rank, m, req, [s]))
 
     @settings(max_examples=100, deadline=None)
     @given(_requests(), st.lists(_services(), min_size=1, max_size=25))
@@ -371,6 +446,66 @@ class TestRankMatchesOracle:
             registry.withdraw(name)
             del latest[name]
             check()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_registry_scripts(self, data):
+        """Searches interleaved with every kind of write over one registry
+        table: its columns are built at a few rows, grow past twice that
+        size, see cells change kind (exact -> other -> absent -> exact) and
+        shrink again through withdrawals.  Every request carries a ``!=``,
+        which absent, other and NaN cells must not pass as NaN != x.  Each
+        search equals the reference rank over the live listing."""
+        draw = data.draw
+        m = SemanticMatcher(ONT)
+        registry = ReplicatedRegistry(m)
+        live = {}
+        requests = draw(st.lists(_requests_with_ne(), min_size=1, max_size=3))
+        names = (f"s{i:02d}" for i in itertools.count())
+
+        def search():
+            req = draw(st.sampled_from(requests))
+            top_k = draw(st.one_of(st.none(), st.integers(0, 5)))
+            listing = [live[name] for name in sorted(live)]
+            assert (strategies.outcome(registry.search, req, top_k=top_k)
+                    == strategies.outcome(oracle.rank, m, req, listing, top_k))
+
+        def write(service):
+            registry.advertise(service)
+            live[service.name] = service
+
+        first = draw(st.integers(1, 4))
+        for _ in range(first):  # no other cells yet: each "any other" flag is down
+            write(draw(_hosted(next(names), strategies.exact_values)))
+        search()
+        for _ in range(2 * first + draw(st.integers(1, 6))):
+            write(draw(_hosted(next(names), strategies.attribute_values)))
+            if draw(st.booleans()):
+                search()
+        for _ in range(draw(st.integers(1, 8))):
+            service = live[draw(st.sampled_from(sorted(live)))]
+            key = draw(st.sampled_from(strategies.ATTRIBUTES))
+            attributes = dict(service.attributes)
+            if key not in attributes:
+                attributes[key] = draw(strategies.exact_values)
+            elif _is_exact(attributes[key]):
+                attributes[key] = draw(strategies.other_values)
+            else:
+                del attributes[key]
+            write(dataclasses.replace(service, attributes=attributes))
+            search()
+        while len(live) > first:
+            if draw(st.booleans()):
+                host = draw(st.sampled_from(_HOSTS))
+                doomed = [name for name, s in live.items() if s.host_node == host]
+                assert registry.withdraw_host(host) == len(doomed)
+                for name in doomed:
+                    del live[name]
+            else:
+                name = draw(st.sampled_from(sorted(live)))
+                assert registry.withdraw(name)
+                del live[name]
+            search()
 
     @pytest.mark.parametrize("seed", [3, 31])
     def test_service_population(self, seed):

@@ -145,6 +145,30 @@ class TestDistributedBrokerNetwork:
         (r,) = [x for x in results if x.service.name == "dup"]
         assert r.service.category == "PrinterService"
 
+    def test_merge_sorts_by_degree_score_name(self):
+        """The merged answer is every member's results, best per name,
+        sorted by ``MatchResult.sort_key``: degree, then score, then name."""
+        regs = [make_registry(f"b{i}") for i in range(3)]
+        categories = ["PrinterService", "ColorPrinterService", "DeviceService"]
+        for i, reg in enumerate(regs):
+            for j in range(6):
+                reg.advertise(svc(f"p{(i + j) % 7}", category=categories[(i * j) % 3],
+                                  queue_length=(i + 2 * j) % 5))
+        net = DistributedBrokerNetwork(regs)
+        req = ServiceRequest(category="PrinterService",
+                             preferences=(Preference("queue_length"),))
+        results, asked = net.search(req, home="b0", max_hops=1)
+        best = {}
+        for reg in regs:
+            for r in oracle.rank(reg.matcher, req, reg.services()):
+                key = (-int(r.degree), -r.score, r.service.name)
+                if r.service.name not in best or key < best[r.service.name][0]:
+                    best[r.service.name] = key, r
+        expected = [r for _, r in sorted(best.values(), key=lambda kr: kr[0])]
+        assert asked == 3
+        assert ([(r.service.name, r.degree, r.score) for r in results]
+                == [(r.service.name, r.degree, r.score) for r in expected])
+
     def test_full_mesh_default(self):
         regs = [make_registry("a"), make_registry("b")]
         net = DistributedBrokerNetwork(regs)

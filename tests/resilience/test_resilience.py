@@ -122,6 +122,41 @@ class TestCircuitBreaker:
             assert not breaker.blocked
         assert breaker.allow()
 
+    def test_half_opens_at(self):
+        sim = Simulator()
+        breaker = CircuitBreaker(sim, failure_threshold=1, recovery_timeout_s=10.0)
+        assert breaker.half_opens_at is None  # closed
+        self.advance(sim, 2.0)
+        breaker.record_failure()
+        assert breaker.half_opens_at == 12.0
+        self.advance(sim, 9.0)
+        assert breaker.half_opens_at == 12.0 and breaker.state == "open"
+        self.advance(sim, 1.0)
+        assert breaker.half_opens_at is None and breaker.state == "half-open"
+
+    def test_half_opens_at_is_when_the_check_passes(self):
+        """0.7 + 0.1 rounds to 0.7999999999999999, from which the lazy
+        check's 0.7999999999999999 - 0.7 falls short of 0.1: the time
+        given is the first at which the breaker reads half-open."""
+        sim = Simulator()
+        breaker = CircuitBreaker(sim, failure_threshold=1, recovery_timeout_s=0.1)
+        self.advance(sim, 0.7)
+        breaker.record_failure()
+        time = breaker.half_opens_at
+        assert time > 0.7 + 0.1
+        sim.schedule_at(math.nextafter(time, 0.0), lambda: None)
+        sim.run()
+        assert breaker.state == "open"
+        sim.schedule_at(time, lambda: None)
+        sim.run()
+        assert breaker.state == "half-open"
+
+    def test_half_opens_at_is_inf_without_recovery(self):
+        sim = Simulator()
+        breaker = CircuitBreaker(sim, failure_threshold=1, recovery_timeout_s=math.inf)
+        breaker.record_failure()
+        assert breaker.half_opens_at == math.inf
+
     def test_validation(self):
         sim = Simulator()
         with pytest.raises(ValueError):
@@ -139,6 +174,30 @@ class TestBreakerBoard:
         board.record_success("steady")
         assert "steady" not in board.blocked_providers()
         assert len(board) == 2
+
+    def test_next_half_open_is_the_earliest_recovery(self):
+        sim = Simulator()
+        board = BreakerBoard(sim, failure_threshold=1, recovery_timeout_s=60.0)
+        assert board.next_half_open() is None
+        board.record_success("closed")
+        board.record_failure("first")
+        sim.schedule(10.0, lambda: board.record_failure("second"))
+        sim.run()
+        assert board.next_half_open() == 60.0
+        sim.schedule_at(60.0, lambda: None)
+        sim.run()
+        assert board.next_half_open() == 70.0
+
+    def test_next_half_open_skips_breakers_that_never_recover(self):
+        sim = Simulator()
+        board = BreakerBoard(sim, failure_threshold=1, recovery_timeout_s=math.inf)
+        board.record_failure("a")
+        board.get("b").recovery_timeout_s = 30.0
+        board.record_failure("b")
+        assert board.next_half_open() == 30.0
+        sim.schedule_at(30.0, lambda: None)
+        sim.run()
+        assert board.next_half_open() is None and board.blocked_providers() == {"a"}
 
     def test_trips_counted_in_monitor(self):
         sim = Simulator()

@@ -9,7 +9,10 @@ record looks its instrument up in the monitor by name.
 carries each compute task to its completion in a closure.  A reference
 pilot that refuses waiting work hands its wake to the longest-parked
 pilot the last queue change left unwoken and unpassed, kept as an
-explicit list; production keeps only a count of the passes left.  The
+explicit list; production keeps only a count of the passes left.  When
+a refusal ends the round, the reference pilot scans the board's breakers
+for the earliest recovery and the queue keeps its one pending timed
+wake in a list.  The
 production :class:`~repro.wms.queues.TaskQueueService` keeps a running
 depth, picks the first class in the starvation pass, binds its
 instruments once, and its pilots skip the claim when nothing waits and
@@ -21,6 +24,7 @@ telemetry and trace events.
 from __future__ import annotations
 
 import collections
+import math
 
 from repro.grid.job import ComputeJob
 from repro.observability.tracer import NOOP_TRACER
@@ -59,6 +63,7 @@ class ReferenceQueue:
         self._vclock = 0.0
         self._waiters = collections.deque()
         self._unpassed = []  # parked at the last change, not yet passed a wake
+        self._timed = []  # the pending wake_at time, if any
 
     def depth(self, priority_class=None):
         if priority_class is not None:
@@ -161,10 +166,23 @@ class ReferenceQueue:
 
     def pass_on(self, wake):
         self._waiters.append(wake)
-        if self._unpassed:
-            passed = self._unpassed.pop(0)
-            self._waiters.remove(passed)
-            self.sim.schedule(0.0, passed, label="wms.wake")
+        if not self._unpassed:
+            return False
+        passed = self._unpassed.pop(0)
+        self._waiters.remove(passed)
+        self.sim.schedule(0.0, passed, label="wms.wake")
+        return True
+
+    def wake_at(self, time):
+        if self._timed:
+            return
+
+        def fire():
+            self._timed.clear()
+            self._wake(self.depth())
+
+        self.sim.schedule_at(time, fire, label="wms.wake")
+        self._timed.append(time)
 
     def _wake(self, n):
         woken = 0
@@ -196,10 +214,14 @@ class ReferencePilot(PilotWorker):
             return
         task = self.queue.claim(describe(self.resource, self.breakers))
         if task is None:
-            if self.queue.depth():
-                self.queue.pass_on(self._pull)
-            else:
+            if not self.queue.depth():
                 self.queue.park(self._pull)
+            elif not self.queue.pass_on(self._pull) and self.breakers is not None:
+                # every parked pilot refused: ask again at the first recovery
+                recoveries = [b.half_opens_at for b in self.breakers._breakers.values()]
+                recoveries = [t for t in recoveries if t is not None and t < math.inf]
+                if recoveries:
+                    self.queue.wake_at(min(recoveries))
             return
         self._busy = True
         if task.run is not None:

@@ -506,6 +506,77 @@ class TestRefusedClaims:
         assert task.state == "done" and task.site == "b"
         assert wm.queue.depth() == 0
 
+    def tripped(self, sim, trips):
+        """Pilots parked on sites "a" and "b" (1e6 ops/s), each breaker
+        tripped at its time in ``trips`` (60 s recovery)."""
+        from repro.resilience.breaker import BreakerBoard
+
+        board = BreakerBoard(sim, failure_threshold=1, recovery_timeout_s=60.0)
+        wm = self.parked(sim, {"a": 1e6, "b": 1e6}, breakers=board)
+        for site, time in sorted(trips.items(), key=lambda kv: kv[1]):
+            sim.schedule_at(time, lambda site=site: board.record_failure(site))
+            sim.run()
+        return wm, board
+
+    def test_task_runs_when_the_first_breaker_half_opens(self):
+        """Every site's breaker open: the round ends with every pilot
+        parked, and one wake at the recovery deadline runs the task (1 s
+        of service) instead of leaving it for the next submit."""
+        sim = Simulator()
+        wm, _ = self.tripped(sim, {"a": 0.0, "b": 0.0})
+        task = wm.submit_compute(1e6)
+        sim.run(until=59.0)
+        assert task.state == "waiting" and sim.pending == 1
+        sim.run(until=10_000.0)
+        assert task.state == "done" and task.finished_at == 61.0
+        assert sim.pending == 0
+
+    def test_task_runs_on_the_site_that_recovers_first(self):
+        """"b" tripped first, so it half-opens first (60 s, against 70 s
+        for "a"); the wake goes to "a", parked longest, which passes it
+        on."""
+        sim = Simulator()
+        wm, _ = self.tripped(sim, {"b": 0.0, "a": 10.0})
+        task = wm.submit_compute(1e6)
+        sim.run(until=10_000.0)
+        assert task.state == "done" and task.site == "b"
+        assert task.finished_at == 61.0
+
+    def test_one_timed_wake_pending_at_a_time(self):
+        sim = Simulator()
+        wm, _ = self.tripped(sim, {"a": 0.0, "b": 0.0})
+        tasks = []
+        for time in (1.0, 2.0, 3.0):
+            sim.schedule_at(time, lambda: tasks.append(wm.submit_compute(1e6)))
+            sim.run(until=time + 1.0)
+            assert sim.pending == 1
+        sim.run(until=10_000.0)
+        assert [t.finished_at for t in tasks] == [61.0, 61.0, 62.0]
+
+    def test_no_timed_wake_when_no_breaker_ever_half_opens(self):
+        """Breakers with an infinite recovery timeout never half-open: the
+        round ends with the task waiting and nothing scheduled."""
+        from repro.resilience.breaker import BreakerBoard
+
+        sim = Simulator()
+        board = BreakerBoard(sim, failure_threshold=1, recovery_timeout_s=math.inf)
+        wm = self.parked(sim, {"a": 1e6, "b": 1e6}, breakers=board)
+        board.record_failure("a")
+        board.record_failure("b")
+        task = wm.submit_compute(1e6)
+        sim.run(until=10_000.0)
+        assert task.state == "waiting" and sim.pending == 0
+
+    def test_no_timed_wake_when_no_breaker_is_open(self):
+        """A round every site refuses by requirements, with a board whose
+        breakers are all closed, schedules nothing."""
+        sim = Simulator()
+        wm, board = self.tripped(sim, {})
+        board.record_success("a")
+        task = wm.submit_compute(1e6, requirements=TaskRequirements(sites=frozenset({"c"})))
+        sim.run(max_events=100)
+        assert sim.pending == 0 and task.state == "waiting"
+
     def test_round_where_every_site_refuses_ends(self):
         sim = Simulator()
         wm = self.parked(sim, {f"s{i}": 1e6 for i in range(5)})
