@@ -18,13 +18,19 @@ Defaults follow Heinzelman et al.: ``E_elec = 50 nJ/bit``,
 from __future__ import annotations
 
 import dataclasses
+import operator
 
 import numpy as np
+
+_INF = float("inf")
 
 
 @dataclasses.dataclass(frozen=True)
 class RadioEnergyModel:
     """Energy cost parameters for radio and CPU activity.
+
+    Every coefficient, and every input to a cost method, must be finite
+    and non-negative.
 
     Attributes
     ----------
@@ -43,26 +49,34 @@ class RadioEnergyModel:
     e_cpu_op: float = 5e-12
     e_sense: float = 50e-9
 
+    def __post_init__(self) -> None:
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if not 0.0 <= value < _INF:
+                raise ValueError(f"{field.name} must be finite and non-negative, got {value!r}")
+
     def tx_cost(self, bits: float, dist: float) -> float:
         """Joules to transmit ``bits`` over ``dist`` metres."""
-        if bits < 0 or dist < 0:
-            raise ValueError("bits and dist must be non-negative")
+        if not (0.0 <= bits < _INF and 0.0 <= dist < _INF):
+            raise ValueError(f"bits and dist must be finite and non-negative, got {bits!r}, {dist!r}")
         return self.e_elec * bits + self.eps_amp * bits * dist * dist
 
     def rx_cost(self, bits: float) -> float:
         """Joules to receive ``bits``."""
-        if bits < 0:
-            raise ValueError("bits must be non-negative")
+        if not 0.0 <= bits < _INF:
+            raise ValueError(f"bits must be finite and non-negative, got {bits!r}")
         return self.e_elec * bits
 
     def cpu_cost(self, ops: float) -> float:
         """Joules to execute ``ops`` CPU operations."""
-        if ops < 0:
-            raise ValueError("ops must be non-negative")
+        if not 0.0 <= ops < _INF:
+            raise ValueError(f"ops must be finite and non-negative, got {ops!r}")
         return self.e_cpu_op * ops
 
     def sense_cost(self, samples: float = 1.0) -> float:
         """Joules to take ``samples`` sensor readings."""
+        if not 0.0 <= samples < _INF:
+            raise ValueError(f"samples must be finite and non-negative, got {samples!r}")
         return self.e_sense * samples
 
 
@@ -72,14 +86,15 @@ class Battery:
     Draws are accepted even when they overdraw the remaining charge -- the
     battery clamps at zero and flips :attr:`depleted`, which is how node
     death is detected.  Base stations and grid resources use
-    ``Battery(float("inf"))``.
+    ``Battery(float("inf"))``.  A capacity is non-negative and not NaN;
+    a draw is finite and non-negative.
     """
 
     __slots__ = ("capacity", "_remaining", "consumed", "draws")
 
     def __init__(self, capacity_joules: float = 1.0) -> None:
-        if capacity_joules < 0:
-            raise ValueError("capacity must be non-negative")
+        if not capacity_joules >= 0:
+            raise ValueError(f"capacity must be non-negative and not NaN, got {capacity_joules!r}")
         self.capacity = float(capacity_joules)
         self._remaining = float(capacity_joules)
         #: Total joules actually drawn (capped at capacity for finite cells).
@@ -100,7 +115,7 @@ class Battery:
     @property
     def fraction_remaining(self) -> float:
         """Remaining charge as a fraction of capacity (1.0 for infinite)."""
-        if self.capacity == float("inf"):
+        if self.capacity == _INF:
             return 1.0
         if self.capacity == 0.0:
             return 0.0
@@ -112,156 +127,98 @@ class Battery:
         A draw that exceeds the remaining charge consumes whatever is left
         and leaves the battery depleted.
         """
-        if joules < 0:
-            raise ValueError("cannot draw negative energy")
+        if not 0.0 <= joules < _INF:
+            raise ValueError(f"cannot draw negative energy or a non-finite amount, got {joules!r}")
         self.draws += 1
-        taken = min(joules, self._remaining)
+        remaining = self._remaining
+        # exactly min(joules, remaining), ties included
+        taken = remaining if remaining < joules else joules
         self.consumed += taken
-        self._remaining -= taken
-        return not self.depleted
+        self._remaining = remaining = remaining - taken
+        return remaining > 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Battery(remaining={self._remaining:.4g}/{self.capacity:.4g} J)"
+        return f"{type(self).__name__}(remaining={self._remaining:.4g}/{self.capacity:.4g} J)"
 
 
-class BatteryView:
-    """Battery-API view over one slot of a :class:`BatteryBank`.
+class BatteryView(Battery):
+    """One cell of a :class:`BatteryBank`: a :class:`Battery` holding its
+    own charge, handed out by :meth:`BatteryBank.batteries`."""
 
-    Implements the full :class:`Battery` surface (``draw``, ``remaining``,
-    ``depleted``, ``consumed``, ...), so network code that charges one
-    node at a time works unchanged; the state lives in the bank's arrays,
-    where fleet-wide accounting reads it without a Python loop.
-    """
+    __slots__ = ()
 
-    __slots__ = ("_bank", "_i")
-
-    def __init__(self, bank: "BatteryBank", index: int) -> None:
-        self._bank = bank
-        self._i = index
-
-    @property
-    def capacity(self) -> float:
-        return float(self._bank.capacity[self._i])
-
-    @property
-    def remaining(self) -> float:
-        """Joules left (0 when depleted; inf for mains-powered nodes)."""
-        return float(self._bank._remaining[self._i])
-
-    @property
-    def consumed(self) -> float:
-        return float(self._bank.consumed[self._i])
-
-    @property
-    def draws(self) -> int:
-        return int(self._bank.draws[self._i])
-
-    @property
-    def depleted(self) -> bool:
-        """True once the battery has hit zero."""
-        return bool(self._bank._remaining[self._i] <= 0.0)
-
-    @property
-    def fraction_remaining(self) -> float:
-        """Remaining charge as a fraction of capacity (1.0 for infinite)."""
-        cap = self._bank.capacity[self._i]
-        if cap == np.inf:
-            return 1.0
-        if cap == 0.0:
-            return 0.0
-        return float(self._bank._remaining[self._i] / cap)
-
-    def draw(self, joules: float) -> bool:
-        """Consume ``joules``; return True if the node is still alive.
-
-        Bit-identical to :meth:`Battery.draw`: the slot holds float64 and
-        the scalar min/add/sub here are the same IEEE754 operations.
-        """
-        if joules < 0:
-            raise ValueError("cannot draw negative energy")
-        bank = self._bank
-        i = self._i
-        bank.draws[i] += 1
-        remaining = float(bank._remaining[i])
-        taken = joules if joules < remaining else remaining
-        bank.consumed[i] += taken
-        bank._remaining[i] = remaining - taken
-        return bank._remaining[i] > 0.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"BatteryView(remaining={self.remaining:.4g}/{self.capacity:.4g} J)"
+    # the class's own attribute, not an inherited one: code that patches
+    # ``Battery.draw`` (a tracer wrapping each class's draw) then does not
+    # reach a cell's draw a second time through the subclass
+    draw = Battery.draw
 
 
 class BatteryBank:
-    """Array-backed battery fleet for large populations.
+    """A battery fleet built from one capacity array.
 
-    Per-node state (capacity, remaining, consumed, draw count) lives in
-    flat float64/int64 arrays, so fleet-wide accounting -- total energy
-    consumed, min remaining, alive mask -- is one numpy reduction instead
-    of a Python loop over 100k :class:`Battery` objects.  Individual
-    nodes charge through :meth:`battery` views that implement the scalar
-    :class:`Battery` API bit-identically.
+    Every slot is a :class:`BatteryView` cell that holds its own charge,
+    so charging a node costs one scalar :class:`Battery` draw.  Fleet-wide
+    accounting gathers a float64 column from the cells on demand.
     """
 
-    __slots__ = ("capacity", "_remaining", "consumed", "draws")
+    __slots__ = ("_cells",)
 
     def __init__(self, capacities_joules: np.ndarray | list[float]) -> None:
-        cap = np.asarray(capacities_joules, dtype=np.float64).copy()
+        cap = np.asarray(capacities_joules, dtype=np.float64)
         if cap.ndim != 1:
             raise ValueError("capacities must be a 1-D array")
-        if np.any(cap < 0):
-            raise ValueError("capacity must be non-negative")
-        self.capacity = cap
-        self._remaining = cap.copy()
-        self.consumed = np.zeros(len(cap), dtype=np.float64)
-        self.draws = np.zeros(len(cap), dtype=np.int64)
-
-    @classmethod
-    def uniform(cls, n: int, capacity_joules: float = 1.0) -> "BatteryBank":
-        """A bank of ``n`` identical cells."""
-        return cls(np.full(n, float(capacity_joules)))
+        if not np.all(cap >= 0.0):
+            raise ValueError("capacity must be non-negative and not NaN")
+        # validated once as an array, so each cell's slots are filled
+        # directly (building 20k cells through __init__ takes ~1.5x as long)
+        cells: list[BatteryView] = []
+        new = BatteryView.__new__
+        for capacity in cap.tolist():
+            cell = new(BatteryView)
+            cell.capacity = cell._remaining = capacity
+            cell.consumed = 0.0
+            cell.draws = 0
+            cells.append(cell)
+        self._cells = cells
 
     def __len__(self) -> int:
-        return len(self.capacity)
-
-    def battery(self, index: int) -> BatteryView:
-        """Battery-compatible view of one slot."""
-        return BatteryView(self, index)
+        return len(self._cells)
 
     def batteries(self) -> list[BatteryView]:
-        """Views for every slot (pass straight to ``WirelessNetwork``)."""
-        return [BatteryView(self, i) for i in range(len(self.capacity))]
+        """The cells, one per slot (pass straight to ``WirelessNetwork``)."""
+        return list(self._cells)
+
+    def _column(self, attr: str, dtype: type = np.float64) -> np.ndarray:
+        column = np.fromiter(map(operator.attrgetter(attr), self._cells), dtype,
+                             len(self._cells))
+        column.flags.writeable = False
+        return column
 
     # ------------------------------------------------------------------
-    # vectorized accounting
+    # fleet accounting: read-only snapshots, gathered per call
     # ------------------------------------------------------------------
+    @property
+    def capacity(self) -> np.ndarray:
+        """Capacity per cell."""
+        return self._column("capacity")
+
     @property
     def remaining(self) -> np.ndarray:
-        """Joules left per node (read-only view)."""
-        view = self._remaining.view()
-        view.flags.writeable = False
-        return view
+        """Joules left per cell."""
+        return self._column("_remaining")
 
     @property
-    def alive_mask(self) -> np.ndarray:
-        """Boolean mask of nodes with charge left."""
-        return self._remaining > 0.0
+    def consumed(self) -> np.ndarray:
+        """Joules drawn per cell."""
+        return self._column("consumed")
 
     @property
-    def depleted_count(self) -> int:
-        """Number of dead cells."""
-        return int(np.count_nonzero(self._remaining <= 0.0))
+    def draws(self) -> np.ndarray:
+        """Draw calls per cell."""
+        return self._column("draws", np.int64)
 
     @property
     def total_consumed(self) -> float:
         """Fleet-wide joules drawn (numpy pairwise-summed; accounting
         only -- never fed back into simulation state)."""
         return float(self.consumed.sum())
-
-    def fraction_remaining(self) -> np.ndarray:
-        """Per-node remaining fraction (1.0 for infinite, 0.0 for zero-cap)."""
-        with np.errstate(invalid="ignore", divide="ignore"):
-            frac = self._remaining / self.capacity
-        frac = np.where(self.capacity == np.inf, 1.0, frac)
-        frac = np.where(self.capacity == 0.0, 0.0, frac)
-        return frac

@@ -9,9 +9,12 @@ import typing
 _message_ids = itertools.count()
 
 
-@dataclasses.dataclass
+@dataclasses.dataclass(slots=True)
 class Message:
     """One application-level message.
+
+    Slotted: an instance takes no attributes beyond its fields and no
+    weak references.
 
     Attributes
     ----------

@@ -45,13 +45,20 @@ def _receiver_copy(message: Message) -> Message:
 
     Keeps the ``msg_id`` (flooding/gossip dedup by id must keep working)
     but gives the receiver its own ``hops`` list and a shallow copy of the
-    payload, so receivers cannot mutate each other's view.  A direct
-    constructor call: ``dataclasses.replace`` costs ~4x as much per copy.
+    payload, so receivers cannot mutate each other's view.  The copy is
+    filled slot by slot: the original was validated when it was built, so
+    ``__init__``/``__post_init__`` do not run again.
     """
+    out = Message.__new__(Message)
+    out.src = message.src
+    out.dst = message.dst
+    out.size_bits = message.size_bits
+    out.kind = message.kind
     payload = message.payload
-    return Message(message.src, message.dst, message.size_bits, message.kind,
-                   copy.copy(payload) if payload is not None else None,
-                   list(message.hops), message.msg_id)
+    out.payload = None if payload is None else copy.copy(payload)
+    out.hops = message.hops.copy()
+    out.msg_id = message.msg_id
+    return out
 
 
 class NetworkNode:
@@ -181,8 +188,9 @@ class WirelessNetwork:
         if not self.topology.is_alive(src):
             return []
         neighbors = self.topology.neighbors(src)
-        tx = self.energy_model.tx_cost(message.size_bits, self.radio.range_m)
-        self._charge(src, tx)
+        bits = message.size_bits
+        tx = self.energy_model.tx_cost(bits, self.radio.range_m)
+        self._charge((src,), tx)
         energy_counter = self.monitor.counter("net.energy_j")
         energy_counter.add(tx)
         loss = self.radio.loss_prob
@@ -190,23 +198,21 @@ class WirelessNetwork:
             # one vectorized draw; numpy Generators produce the identical
             # stream for rng.random(n) and n scalar rng.random() calls, so
             # results match the historical per-neighbor draw bit for bit
-            draws = self.rng.random(len(neighbors))
-            delivered = [nbr for nbr, d in zip(neighbors, draws) if not (d < loss)]
+            draws = self.rng.random(len(neighbors)).tolist()
+            delivered = [nbr for nbr, d in zip(neighbors, draws) if not d < loss]
         else:
-            delivered = list(neighbors)
-        rx = self.energy_model.rx_cost(message.size_bits)
-        for nbr in delivered:
-            # per-receiver scalar adds: n IEEE754 additions are not rx*n,
-            # and the counter's accumulation order is pinned by tests
-            self._charge(nbr, rx)
-            energy_counter.add(rx)
+            delivered = neighbors
         if delivered:
+            rx = self.energy_model.rx_cost(bits)
+            self._charge(delivered, rx)
+            # n sequential adds, not one add(rx * n): the counter's
+            # accumulation order is pinned by tests
+            energy_counter.add_repeated(rx, len(delivered))
             # one fan-out event instead of one heap push per receiver:
             # the batched event delivers to every surviving receiver in
             # ascending-id order, exactly the order the per-receiver
             # events (consecutive seq at equal time/priority) fired in
-            self._fan_out_later(delivered, _receiver_copy(message),
-                                self.radio.hop_time(message.size_bits))
+            self._fan_out_later(delivered, _receiver_copy(message), self.radio.hop_time(bits))
         if self.tracer.enabled:
             self.tracer.event("net.broadcast", msg_id=message.msg_id, src=src,
                               reached=len(delivered), neighbors=len(neighbors))
@@ -262,14 +268,14 @@ class WirelessNetwork:
         dist = self.topology.distance(current, nxt)
         tx = self.energy_model.tx_cost(message.size_bits, dist)
         rx = self.energy_model.rx_cost(message.size_bits)
-        self._charge(current, tx)
+        self._charge((current,), tx)
         self.monitor.counter("net.energy_j").add(tx)
 
         if self.radio.loss_prob and self.rng.random() < self.radio.loss_prob:
             self._drop(message, energy_so_far + tx, on_complete, "loss", span)
             return
 
-        self._charge(nxt, rx)
+        self._charge((nxt,), rx)
         self.monitor.counter("net.energy_j").add(rx)
         message.hops.append(nxt)
         if self.tracer.enabled:
@@ -320,34 +326,12 @@ class WirelessNetwork:
 
         self.sim.schedule(delay, fan_out, label=f"bcast:{snapshot.msg_id}")
 
-    def _charge(self, node_id: int, joules: float) -> None:
-        battery = self.nodes[node_id].battery
-        alive = battery.draw(joules)
-        if not alive and self.topology.is_alive(node_id):
-            self.topology.kill(node_id)
-            self.monitor.counter("net.node_deaths").add()
-
-    # ------------------------------------------------------------------
-    # accounting helpers (used by cost estimators)
-    # ------------------------------------------------------------------
-    def unicast_time(self, src: int, dst: int, bits: float) -> float | None:
-        """Predicted delivery time along the current min-hop route.
-
-        Returns None when src/dst are partitioned.  Pure prediction: no
-        energy is charged, nothing is scheduled.
-        """
-        path = self.topology.shortest_path(src, dst)
-        if path is None:
-            return None
-        return (len(path) - 1) * self.radio.hop_time(bits)
-
-    def unicast_energy(self, src: int, dst: int, bits: float) -> float | None:
-        """Predicted total radio energy along the current min-hop route."""
-        path = self.topology.shortest_path(src, dst)
-        if path is None:
-            return None
-        total = 0.0
-        for a, b in zip(path, path[1:]):
-            total += self.energy_model.tx_cost(bits, self.topology.distance(a, b))
-            total += self.energy_model.rx_cost(bits)
-        return total
+    def _charge(self, node_ids: typing.Iterable[int], joules: float) -> None:
+        """Draw ``joules`` from each node's battery in turn; a node whose
+        battery runs dry leaves the topology (counted once, in
+        ``net.node_deaths``)."""
+        nodes = self.nodes
+        for node_id in node_ids:
+            if not nodes[node_id].battery.draw(joules) and self.topology.is_alive(node_id):
+                self.topology.kill(node_id)
+                self.monitor.counter("net.node_deaths").add()

@@ -291,12 +291,8 @@ class Topology:
         return ids
 
     def neighbors(self, node: int) -> list[int]:
-        """Living neighbors of ``node`` within radio range."""
-        return [int(i) for i in self._neighbor_ids(node)]
-
-    def degree(self, node: int) -> int:
-        """Number of living neighbors."""
-        return len(self._neighbor_ids(node))
+        """Living neighbors of ``node`` within radio range (a fresh list)."""
+        return self._neighbor_ids(node).tolist()
 
     def has_edge(self, a: int, b: int) -> bool:
         """True iff a and b are alive and within range of each other."""

@@ -75,6 +75,21 @@ class Counter:
         self.value += amount
         self.increments += 1
 
+    def add_repeated(self, amount: float, times: int) -> None:
+        """``times`` calls of ``add(amount)`` in one: ``times`` sequential
+        float additions, so the value is bit-identical to theirs (one
+        ``add(amount * times)`` rounds differently).  ``times`` is an
+        ``int`` >= 0; ``amount`` must be finite even when ``times`` is 0."""
+        if not math.isfinite(amount):
+            raise ValueError(f"counter {self.name!r}: amount must be finite, got {amount!r}")
+        if type(times) is not int or times < 0:
+            raise ValueError(f"counter {self.name!r}: times must be an int >= 0, got {times!r}")
+        value = self.value
+        for _ in range(times):
+            value += amount
+        self.value = value
+        self.increments += times
+
     def reset(self) -> None:
         """Zero the counter (used between benchmark repetitions)."""
         self.value = 0.0

@@ -1,15 +1,18 @@
-"""Batched broadcast delivery and the array-backed battery bank.
+"""Batched broadcast delivery and the battery bank.
 
 Both are pure mechanics changes: one fan-out event instead of an event
-per receiver, and numpy arrays instead of per-node Battery objects.  The
-tests here pin the equivalence -- delivery logs, energy, RNG stream and
-battery state must match the historical scalar forms exactly.
+per receiver, one charging pass per fan-out, and bank cells that hold
+their own charge instead of numpy columns.  The tests here pin the
+equivalence -- delivery logs, energy, RNG stream and battery state must
+match the per-receiver forms exactly.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.network import (
     Battery,
@@ -21,6 +24,7 @@ from repro.network import (
 )
 from repro.network.network import _receiver_copy
 from repro.simkernel import Monitor, RandomStreams, Simulator
+from tests.network.oracle import ColumnBank, PerReceiverNetwork
 
 
 def deliver_later(net, dst, message, delay):
@@ -183,45 +187,142 @@ class TestBroadcastBatching:
         assert _receiver_copy(Message(0, None, 8.0)).payload is None
 
 
+class KillLog(Topology):
+    """A topology that records the order in which nodes die."""
+
+    def __init__(self, positions, range_m):
+        super().__init__(positions, range_m)
+        self.killed = []
+
+    def kill(self, node):
+        self.killed.append(node)
+        super().kill(node)
+
+
+def run_bank_flood(network_cls, bank_cls, seed, loss, capacity_j):
+    """Three floods over a 40-node network on small, uneven batteries.
+
+    Every receiver appends itself to its copy's ``hops`` and rebroadcasts
+    each message once, so a receiver's rebroadcast can drain a node later
+    in the same fan-out, and senders and receivers die mid-broadcast.
+    """
+    n = 40
+    streams = RandomStreams(seed)
+    topo = KillLog(streams.get("pos").random((n, 2)) * 40.0, 14.0)
+    sim = Simulator()
+    radio = RadioModel(bandwidth_bps=250_000.0, latency_s=0.01,
+                       loss_prob=loss, range_m=14.0)
+    bank = bank_cls(streams.get("caps").uniform(0.2, 1.0, n) * capacity_j)
+    cells = bank.batteries()
+    net = network_cls(sim, topo, radio, batteries=cells,
+                      rng=streams.get("loss"), monitor=Monitor())
+    log = []
+    seen = [set() for _ in range(n)]
+
+    def attach(i):
+        def recv(msg):
+            msg.hops.append(i)
+            log.append((sim.now, i, msg.msg_id, tuple(msg.hops)))
+            if msg.msg_id not in seen[i]:
+                seen[i].add(msg.msg_id)
+                net.broadcast_local(i, msg)
+
+        net.nodes[i].receive = recv
+
+    for i in range(n):
+        attach(i)
+    for k, src in enumerate((0, n // 2, n - 1)):
+        seen[src].add(f"m{k}")
+        sim.schedule_at(0.5 * k, lambda src=src, k=k: net.broadcast_local(
+            src, Message(src=src, dst=None, size_bits=512.0, msg_id=f"m{k}")))
+    sim.run(until=10.0)
+    energy = net.monitor.counter("net.energy_j")
+    return {
+        "log": log,
+        "cells": [(c.remaining, c.consumed, c.draws) for c in cells],
+        "energy_j": (energy.value, energy.increments),
+        "counters": list(net.monitor.counters().items()),
+        "killed": topo.killed,
+        "version": topo.version,
+    }
+
+
+class TestBankBroadcast:
+    @settings(max_examples=40, deadline=None)
+    # the largest legal loss (RadioModel takes [0, 1)): every copy is lost
+    @given(seed=st.integers(0, 2**16),
+           loss=st.sampled_from([0.0, 0.2, math.nextafter(1.0, 0.0)]),
+           capacity_j=st.sampled_from([1e-4, 3e-4, 1e-3]))
+    def test_bank_flood_bit_identical_to_per_receiver_charging(self, seed, loss, capacity_j):
+        """One charging pass per fan-out over bank cells delivers, drains,
+        counts and kills exactly as per-receiver charging over numpy
+        columns: same log, same cells, same ledger bits and increments,
+        same death order and topology version."""
+        got = run_bank_flood(WirelessNetwork, BatteryBank, seed, loss, capacity_j)
+        want = run_bank_flood(PerReceiverNetwork, ColumnBank, seed, loss, capacity_j)
+        assert got == want
+
+    def test_flood_scenario_kills_some_nodes(self):
+        """The scenario reaches what the property is for: many nodes die
+        while others keep their charge."""
+        out = run_bank_flood(WirelessNetwork, BatteryBank, 3, 0.2, 3e-4)
+        assert len(out["killed"]) > 10 and out["log"]
+        assert 0 < sum(c[0] == 0.0 for c in out["cells"]) < 40
+
+
 class TestBatteryBank:
     def test_view_draw_bit_identical_to_battery(self):
         rng = np.random.default_rng(3)
         caps = [1e-3, 5e-4, float("inf"), 0.0, 2e-3]
         singles = [Battery(c) for c in caps]
-        bank = BatteryBank(caps)
-        views = bank.batteries()
+        cells = BatteryBank(caps).batteries()
+        columns = ColumnBank(caps).batteries()
         for _ in range(3000):
             i = int(rng.integers(0, len(caps)))
             j = float(rng.uniform(0, 3e-7))
-            assert singles[i].draw(j) == views[i].draw(j)
-        for s, v in zip(singles, views):
-            assert s.remaining == v.remaining
-            assert s.consumed == v.consumed
-            assert s.draws == v.draws
+            assert singles[i].draw(j) == cells[i].draw(j) == columns[i].draw(j)
+        for s, v, c in zip(singles, cells, columns):
+            assert s.remaining == v.remaining == c.remaining
+            assert s.consumed == v.consumed == c.consumed
+            assert s.draws == v.draws == c.draws
             assert s.depleted == v.depleted
             assert s.fraction_remaining == v.fraction_remaining
 
+    def test_cells_are_batteries(self):
+        cells = BatteryBank([1.0, 2.0]).batteries()
+        assert all(isinstance(c, Battery) for c in cells)
+        assert not hasattr(cells[0], "__dict__")
+
     def test_fleet_accounting(self):
-        bank = BatteryBank.uniform(100, 2e-4)
+        bank = BatteryBank(np.full(100, 2e-4))
+        cells = bank.batteries()
         for i in range(40):
-            bank.battery(i).draw(1e-4)
+            cells[i].draw(1e-4)
         for i in range(10):
-            bank.battery(i).draw(2e-4)  # overdraw: deplete 10 cells
-        assert bank.depleted_count == 10
-        assert int(bank.alive_mask.sum()) == 90
+            cells[i].draw(2e-4)  # overdraw: deplete 10 cells
+        assert len(bank) == 100
+        assert int(np.count_nonzero(bank.remaining <= 0.0)) == 10
         assert bank.total_consumed == pytest.approx(40 * 1e-4 + 10 * 1e-4)
-        frac = bank.fraction_remaining()
-        assert frac.shape == (100,)
-        assert np.all(frac[50:] == 1.0)
-        assert np.all(frac[:10] == 0.0)
+        assert bank.draws.tolist() == [2] * 10 + [1] * 30 + [0] * 60
+        assert bank.consumed.tolist() == [c.consumed for c in cells]
+        assert bank.capacity.tolist() == [2e-4] * 100
+
+    def test_columns_are_read_only_snapshots(self):
+        bank = BatteryBank([1.0, 1.0])
+        remaining = bank.remaining
+        for column in (remaining, bank.capacity, bank.consumed, bank.draws):
+            assert not column.flags.writeable
+        bank.batteries()[1].draw(0.25)
+        assert remaining.tolist() == [1.0, 1.0]
+        assert bank.remaining.tolist() == [1.0, 0.75]
 
     def test_views_power_a_network(self):
-        """Bank views drop in wherever Battery is expected."""
+        """Bank cells drop in wherever Battery is expected."""
         rng = np.random.default_rng(0)
         pos = rng.random((8, 2)) * 10
         topo = Topology(pos, 15.0)
         sim = Simulator()
-        bank = BatteryBank.uniform(8, 1.0)
+        bank = BatteryBank(np.ones(8))
         net = WirelessNetwork(sim, topo,
                               RadioModel(bandwidth_bps=1e6, latency_s=0.01,
                                          range_m=15.0),
@@ -238,4 +339,4 @@ class TestBatteryBank:
         with pytest.raises(ValueError, match="1-D"):
             BatteryBank(np.zeros((2, 2)))
         with pytest.raises(ValueError, match="negative energy"):
-            BatteryBank.uniform(2).battery(0).draw(-1.0)
+            BatteryBank([1.0, 1.0]).batteries()[0].draw(-1.0)

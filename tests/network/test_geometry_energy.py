@@ -13,7 +13,7 @@ from repro.network.geometry import (
     neighbors_within,
     pairwise_distances,
 )
-from repro.network.energy import Battery, RadioEnergyModel
+from repro.network.energy import Battery, BatteryBank, RadioEnergyModel
 from repro.network.radio import RadioModel
 
 
@@ -147,6 +147,45 @@ class TestBattery:
             b.draw(d)
         assert b.consumed <= 1.0 + 1e-12
         assert b.remaining >= 0.0
+
+
+NAN, INF = math.nan, math.inf
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: Battery(1.0).draw(NAN), id="draw-nan"),
+    pytest.param(lambda: Battery(1.0).draw(INF), id="draw-inf"),
+    pytest.param(lambda: Battery(INF).draw(INF), id="mains-draw-inf"),
+    pytest.param(lambda: BatteryBank([1.0]).batteries()[0].draw(NAN), id="cell-draw-nan"),
+    pytest.param(lambda: Battery(NAN), id="capacity-nan"),
+    pytest.param(lambda: BatteryBank([1.0, NAN]), id="bank-capacity-nan"),
+    pytest.param(lambda: RadioEnergyModel().tx_cost(NAN, 10.0), id="tx-bits-nan"),
+    pytest.param(lambda: RadioEnergyModel().tx_cost(INF, 10.0), id="tx-bits-inf"),
+    pytest.param(lambda: RadioEnergyModel().tx_cost(256.0, INF), id="tx-dist-inf"),
+    pytest.param(lambda: RadioEnergyModel().rx_cost(NAN), id="rx-nan"),
+    pytest.param(lambda: RadioEnergyModel().cpu_cost(INF), id="cpu-inf"),
+    pytest.param(lambda: RadioEnergyModel().sense_cost(-1.0), id="sense-negative"),
+    pytest.param(lambda: RadioEnergyModel().sense_cost(NAN), id="sense-nan"),
+    pytest.param(lambda: RadioEnergyModel(e_elec=NAN), id="e_elec-nan"),
+    pytest.param(lambda: RadioEnergyModel(eps_amp=-1e-12), id="eps_amp-negative"),
+    pytest.param(lambda: RadioEnergyModel(e_sense=INF), id="e_sense-inf"),
+])
+def test_non_finite_or_negative_energy_inputs_rejected(call):
+    """A NaN or infinite draw, cost input or coefficient, or a NaN
+    capacity, raises instead of poisoning a battery or the ledger."""
+    with pytest.raises(ValueError):
+        call()
+
+
+@pytest.mark.parametrize("make", [lambda: Battery(1.0),
+                                  lambda: BatteryBank([1.0]).batteries()[0]],
+                         ids=["battery", "bank-cell"])
+def test_rejected_draw_leaves_the_cell_untouched(make):
+    cell = make()
+    for bad in (NAN, INF, -1.0):
+        with pytest.raises(ValueError, match="negative energy"):
+            cell.draw(bad)
+    assert (cell.remaining, cell.consumed, cell.draws) == (1.0, 0.0, 0)
 
 
 class TestRadioModel:

@@ -169,30 +169,6 @@ class TestBroadcast:
         assert batteries[2].consumed == pytest.approx(tx)
 
 
-class TestPrediction:
-    def test_unicast_time_prediction_matches_actual(self):
-        sim, topo, net = make_net()
-        predicted = net.unicast_time(0, 4, 1000.0)
-        receipts = []
-        net.send(Message(src=0, dst=4, size_bits=1000.0), receipts.append)
-        sim.run()
-        assert receipts[0].time == pytest.approx(predicted)
-
-    def test_unicast_energy_prediction_matches_actual(self):
-        sim, topo, net = make_net()
-        predicted = net.unicast_energy(0, 4, 1000.0)
-        receipts = []
-        net.send(Message(src=0, dst=4, size_bits=1000.0), receipts.append)
-        sim.run()
-        assert receipts[0].energy_j == pytest.approx(predicted)
-
-    def test_predictions_none_when_partitioned(self):
-        sim, topo, net = make_net()
-        topo.kill(2)
-        assert net.unicast_time(0, 4, 10.0) is None
-        assert net.unicast_energy(0, 4, 10.0) is None
-
-
 class TestMobility:
     def test_static_placement_never_moves(self):
         sim, topo, net = make_net()

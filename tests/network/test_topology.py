@@ -18,7 +18,6 @@ class TestAdjacency:
         topo = line_topology()
         assert topo.neighbors(0) == [1]
         assert topo.neighbors(2) == [1, 3]
-        assert topo.degree(2) == 2
 
     def test_has_edge_symmetric(self):
         topo = line_topology()

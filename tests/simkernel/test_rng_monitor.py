@@ -91,6 +91,33 @@ class TestMonitor:
         assert c.value == 0.0
         assert c.increments == 0
 
+    @pytest.mark.parametrize("times", [0, 1, 7, 40])
+    def test_add_repeated_equals_repeated_add(self, times):
+        one, many = Monitor().counter("a"), Monitor().counter("b")
+        for c in (one, many):
+            c.add(3.56e-5)
+        for _ in range(times):
+            one.add(1.28e-5)
+        many.add_repeated(1.28e-5, times)
+        assert (many.value, many.increments) == (one.value, one.increments)
+
+    def test_add_repeated_is_not_one_scaled_add(self):
+        c = Monitor().counter("x")
+        c.add_repeated(0.1, 10)
+        assert c.value == 0.9999999999999999 != 0.1 * 10
+
+    @pytest.mark.parametrize("amount, times", [
+        (math.nan, 1), (math.inf, 0), (1.0, -1), (1.0, True), (1.0, 2.0),
+        (1.0, np.int64(2)),
+    ])
+    def test_add_repeated_rejects(self, amount, times):
+        """A non-finite amount (even zero times), or a count that is not a
+        plain int >= 0, raises and leaves the counter unchanged."""
+        c = Monitor().counter("x")
+        with pytest.raises(ValueError):
+            c.add_repeated(amount, times)
+        assert (c.value, c.increments) == (0.0, 0)
+
     def test_series_reductions(self):
         mon = Monitor()
         s = mon.series("latency")
