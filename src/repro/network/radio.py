@@ -10,6 +10,7 @@ profiles for the technologies the paper names (mote radios, Bluetooth,
 from __future__ import annotations
 
 import dataclasses
+import math
 
 
 @dataclasses.dataclass(frozen=True)
@@ -26,6 +27,11 @@ class RadioModel:
         Independent per-hop message loss probability in [0, 1).
     range_m:
         Maximum communication range (unit-disc model), metres.
+
+    NaN is rejected everywhere.  Bandwidth and range may be infinite (an
+    ideal link serializes in no time; an unbounded disc reaches every
+    node), but latency must be finite: an infinite hop time cannot be
+    scheduled.
     """
 
     bandwidth_bps: float = 250_000.0
@@ -34,14 +40,15 @@ class RadioModel:
     range_m: float = 30.0
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.latency_s < 0:
-            raise ValueError("latency must be non-negative")
+        # written so that NaN fails every check
+        if not self.bandwidth_bps > 0:
+            raise ValueError(f"bandwidth must be positive, got {self.bandwidth_bps!r}")
+        if not 0 <= self.latency_s < math.inf:
+            raise ValueError(f"latency must be finite and non-negative, got {self.latency_s!r}")
         if not 0.0 <= self.loss_prob < 1.0:
-            raise ValueError("loss_prob must be in [0, 1)")
-        if self.range_m <= 0:
-            raise ValueError("range must be positive")
+            raise ValueError(f"loss_prob must be in [0, 1), got {self.loss_prob!r}")
+        if not self.range_m > 0:
+            raise ValueError(f"range must be positive, got {self.range_m!r}")
 
     def transmission_time(self, bits: float) -> float:
         """Seconds to push ``bits`` onto the link (serialization delay)."""

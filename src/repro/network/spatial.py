@@ -51,8 +51,8 @@ class GridHashIndex:
     __slots__ = ("radius", "_cell", "_cells", "_coords", "moves_applied")
 
     def __init__(self, positions: np.ndarray, radius: float) -> None:
-        if radius <= 0:
-            raise ValueError("radius must be positive")
+        if not radius > 0:  # NaN fails too
+            raise ValueError(f"radius must be positive, got {radius!r}")
         self.radius = float(radius)
         self._cell = float(radius)
         self._cells: dict[tuple[int, int], list[int]] = {}

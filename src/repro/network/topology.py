@@ -74,8 +74,8 @@ class Topology:
 
     def __init__(self, positions: np.ndarray, range_m: float) -> None:
         self._positions = as_positions(positions).copy()
-        if range_m <= 0:
-            raise ValueError("range_m must be positive")
+        if not range_m > 0:  # NaN fails too; inf links every pair
+            raise ValueError(f"range_m must be positive, got {range_m!r}")
         self.range_m = float(range_m)
         self._alive = np.ones(len(self._positions), dtype=bool)
         #: Severed links: symmetric ``(lo, hi)`` id pair -> stack depth.

@@ -51,9 +51,10 @@ DEFAULT_RESOLUTIONS = (1.0, 10.0, 60.0)
 #: Ring capacity (buckets) per downsampling tier.
 DEFAULT_TIER_CAPACITY = 240
 
-# bound once for the QuantileSketch.observe hot path
+# bound once for the fold loops
 _ceil = math.ceil
 _log = math.log
+_isfinite = math.isfinite
 
 
 class QuantileSketch:
@@ -95,28 +96,48 @@ class QuantileSketch:
         return 2.0 * self._gamma ** index / (self._gamma + 1.0)
 
     def observe(self, value: float) -> None:
-        """Fold one observation in (O(1), a handful of float ops).
+        """Fold one observation in (:meth:`observe_many` of one value)."""
+        self.observe_many((value,))
 
-        A nonzero value lands in bucket ``ceil(log|value| * mult)``.
+    def observe_many(self, values: typing.Iterable[float]) -> None:
+        """Fold observations in, in order: the sketch's one recording path.
+
+        Each value costs a handful of float ops; a nonzero value lands in
+        bucket ``ceil(log|value| * mult)``.  The result is exactly that of
+        observing the values one at a time (``sum`` adds them in order),
+        and a value that cannot be bucketed (``inf``) raises with the
+        sketch as that one-at-a-time sequence would have left it.
         """
-        value = float(value)
-        self.count += 1
-        self.sum += value
-        if value < self.min:
-            self.min = value
-        if value > self.max:
-            self.max = value
-        self.last = value
-        if value > 0.0:
-            idx = _ceil(_log(value) * self._mult)
-            pos = self._pos
-            pos[idx] = pos.get(idx, 0) + 1
-        elif value < 0.0:
-            idx = _ceil(_log(-value) * self._mult)
-            neg = self._neg
-            neg[idx] = neg.get(idx, 0) + 1
-        else:
-            self._zero += 1
+        mult = self._mult
+        pos = self._pos
+        neg = self._neg
+        count, total, lo, hi, last, zero = (self.count, self.sum, self.min,
+                                            self.max, self.last, self._zero)
+        try:
+            for value in values:
+                value = float(value)
+                count += 1
+                total += value
+                if value < lo:
+                    lo = value
+                if value > hi:
+                    hi = value
+                last = value
+                if value > 0.0:
+                    idx = _ceil(_log(value) * mult)
+                    pos[idx] = pos.get(idx, 0) + 1
+                elif value < 0.0:
+                    idx = _ceil(_log(-value) * mult)
+                    neg[idx] = neg.get(idx, 0) + 1
+                else:
+                    zero += 1
+        finally:
+            self.count = count
+            self.sum = total
+            self.min = lo
+            self.max = hi
+            self.last = last
+            self._zero = zero
 
     # -- reading -------------------------------------------------------
     def __len__(self) -> int:
@@ -335,16 +356,32 @@ class MultiResolutionSeries:
         self.late_drops = 0
 
     def record(self, time: float, value: float) -> None:
-        """Fold one sample into every tier (O(tiers) amortized)."""
-        value = float(value)
+        """Fold one sample into every tier (:meth:`record_many` of one)."""
+        self.record_many((time,), (value,))
+
+    def record_many(self, times: typing.Sequence[float],
+                    values: typing.Sequence[float]) -> None:
+        """Fold ``(time, value)`` samples into every tier, in order: the
+        series' one recording path (O(tiers) amortized per sample).
+
+        Tiers are independent, so folding the samples tier by tier gives
+        exactly the buckets of recording them one at a time.  A
+        non-finite time has no bucket: it raises ``ValueError`` before
+        any tier changes.
+        """
+        if not all(map(_isfinite, times)):
+            bad = next(t for t in times if not _isfinite(t))
+            raise ValueError(f"sample times must be finite, got {bad!r}")
+        values = [float(v) for v in values]
         for res, buckets in self._tiers:
-            # floor(time / res) as an integral float: it equals the int
-            # bucket index exactly, so only a new bucket converts it.
-            # Bucket fields are indexed by their literal positions here.
-            idx = time // res
-            if buckets:
-                last = buckets[-1]
-                if last[0] == idx:
+            last = buckets[-1] if buckets else None
+            for time, value in zip(times, values):
+                # floor(time / res) as an integral float: it equals the
+                # int bucket index exactly, so only a new bucket converts
+                # it.  Bucket fields are indexed by their literal
+                # positions here.
+                idx = time // res
+                if last is not None and last[0] == idx:
                     last[1] += 1
                     last[2] += value
                     if value < last[3]:
@@ -352,8 +389,9 @@ class MultiResolutionSeries:
                     if value > last[4]:
                         last[4] = value
                     last[5] = value
-                    continue
-            self._fold(buckets, [int(idx), 1, value, value, value, value])
+                else:
+                    self._fold(buckets, [int(idx), 1, value, value, value, value])
+                    last = buckets[-1]
 
     def _fold(self, buckets: list[list], bucket: list) -> None:
         """Insert-or-merge one bucket, keeping ascending order + capacity."""
@@ -437,7 +475,11 @@ class TelemetryConfig:
         ring).  While an instrument has dropped nothing its reductions
         are exact; past the cap, percentiles come from its sketch
         (within :data:`DEFAULT_ALPHA`) and the drop count is visible on
-        the instrument.
+        the instrument.  The sketch (and a series' tiers) catch up with
+        the ring's unfolded values in one fold when the ring holds
+        nothing else, and at every read, which folds first; so the cap
+        also bounds the unfolded values, and memory stays within the
+        same cells.
     max_trace_records:
         Ring size for ``Tracer.records`` (None = unlimited, the
         append-only default; evictions count under ``obs.trace.dropped``).

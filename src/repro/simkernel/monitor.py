@@ -18,7 +18,19 @@ downsampled tiers).  While nothing has been dropped every reduction is
 exact -- bit-identical to the historical raw-list behavior; past the
 cap, counts/means/extremes stay exact (streamed scalars) and
 percentiles come from the sketch.  ``max_raw=None`` restores unbounded
-raw retention.  :meth:`Monitor.configure` applies a
+raw retention.
+
+Past the spill a record only appends to the ring; the sketch and tiers
+catch up in one fold, in recording order, when the ring holds only
+values they have not seen (once per ``max_raw`` records), and every
+read (``len``, ``dropped``, ``sketch``, ``tiers``, ``cells``, the
+reductions, ``extend``/:meth:`Monitor.merge`, ``reconfigure``,
+pickling) folds the rest first.  No reading can tell when a value was
+folded, and the memory bound is unchanged: the unfolded values are the
+ring's own newest entries.  Non-finite values (and series times) are
+rejected at the call, before anything changes.
+
+:meth:`Monitor.configure` applies a
 :class:`~repro.observability.sketch.TelemetryConfig`'s two raw-tail caps
 to every current and future instrument; :meth:`Monitor.footprint`
 reports retained cells (the deterministic memory accounting the E14
@@ -46,6 +58,9 @@ if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 #: Default exact-raw-tail length for histograms and time series.
 DEFAULT_MAX_RAW = 1024
+
+# bound once for the Histogram.observe / TimeSeries.record hot paths
+_isfinite = math.isfinite
 
 
 def _sketch_module():
@@ -131,12 +146,18 @@ class _SampleStore:
     the full distribution forever.  While :attr:`dropped` is 0 every
     reduction is exact over the raw values (the historical behavior);
     afterwards count/mean/max stay exact and :meth:`percentile` answers
-    from the sketch within its relative-error bound.  Each subclass
-    supplies its record path and ``_replay``, which feeds another
+    from the sketch within its relative-error bound.
+
+    After the spill a record only appends to the ring and counts the
+    values not yet folded into the sketch.  When the ring holds nothing
+    else (the next record would drop an unfolded value), they are folded
+    in one call, in recording order; every read folds the rest first, so
+    no reading can tell when a value was folded.  Each subclass supplies
+    its record path, ``_fold`` and ``_replay``, which feeds another
     store's raw entries through it.
     """
 
-    __slots__ = ("name", "_values", "_max_raw", "_sketch")
+    __slots__ = ("name", "_values", "_max_raw", "_sketch", "_unfolded")
 
     def __init__(self, name: str, max_raw: int | None = DEFAULT_MAX_RAW) -> None:
         _check_max_raw(name, max_raw)
@@ -144,6 +165,7 @@ class _SampleStore:
         self._values: typing.MutableSequence[float] = []
         self._max_raw = max_raw
         self._sketch = None
+        self._unfolded = 0  # the newest raw entries the sketch has not seen
 
     def _spill(self) -> None:
         """Switch to sketch-backed mode, folding the raw buffer in.
@@ -151,18 +173,32 @@ class _SampleStore:
         A reconfigure-shrink spills with more raw values than the new
         cap; the truncated oldest ones count as dropped.
         """
-        sketch = _sketch_module().QuantileSketch()
-        for v in self._values:
-            sketch.observe(v)
-        self._sketch = sketch
+        self._sketch = _sketch_module().QuantileSketch()
+        self._unfolded = len(self._values)
+        self._catch_up()
         self._ring()
 
     def _ring(self) -> None:
         """Keep the newest ``max_raw`` raw entries, as a ring."""
         self._values = collections.deque(self._values, maxlen=self._max_raw)
 
+    def _catch_up(self) -> None:
+        """Fold the unfolded raw entries in (O(unfolded), not O(ring))."""
+        n = self._unfolded
+        if n:
+            self._unfolded = 0
+            self._fold(n)
+
+    def __getstate__(self) -> tuple[None, dict[str, typing.Any]]:
+        # a pickled instrument travels caught up, its slots as pickle's
+        # default (no __dict__, slot state) form
+        self._catch_up()
+        return None, {name: getattr(self, name) for cls in type(self).__mro__
+                      for name in cls.__dict__.get("__slots__", ())}
+
     def __len__(self) -> int:
-        return self._sketch.count if self._sketch is not None else len(self._values)
+        sketch = self.sketch
+        return sketch.count if sketch is not None else len(self._values)
 
     @property
     def values(self) -> np.ndarray:
@@ -177,18 +213,21 @@ class _SampleStore:
     def dropped(self) -> int:
         """Observations no longer in the raw tail (0 = tail is complete):
         everything the sketch holds minus what the ring still holds."""
-        sketch = self._sketch
+        sketch = self.sketch
         return 0 if sketch is None else sketch.count - len(self._values)
 
     @property
     def sketch(self):
-        """The value-distribution :class:`QuantileSketch` (None until spilled)."""
+        """The value-distribution :class:`QuantileSketch` (None until
+        spilled), caught up with every observation."""
+        self._catch_up()
         return self._sketch
 
     @property
     def cells(self) -> int:
         """Retained storage cells (raw tail + sketch buckets)."""
-        return len(self._values) + (self._sketch.cells if self._sketch is not None else 0)
+        sketch = self.sketch
+        return len(self._values) + (sketch.cells if sketch is not None else 0)
 
     def ensure_sketch(self) -> None:
         """Materialize the sketch now (idempotent).
@@ -234,6 +273,8 @@ class _SampleStore:
     def extend(self, other: "_SampleStore") -> None:
         """Fold every observation of ``other`` in, in ``other``'s order
         (sketches merge exactly)."""
+        self._catch_up()
+        other._catch_up()
         if other._sketch is None:
             if self._sketch is None and self._max_raw is None:
                 self._extend_raw(other)
@@ -257,11 +298,21 @@ class _SampleStore:
         the oldest values.
         """
         _check_max_raw(self.name, max_raw)
+        self._catch_up()
         self._max_raw = max_raw
         if self._sketch is not None:
             self._ring()
         elif max_raw is not None and len(self._values) >= max_raw:
             self._spill()
+
+
+def _newest(ring: typing.Sequence[float], n: int) -> typing.Sequence[float]:
+    """The newest ``n`` entries of ``ring``, oldest first, in O(n)."""
+    if n == len(ring):
+        return ring
+    tail = list(itertools.islice(reversed(ring), n))
+    tail.reverse()
+    return tail
 
 
 class Histogram(_SampleStore):
@@ -270,16 +321,21 @@ class Histogram(_SampleStore):
     __slots__ = ()
 
     def observe(self, value: float) -> None:
-        """Record one observation."""
-        sketch = self._sketch
-        if sketch is None:
-            values = self._values
-            values.append(value)
-            if self._max_raw is not None and len(values) >= self._max_raw:
-                self._spill()
-            return
-        sketch.observe(value)
-        self._values.append(value)  # a full ring drops its oldest value
+        """Record one observation (finite; anything else raises
+        ``ValueError`` and records nothing)."""
+        if not _isfinite(value):
+            raise ValueError(f"histogram {self.name!r}: value must be finite, got {value!r}")
+        values = self._values
+        values.append(value)  # a full ring drops its oldest value
+        if self._sketch is not None:
+            self._unfolded += 1
+            if self._unfolded == self._max_raw:
+                self._catch_up()
+        elif self._max_raw is not None and len(values) >= self._max_raw:
+            self._spill()
+
+    def _fold(self, n: int) -> None:
+        self._sketch.observe_many(_newest(self._values, n))
 
     def _replay(self, other: "Histogram") -> None:
         for v in other._values:
@@ -288,8 +344,9 @@ class Histogram(_SampleStore):
     @property
     def sum(self) -> float:
         """Exact sum of all observations ever recorded."""
-        if self._sketch is not None:
-            return self._sketch.sum
+        sketch = self.sketch
+        if sketch is not None:
+            return sketch.sum
         return float(builtins_sum(self._values))
 
     @property
@@ -309,36 +366,46 @@ class TimeSeries(_SampleStore):
     downsampled history at widening time resolutions.
     """
 
-    __slots__ = ("_times", "tiers")
+    __slots__ = ("_times", "_tiers")
 
     def __init__(self, name: str, max_raw: int | None = DEFAULT_MAX_RAW) -> None:
         super().__init__(name, max_raw)
         self._times: typing.MutableSequence[float] = []
-        #: Downsampled multi-resolution history (None until spilled;
-        #: call :meth:`ensure_sketch` to materialize eagerly).
-        self.tiers = None
+        self._tiers = None
 
     def record(self, time: float, value: float) -> None:
-        """Append one sample."""
-        sketch = self._sketch
-        if sketch is None:
-            self._times.append(time)
-            self._values.append(value)
-            if self._max_raw is not None and len(self._values) >= self._max_raw:
-                self._spill()
-            return
-        sketch.observe(value)
-        self.tiers.record(time, value)
+        """Append one sample (finite time and value; anything else
+        raises ``ValueError`` and records nothing)."""
+        if not (_isfinite(time) and _isfinite(value)):
+            raise ValueError(f"series {self.name!r}: time and value must be finite, "
+                             f"got ({time!r}, {value!r})")
         # full rings drop their oldest sample
         self._times.append(time)
-        self._values.append(value)
+        values = self._values
+        values.append(value)
+        if self._sketch is not None:
+            self._unfolded += 1
+            if self._unfolded == self._max_raw:
+                self._catch_up()
+        elif self._max_raw is not None and len(values) >= self._max_raw:
+            self._spill()
+
+    @property
+    def tiers(self):
+        """Downsampled multi-resolution history, caught up with every
+        sample (None until spilled; call :meth:`ensure_sketch` to
+        materialize eagerly)."""
+        self._catch_up()
+        return self._tiers
 
     def _spill(self) -> None:
-        tiers = _sketch_module().MultiResolutionSeries()
-        for t, v in self._rows():
-            tiers.record(t, v)
-        self.tiers = tiers
+        self._tiers = _sketch_module().MultiResolutionSeries()
         super()._spill()
+
+    def _fold(self, n: int) -> None:
+        values = _newest(self._values, n)
+        self._sketch.observe_many(values)
+        self._tiers.record_many(_newest(self._times, n), values)
 
     def _ring(self) -> None:
         super()._ring()
@@ -357,13 +424,13 @@ class TimeSeries(_SampleStore):
 
     def _merge(self, other: "TimeSeries") -> None:
         super()._merge(other)
-        self.tiers.merge(other.tiers)
+        self._tiers.merge(other._tiers)
 
     @property
     def cells(self) -> int:
         """Retained storage cells (raw tails + sketch + tier buckets)."""
         cells = super().cells + len(self._times)
-        return cells if self.tiers is None else cells + self.tiers.cells
+        return cells if self._tiers is None else cells + self._tiers.cells
 
     @property
     def times(self) -> np.ndarray:
@@ -391,6 +458,11 @@ class Monitor:
 
     New histograms and series keep a raw tail of :data:`DEFAULT_MAX_RAW`
     observations; :meth:`configure` re-bounds current and future ones.
+    A spilled instrument folds its newest records into its sketch and
+    tiers a full ring at a time, and every read (:meth:`summary`,
+    :meth:`footprint`, :meth:`merge`, pickling) folds the rest first, so
+    readings and the retained-cell bound are those of folding each
+    record at once.
     """
 
     def __init__(self) -> None:

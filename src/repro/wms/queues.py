@@ -13,9 +13,10 @@ at the current virtual clock instead of cashing in unbounded credit.
 
 Everything is deterministic: queues are FIFO, the class pick is
 ``min((tag, declaration order))``, parked pilots wake in parking order
-through ordinary simulator events (a pilot that refuses waiting work
-passes its wake on to the longest-parked one), and no RNG or wall clock
-is ever consulted -- serial and sharded runs of the same workload are
+through ordinary simulator events -- one zero-delay event per round of
+pilots a queue change wakes (a pilot that refuses waiting work passes
+its wake on to the longest-parked one) -- and no RNG or wall clock is
+ever consulted: serial and sharded runs of the same workload are
 bit-identical (the E15 determinism gate).
 
 Observability: ``wms.*`` counters/histograms/series on the attached
@@ -324,9 +325,10 @@ class TaskQueueService:
         """Register an idle pilot's wake callback (FIFO wake order).
 
         Parked pilots cost nothing while the queue is empty; each
-        submitted task wakes at most one pilot (through a zero-delay
-        simulator event, so wake order is part of the deterministic
-        event order).
+        submitted task wakes at most one pilot.  The pilots one submit
+        or requeue wakes form a round: they leave the parked list at
+        once and one zero-delay simulator event calls them in parking
+        order, so wake order is part of the deterministic event order.
         """
         self._waiters.append(wake)
 
@@ -365,12 +367,31 @@ class TaskQueueService:
         self._wake(self._depth)
 
     def _wake(self, n: int) -> None:
-        woken = 0
-        while self._waiters and woken < n:
-            wake = self._waiters.popleft()
-            self.sim.schedule(0.0, wake, label="wms.wake")
-            woken += 1
-        self._passes = len(self._waiters)
+        """Wake up to ``n`` parked pilots, longest-parked first, as one
+        round: they leave the parked list now, and one zero-delay event
+        calls them in that order.
+
+        This dispatches exactly as one event per pilot would (the form
+        ``tests/wms/oracle.py`` keeps): those events hold consecutive
+        sequence numbers at one instant, so no normal-priority event
+        can fire between them.
+        """
+        waiters = self._waiters
+        k = min(n, len(waiters))
+        if k:
+            woken = collections.deque(waiters.popleft() for _ in range(k))
+            self.sim.schedule(0.0, lambda: self._call_round(woken), label="wms.wake")
+        self._passes = len(waiters)
+
+    def _call_round(self, woken: collections.deque) -> None:
+        try:
+            while woken:
+                woken.popleft()()
+        finally:
+            if woken:
+                # a wake raised: the rest of its round stays woken, as
+                # the next round
+                self.sim.schedule(0.0, lambda: self._call_round(woken), label="wms.wake")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         depths = {name: len(c.tasks) for name, c in self._classes.items()}

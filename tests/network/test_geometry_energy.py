@@ -211,3 +211,15 @@ class TestRadioModel:
             RadioModel(range_m=0)
         with pytest.raises(ValueError):
             RadioModel().transmission_time(-1.0)
+
+    @pytest.mark.parametrize("field, bad", [
+        ("bandwidth_bps", math.nan), ("latency_s", math.nan),
+        ("latency_s", math.inf), ("loss_prob", math.nan), ("range_m", math.nan),
+    ])
+    def test_nan_or_infinite_latency_rejected(self, field, bad):
+        with pytest.raises(ValueError, match=repr(bad)):
+            RadioModel(**{field: bad})
+
+    def test_infinite_bandwidth_and_range_stay_legal(self):
+        radio = RadioModel(bandwidth_bps=math.inf, range_m=math.inf)
+        assert radio.hop_time(1_000.0) == radio.latency_s

@@ -1,5 +1,7 @@
 """Unit tests for the dynamic unit-disc topology."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -71,6 +73,14 @@ class TestAdjacency:
     def test_invalid_range(self):
         with pytest.raises(ValueError):
             Topology(np.zeros((2, 2)), range_m=0.0)
+
+    def test_nan_range_rejected(self):
+        with pytest.raises(ValueError, match="nan"):
+            Topology(np.zeros((2, 2)), range_m=math.nan)
+
+    def test_infinite_range_links_every_pair(self):
+        topo = Topology(np.array([[0.0, 0.0], [-40.0, 3.0], [1e6, -1e6]]), range_m=math.inf)
+        assert [topo.neighbors(i) for i in range(3)] == [[1, 2], [0, 2], [0, 1]]
 
 
 class TestPathsAndTrees:

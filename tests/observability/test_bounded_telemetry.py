@@ -1,12 +1,14 @@
 """Bounded monitor instruments: lazy sketch spill, rings, configure,
 footprint, and the SLO engine over sketch-backed windows."""
 
+import math
+import pickle
 import random
 
 import numpy as np
 import pytest
 
-from repro.observability.sketch import TelemetryConfig
+from repro.observability.sketch import MultiResolutionSeries, QuantileSketch, TelemetryConfig
 from repro.observability.slo import SLO, Signal, SLOEvaluator
 from repro.simkernel import Monitor, Simulator
 from repro.simkernel.monitor import Histogram, TimeSeries
@@ -105,6 +107,99 @@ class TestTimeSeriesSpill:
         assert len(a) == 40
         assert a.total() == pytest.approx(20 * 1.0 + 20 * 3.0)
         assert a.max() == 3.0
+
+
+def state_of(inst, series):
+    """An instrument's full reading, through pickling (which folds)."""
+    out = [len(inst), inst.values.tolist(), inst.dropped, inst.cells,
+           None if inst.sketch is None else inst.sketch.state()]
+    if series:
+        out += [inst.times.tolist(), inst.last(), inst.total(),
+                None if inst.tiers is None else inst.tiers.samples()]
+    else:
+        out += [inst.last, inst.sum]
+    return repr(out)
+
+
+class TestNonFiniteTelemetry:
+    """A non-finite value (or series time) raises at the call, naming the
+    instrument, before anything changes -- raw, spilled or unbounded."""
+
+    BAD = (math.nan, math.inf, -math.inf)
+
+    @pytest.mark.parametrize("cap, n", [(None, 5), (4, 3), (4, 5), (4, 11)])
+    @pytest.mark.parametrize("bad", BAD)
+    def test_histogram_rejects_and_keeps_its_state(self, cap, n, bad):
+        h = Histogram("lat", max_raw=cap)
+        for v in range(n):
+            h.observe(float(v))
+        before = state_of(pickle.loads(pickle.dumps(h)), series=False)
+        with pytest.raises(ValueError, match="histogram 'lat'"):
+            h.observe(bad)
+        assert state_of(h, series=False) == before
+        h.observe(7.0)  # still records normally
+        assert len(h) == n + 1 and h.last == 7.0
+
+    @pytest.mark.parametrize("cap, n", [(None, 5), (4, 3), (4, 5), (4, 11)])
+    @pytest.mark.parametrize("time, value", [(1.0, bad) for bad in BAD] + [(bad, 1.0) for bad in BAD])
+    def test_series_rejects_and_keeps_its_state(self, cap, n, time, value):
+        s = TimeSeries("depth", max_raw=cap)
+        for t in range(n):
+            s.record(float(t), float(t))
+        before = state_of(pickle.loads(pickle.dumps(s)), series=True)
+        with pytest.raises(ValueError, match="series 'depth'"):
+            s.record(time, value)
+        assert state_of(s, series=True) == before
+
+
+class TestDeferredFold:
+    """Past the spill a record only appends; the sketch and tiers catch
+    up a full ring at a time or at a read, and a fold costs O(unfolded)."""
+
+    def counting_folds(self, monkeypatch):
+        folded = []
+        for cls, name in ((QuantileSketch, "observe_many"),
+                          (MultiResolutionSeries, "record_many")):
+            real = getattr(cls, name)
+
+            def counted(self, *columns, _real=real, _name=name):
+                columns = [list(c) for c in columns]
+                folded.append((_name, len(columns[0])))
+                _real(self, *columns)
+
+            monkeypatch.setattr(cls, name, counted)
+        return folded
+
+    def test_a_full_ring_folds_in_one_call(self, monkeypatch):
+        folded = self.counting_folds(monkeypatch)
+        s = TimeSeries("s", max_raw=4)
+        for t in range(4 + 3 * 4):
+            s.record(float(t), 1.0)
+        # the spill, then one fold per ring of unfolded samples
+        assert folded == [("observe_many", 4), ("record_many", 4)] * 4
+
+    @pytest.mark.parametrize("cap", [None, 64])
+    def test_a_read_folds_only_the_unfolded_tail(self, monkeypatch, cap):
+        h = Histogram("h", max_raw=cap)
+        for v in range(1_000):
+            h.observe(float(v))
+        h.ensure_sketch()
+        assert len(h) == 1_000  # a read: everything so far is folded
+        folded = self.counting_folds(monkeypatch)
+        for v in range(3):
+            h.observe(-float(v))
+        assert h.sketch.count == 1_003
+        assert h.sketch.last == -2.0
+        assert folded == [("observe_many", 3)]
+        assert len(h) == 1_003 and folded == [("observe_many", 3)]
+
+    def test_pickling_folds_first(self):
+        h = Histogram("h", max_raw=8)
+        for v in range(11):
+            h.observe(float(v))
+        copy = pickle.loads(pickle.dumps(h))
+        assert copy.sketch.count == 11
+        assert state_of(copy, series=False) == state_of(h, series=False)
 
 
 class TestMonitorConfigureAndFootprint:

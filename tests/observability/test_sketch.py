@@ -6,6 +6,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.observability.sketch import (
     BUCKET_CELLS,
@@ -194,6 +195,67 @@ class TestMultiResolutionSeries:
             MultiResolutionSeries(resolutions=(10.0, 1.0))
         with pytest.raises(ValueError):
             MultiResolutionSeries(capacity=0)
+
+
+def chunked(items, cuts):
+    """``items`` split at the (sorted, clipped) ``cuts``."""
+    edges = [0] + sorted(min(c, len(items)) for c in cuts) + [len(items)]
+    return [items[a:b] for a, b in zip(edges, edges[1:])]
+
+
+finite = st.one_of(st.sampled_from((0.0, -0.0, 1.0, -1.0)),
+                   st.floats(-1e9, 1e9, allow_nan=False, allow_subnormal=False))
+cuts = st.lists(st.integers(0, 40), max_size=5)
+
+
+class TestBatchFolds:
+    """``observe_many`` / ``record_many`` are the one recording path of
+    each structure: any split of a stream into batches gives exactly the
+    state of recording it one value at a time."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(finite, max_size=40), cuts)
+    def test_sketch_batches_equal_single_observations(self, values, cut):
+        one, batched = QuantileSketch(), QuantileSketch()
+        for v in values:
+            one.observe(v)
+        for chunk in chunked(values, cut):
+            batched.observe_many(chunk)
+        assert batched.state() == one.state()
+
+    def test_an_unbucketable_value_stops_the_batch_where_singles_stop(self):
+        one, batched = QuantileSketch(), QuantileSketch()
+        values = [2.0, -3.0, math.inf, 5.0]
+        with pytest.raises(OverflowError):
+            for v in values:
+                one.observe(v)
+        with pytest.raises(OverflowError):
+            batched.observe_many(values)
+        assert repr(batched.state()) == repr(one.state())
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.tuples(st.floats(0.0, 60.0), finite), max_size=40), cuts,
+           st.integers(1, 4))
+    def test_series_batches_equal_single_records(self, samples, cut, capacity):
+        # small rings and unordered times: evictions and late drops happen
+        one = MultiResolutionSeries(resolutions=(1.0, 5.0), capacity=capacity)
+        batched = MultiResolutionSeries(resolutions=(1.0, 5.0), capacity=capacity)
+        for t, v in samples:
+            one.record(t, v)
+        for chunk in chunked(samples, cut):
+            batched.record_many([t for t, _ in chunk], [v for _, v in chunk])
+        for res in (1.0, 5.0):
+            assert batched.samples(res) == one.samples(res)
+        assert (batched.evictions, batched.late_drops) == (one.evictions, one.late_drops)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_time_rejects_the_whole_batch(self, bad):
+        mrs = MultiResolutionSeries()
+        mrs.record(0.5, 1.0)
+        before = [mrs.samples(r) for r in mrs.resolutions]
+        with pytest.raises(ValueError, match="finite"):
+            mrs.record_many([1.5, bad, 2.5], [1.0, 2.0, 3.0])
+        assert [mrs.samples(r) for r in mrs.resolutions] == before
 
 
 class TestTelemetryConfig:

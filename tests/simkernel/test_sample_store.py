@@ -3,8 +3,13 @@
 (every spill-state pair), reconfigures and ``ensure_sketch`` calls drives
 a production instrument and its reference side by side, and after every
 step both must report the same readings, sketch state, tiers and cells.
+A burst records past a full ring and then takes one reading first, so a
+reading that forgets to fold, or a fold that takes the wrong raw
+entries, shows.
 Monitors built on each then merge to the same ``summary()`` and
 ``footprint()``."""
+
+import pickle
 
 from hypothesis import given, settings, strategies as st
 
@@ -21,9 +26,24 @@ values = st.one_of(st.sampled_from((0.0, 1.0, -1.0, 2.5)),
 times = st.floats(0.0, 900.0, allow_nan=False)
 samples = st.tuples(times, values)
 caps = st.sampled_from(CAPS)
+#: Single readings taken first after a burst, before anything else reads
+#: (and so folds) the instrument.
+PROBES = {
+    "len": len,
+    "dropped": lambda inst: inst.dropped,
+    "cells": lambda inst: inst.cells,
+    "sketch": lambda inst: None if inst.sketch is None else inst.sketch.state(),
+    "mean": lambda inst: inst.mean(),
+    "p95": lambda inst: inst.percentile(95),
+    "pickle": lambda inst: reading(pickle.loads(pickle.dumps(inst)),
+                                   hasattr(inst, "record")),
+}
 step = st.one_of(
     st.tuples(st.just("add"), samples),
     st.tuples(st.just("add_many"), st.lists(samples, max_size=12)),
+    # past a full ring (every cap but None) between two reads
+    st.tuples(st.just("burst"), st.lists(samples, min_size=9, max_size=20),
+              st.sampled_from(sorted(PROBES))),
     st.tuples(st.just("extend"), st.lists(samples, max_size=12), caps, st.booleans()),
     st.tuples(st.just("reconfigure"), caps),
     st.tuples(st.just("ensure_sketch")),
@@ -73,6 +93,12 @@ def drive(store, ref, script, series):
             for sample in args[0]:
                 add(store, sample, series)
                 add(ref, sample, series)
+        elif op == "burst":
+            for sample in args[0]:
+                add(store, sample, series)
+                add(ref, sample, series)
+            probe = PROBES[args[1]]
+            assert repr(probe(store)) == repr(probe(ref)), args[1]
         elif op == "extend":
             store.extend(built(type(store), *args, series))
             ref.extend(built(type(ref), *args, series))

@@ -5,10 +5,17 @@ world and a reference world side by side, and after every step both must
 agree on the claimed task, the depths, the class tallies, the monitor
 summary and every trace event.  A ``pinned`` step lets every pilot park
 and then submits one task only a named site accepts, so a pilot parked
-behind a refusing one must be passed the wake."""
+behind a refusing one must be passed the wake; a ``burst`` step lets
+every pilot park and then wakes several in one round.
+
+Production wakes a round of parked pilots with one event; the reference
+schedules one event per woken pilot.  A second property drives both
+queues with parked callables that only log their calls, so the wake
+order itself is compared, and a wake that raises must lose no pilot."""
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.grid.resource import GridResource
 from repro.observability.sketch import TelemetryConfig
@@ -59,6 +66,7 @@ step = st.one_of(
     st.tuples(st.just("trip"), st.sampled_from(("a", "b"))),
     st.tuples(st.just("heal"), st.sampled_from(("a", "b"))),
     st.tuples(st.just("pinned"), st.sampled_from(("a", "b")), task_spec),
+    st.tuples(st.just("burst"), st.lists(task_spec, min_size=2, max_size=4)),
 )
 #: Weights drawn from a small set, so ties between classes are common.
 weights = st.lists(st.sampled_from((1.0, 2.0, 3.0)), min_size=3, max_size=3)
@@ -123,6 +131,10 @@ class World:
             self.sim.run(until=self.sim.now + SETTLE_S)
             only = TaskRequirements(sites=frozenset({op[1]}))
             self.queue.submit(self.task(*op[2], requirements=only))
+        elif kind == "burst":
+            # every pilot parks; then one submit wakes them as one round
+            self.sim.run(until=self.sim.now + SETTLE_S)
+            self.queue.submit_bulk([self.task(*spec) for spec in op[1]])
         return None
 
     def observe(self):
@@ -149,3 +161,87 @@ def test_queue_and_pilots_match_reference(weights, script):
     fast.sim.run(until=fast.sim.now + 60.0)
     ref.sim.run(until=ref.sim.now + 60.0)
     assert fast.observe() == ref.observe()
+
+
+class Wakes:
+    """A queue with parked callables that log their calls, by id."""
+
+    def __init__(self, queue_cls):
+        self.sim = Simulator()
+        self.queue = queue_cls(self.sim, [PriorityClass("c", 1.0)])
+        self.log = []
+        self.next_id = 0
+
+    def waker(self):
+        me = self.next_id
+        self.next_id += 1
+        return lambda: self.log.append((self.sim.now, me))
+
+    def apply(self, op):
+        kind = op[0]
+        if kind == "park":
+            self.queue.park(self.waker())
+        elif kind == "pass_on":
+            return self.queue.pass_on(self.waker())
+        elif kind == "submit":
+            self.queue.submit_bulk([Task(ops=1.0, priority_class="c")
+                                    for _ in range(op[1])])
+        elif kind == "claim":
+            return self.queue.claim(OFFERS[0]) is not None
+        elif kind == "run":
+            self.sim.run(until=self.sim.now + op[1])
+        return None
+
+
+wake_step = st.one_of(
+    st.tuples(st.just("park")),
+    st.tuples(st.just("pass_on")),
+    st.tuples(st.just("submit"), st.integers(1, 4)),
+    st.tuples(st.just("claim")),
+    st.tuples(st.just("run"), st.sampled_from((0.0, 1.0))),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(wake_step, max_size=30))
+# two parked pilots woken by one submit: a round must call them in
+# parking order
+@example([("park",), ("park",), ("submit", 2), ("run", 0.0)])
+# a round takes its pilots off the parked list when it is scheduled, so
+# a refusal before it fires passes the wake to the next one still parked
+@example([("park",), ("park",), ("park",), ("submit", 2), ("pass_on",),
+          ("run", 0.0)])
+def test_wake_rounds_match_one_event_per_pilot(script):
+    fast, ref = Wakes(TaskQueueService), Wakes(ReferenceQueue)
+    for op in script:
+        assert fast.apply(op) == ref.apply(op), op
+        assert fast.log == ref.log, op
+        assert fast.queue.depth() == ref.queue.depth(), op
+    fast.sim.run()
+    ref.sim.run()
+    assert fast.log == ref.log
+
+
+@pytest.mark.parametrize("queue_cls", [TaskQueueService, ReferenceQueue])
+def test_a_raising_wake_loses_no_pilot(queue_cls):
+    """The rest of a round whose wake raised stays woken: the next run
+    calls them in order, as the reference's pending per-pilot events do,
+    and a pilot the round did not take stays parked."""
+    world = Wakes(queue_cls)
+    first, after, parked = world.waker(), world.waker(), world.waker()
+
+    def boom():
+        world.log.append((world.sim.now, "boom"))
+        raise RuntimeError("wake failed")
+
+    for wake in (first, boom, after, parked):
+        world.queue.park(wake)
+    world.queue.submit_bulk([Task(ops=1.0, priority_class="c") for _ in range(3)])
+    with pytest.raises(RuntimeError, match="wake failed"):
+        world.sim.run()
+    assert world.log == [(0.0, 0), (0.0, "boom")]
+    world.sim.run()
+    assert world.log == [(0.0, 0), (0.0, "boom"), (0.0, 1)]
+    world.queue.submit(Task(ops=1.0, priority_class="c"))
+    world.sim.run()
+    assert world.log[-1] == (0.0, 2)
