@@ -12,7 +12,7 @@ results land in ``BENCH_results.json`` (override the path with the
 ``BENCH_RESULTS`` environment variable) when the session ends.  Gate a
 run against a baseline with::
 
-    python -m repro.observability.bench compare benchmarks/BENCH_baseline.json BENCH_results.json
+    python -m repro.observability bench compare benchmarks/BENCH_baseline.json BENCH_results.json
 
 Run:  pytest benchmarks/ --benchmark-only -s
 """

@@ -21,7 +21,7 @@ Scale knobs (env):
   ``optimized`` one).
 * ``E7XL_SIM_S``   -- simulated seconds (default 4).
 * ``E7XL_PROFILE_DIR`` -- when set, per-variant HookProfiler exports are
-  written there for ``python -m repro.observability.profile``.
+  written there for ``python -m repro.observability profile``.
 """
 
 import itertools

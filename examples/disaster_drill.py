@@ -32,8 +32,8 @@ Run:  python examples/disaster_drill.py
       python examples/disaster_drill.py --export drill-trace.jsonl
       python examples/disaster_drill.py --profile drill-profile.json \
           --ledger drill-ledger.jsonl
-      python -m repro.observability.dashboard drill-trace.jsonl
-      python -m repro.observability.profile drill-profile.json
+      python -m repro.observability dashboard drill-trace.jsonl
+      python -m repro.observability profile drill-profile.json
 """
 
 import argparse
@@ -65,11 +65,11 @@ def main(argv=None) -> None:
                              "rollup at the end of the drill")
     parser.add_argument("--export", metavar="PATH", default=None,
                         help="write the trace as JSONL to PATH (implies --trace); "
-                             "analyze it with python -m repro.observability.report")
+                             "analyze it with python -m repro.observability report")
     parser.add_argument("--profile", metavar="PATH", default=None,
                         help="wall-clock-profile the drill and write the export "
                              "to PATH; analyze it with "
-                             "python -m repro.observability.profile")
+                             "python -m repro.observability profile")
     parser.add_argument("--ledger", metavar="PATH", default=None,
                         help="write the per-query cost ledger as JSONL to PATH "
                              "(implies --trace)")
@@ -175,7 +175,7 @@ def main(argv=None) -> None:
         if args.export:
             count = runtime.export_trace(args.export)
             print(f"\nexported {count} trace records to {args.export}")
-            print(f"analyze with: python -m repro.observability.report {args.export}")
+            print(f"analyze with: python -m repro.observability report {args.export}")
         if args.ledger:
             count = QueryCostLedger.from_trace(trace).export_jsonl(args.ledger)
             print(f"exported {count} per-query cost records to {args.ledger}")
@@ -183,7 +183,7 @@ def main(argv=None) -> None:
     if args.profile:
         count = runtime.export_profile(args.profile)
         print(f"\nexported wall-clock profile ({count} handlers) to {args.profile}")
-        print(f"analyze with: python -m repro.observability.profile {args.profile}")
+        print(f"analyze with: python -m repro.observability profile {args.profile}")
 
 
 if __name__ == "__main__":

@@ -8,8 +8,9 @@ implements all four:
 
 * :mod:`~repro.network.routing.flooding` -- blind rebroadcast dissemination.
 * :mod:`~repro.network.routing.gossip` -- probabilistic forwarding.
-* :mod:`~repro.network.routing.tree` -- min-hop aggregation trees and
-  convergecast cost accounting (raw vs. in-network aggregated).
+* :mod:`~repro.network.routing.tree` -- min-hop aggregation trees, whose
+  raw and in-network aggregated convergecasts
+  :mod:`repro.queries.models.collection` costs.
 * :mod:`~repro.network.routing.cluster` -- LEACH-style cluster-head
   formation and two-tier collection.
 

@@ -5,26 +5,15 @@ sensor networks.  Data would be routed and aggregated through the
 aggregation trees." (§4)
 
 :class:`AggregationTree` is a min-hop spanning tree rooted at the sink.
-Two convergecast modes are costed:
-
-* **aggregated** -- each node combines its children's partial aggregates
-  with its own reading and sends *one* fixed-size partial upward (TAG);
-  per-level scheduling gives latency ``depth * hop_time``.
-* **raw** -- no in-network combining: each node forwards every reading in
-  its subtree, so a node at the root of a subtree of size ``s`` transmits
-  ``s`` packets.  This is the "treat sensors as dumb data sources" mode
-  whose cost the paper argues is prohibitive.
+Convergecasts over it -- aggregated (TAG: one partial per node) and raw
+(every reading forwarded whole) -- are costed over the subtree a query's
+targets induce, by :mod:`repro.queries.models.collection`.
 """
 
 from __future__ import annotations
 
 import collections
 
-import numpy as np
-
-from repro.network.energy import RadioEnergyModel
-from repro.network.radio import RadioModel
-from repro.network.routing.base import CollectionCost
 from repro.network.topology import Topology
 
 
@@ -60,99 +49,12 @@ class AggregationTree:
         """Height of the tree (0 for a root-only tree)."""
         return max(self.depth_of.values()) if self.depth_of else 0
 
-    def subtree_sizes(self) -> dict[int, int]:
-        """Number of nodes in each node's subtree (itself included)."""
-        sizes = {n: 1 for n in self.parent}
-        # process deepest first so children are final before parents
-        for node in sorted(self.parent, key=lambda n: -self.depth_of[n]):
-            if node != self.root:
-                sizes[self.parent[node]] += sizes[node]
-        return sizes
-
     def path_to_root(self, node: int) -> list[int]:
         """Tree path from ``node`` up to the root, inclusive."""
         path = [node]
         while path[-1] != self.root:
             path.append(self.parent[path[-1]])
         return path
-
-    # ------------------------------------------------------------------
-    # convergecast costing
-    # ------------------------------------------------------------------
-    def aggregated_collection(
-        self,
-        bits_partial: float,
-        radio: RadioModel,
-        energy_model: RadioEnergyModel,
-        ops_per_merge: float = 10.0,
-    ) -> CollectionCost:
-        """Cost of one TAG-style aggregated convergecast round.
-
-        Every non-root node transmits exactly one partial of
-        ``bits_partial`` bits to its parent; parents pay reception per
-        child plus a merge of ``ops_per_merge`` CPU operations per child.
-        """
-        topo = self.topology
-        per_node = np.zeros(topo.n_nodes)
-        messages = 0
-        bits_total = 0.0
-        for node in self.parent:
-            if node == self.root:
-                continue
-            par = self.parent[node]
-            dist = topo.distance(node, par)
-            per_node[node] += energy_model.tx_cost(bits_partial, dist)
-            per_node[par] += energy_model.rx_cost(bits_partial)
-            per_node[par] += energy_model.cpu_cost(ops_per_merge)
-            messages += 1
-            bits_total += bits_partial
-        latency = self.depth * radio.hop_time(bits_partial)
-        return CollectionCost(
-            per_node_energy=per_node,
-            latency_s=latency,
-            messages=messages,
-            bits_total=bits_total,
-            participating=set(self.parent),
-        )
-
-    def raw_collection(
-        self,
-        bits_reading: float,
-        radio: RadioModel,
-        energy_model: RadioEnergyModel,
-    ) -> CollectionCost:
-        """Cost of forwarding every raw reading to the root (no combining).
-
-        A node whose subtree holds ``s`` readings transmits ``s`` packets
-        to its parent.  Latency is dominated by the root's bottleneck
-        inlink: the root must receive ``n - 1`` packets serially, plus the
-        pipeline fill of ``depth`` hops.
-        """
-        topo = self.topology
-        per_node = np.zeros(topo.n_nodes)
-        sizes = self.subtree_sizes()
-        messages = 0
-        bits_total = 0.0
-        for node in self.parent:
-            if node == self.root:
-                continue
-            par = self.parent[node]
-            dist = topo.distance(node, par)
-            count = sizes[node]
-            per_node[node] += count * energy_model.tx_cost(bits_reading, dist)
-            per_node[par] += count * energy_model.rx_cost(bits_reading)
-            messages += count
-            bits_total += count * bits_reading
-        n = len(self.parent)
-        hop = radio.hop_time(bits_reading)
-        latency = (max(n - 1, 0) + max(self.depth - 1, 0)) * hop
-        return CollectionCost(
-            per_node_energy=per_node,
-            latency_s=latency,
-            messages=messages,
-            bits_total=bits_total,
-            participating=set(self.parent),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"AggregationTree(root={self.root}, nodes={len(self.parent)}, depth={self.depth})"

@@ -12,8 +12,7 @@ Three layers, all over *simulated* time:
   counters/gauges/histograms/series under ``<subsystem>.<noun>`` names.
 * :mod:`~repro.observability.analysis` / ``export`` / ``report`` --
   JSONL export, critical-path extraction that attributes 100% of a
-  span's end-to-end latency, per-subsystem rollups, and the
-  ``python -m repro.observability.report <trace.jsonl>`` CLI
+  span's end-to-end latency, per-subsystem rollups, and their renderers
   (``--format json`` for machine consumers).
 * :mod:`~repro.observability.slo` -- the verdict layer: declarative
   SLOs over the canonical metrics, evaluated over sliding
@@ -22,19 +21,18 @@ Three layers, all over *simulated* time:
   health scoring (``render_health``).
 * :mod:`~repro.observability.bench` -- the benchmark trajectory:
   :class:`BenchRecorder` persists every experiment's headline metrics
-  to ``BENCH_results.json``; ``python -m repro.observability.bench
-  compare OLD NEW`` is the regression gate.
-* :mod:`~repro.observability.dashboard` -- ``python -m
-  repro.observability.dashboard <trace.jsonl>`` renders activity
-  sparklines, SLO status, the alert timeline, and the query cost
-  ledger from one export.
+  to ``BENCH_results.json``; ``bench compare OLD NEW`` is the
+  regression gate.
+* :mod:`~repro.observability.dashboard` -- renders activity sparklines,
+  SLO status, the alert timeline, and the query cost ledger from one
+  export.
 * :mod:`~repro.observability.profiling` / ``profile`` -- the *wall
   clock* axis: a :class:`HookProfiler` on the sim kernel's dispatch
   loop attributing self/cumulative wall time per handler and
   subsystem (flamegraph collapsed-stack export included), rendered by
-  ``python -m repro.observability.profile`` (top-N hotspots,
-  subsystem rollups, ``--diff OLD NEW``).  Profiles never touch the
-  Monitor, so merged parallel results stay bit-identical.
+  ``profile`` (top-N hotspots, subsystem rollups, ``--diff OLD NEW``).
+  Profiles never touch the Monitor, so merged parallel results stay
+  bit-identical.
 * :mod:`~repro.observability.sketch` / ``sampling`` -- the memory
   axis: mergeable :class:`QuantileSketch` (DDSketch-style buckets at a
   fixed 1% relative error) and multi-resolution ring-buffer series bound
@@ -52,6 +50,9 @@ Three layers, all over *simulated* time:
 Wiring: every subsystem accepts a tracer (defaulting to the no-op) and
 :class:`~repro.core.runtime.PervasiveGridRuntime` owns one for the whole
 stack (``PervasiveGridRuntime(..., trace=True)``).
+
+One CLI reads every export: ``python -m repro.observability
+{report,dashboard,profile,bench}`` (:mod:`repro.observability.__main__`).
 """
 
 from repro.observability.tracer import (
@@ -107,18 +108,8 @@ from repro.observability.slo import (
     default_slos,
     render_health,
 )
-# bench is re-exported lazily (PEP 562): importing it here would make
-# ``python -m repro.observability.bench`` execute the module twice and
-# warn, since this package is imported before runpy runs the CLI.
-_BENCH_EXPORTS = ("BenchRecorder", "BenchResult", "CompareReport",
-                  "compare", "load_results")
-
-
-def __getattr__(name):
-    if name in _BENCH_EXPORTS:
-        from repro.observability import bench
-        return getattr(bench, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+from repro.observability.bench import (BenchRecorder, BenchResult, CompareReport,
+                                       compare, load_results)
 
 __all__ = [
     "Tracer",

@@ -9,11 +9,12 @@ This module makes their headline numbers persistent and comparable:
   hash) and saves them as ``BENCH_results.json``.
   ``benchmarks/conftest.py`` exposes it as the ``record`` fixture, so
   every ``test_bench_*`` persists what its table prints.
-* :func:`compare` / the CLI -- diff two result files:
+* :func:`compare` / ``python -m repro.observability bench`` -- diff two
+  result files:
 
   .. code-block:: bash
 
-     python -m repro.observability.bench compare BENCH_baseline.json BENCH_results.json --tolerance 0.05
+     python -m repro.observability bench compare BENCH_baseline.json BENCH_results.json --tolerance 0.05
 
   Exit status 0 when every shared metric is within tolerance, 1 when
   any regressed (respecting each metric's recorded direction:
@@ -29,7 +30,7 @@ This module makes their headline numbers persistent and comparable:
 
   .. code-block:: bash
 
-     python -m repro.observability.bench compare old.json new.json \\
+     python -m repro.observability bench compare old.json new.json \\
          --tolerance 0 --only 'E13-D/lost_advertisements'
 
 Results are simulator metrics (deterministic from the seed), never wall
@@ -38,14 +39,14 @@ clock, so a tight tolerance is meaningful across machines.
 
 from __future__ import annotations
 
-import argparse
 import dataclasses
 import fnmatch
 import hashlib
 import json
 import math
-import sys
 import typing
+
+from repro.observability.export import read_document
 
 #: Results-file schema version.
 SCHEMA_VERSION = 1
@@ -61,7 +62,7 @@ def params_hash(params: typing.Mapping[str, typing.Any]) -> str:
 
 @dataclasses.dataclass(frozen=True)
 class BenchResult:
-    """One headline number from one experiment run."""
+    """One headline number from one experiment run (NaN is legal, inf is not)."""
 
     experiment: str
     metric: str
@@ -75,6 +76,8 @@ class BenchResult:
             raise ValueError("experiment and metric must be non-empty")
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
+        if math.isinf(self.value):
+            raise ValueError(f"{self.experiment}/{self.metric}: value must not be infinite")
 
     @property
     def key(self) -> tuple[str, str, str]:
@@ -103,14 +106,8 @@ class BenchRecorder:
     def record(self, experiment: str, metric: str, value: float, *,
                unit: str = "1", direction: str = "either",
                **params: typing.Any) -> BenchResult:
-        """Record one headline metric (keyword args become parameters).
-
-        NaN is legal (an empty percentile is an honest result); infinite
-        values are not."""
-        value = float(value)
-        if math.isinf(value):
-            raise ValueError(f"{experiment}/{metric}: value must not be infinite")
-        result = BenchResult(experiment, metric, value, unit=unit,
+        """Record one headline metric (keyword args become parameters)."""
+        result = BenchResult(experiment, metric, float(value), unit=unit,
                              direction=direction, params=dict(params))
         if any(r.key == result.key for r in self.results):
             raise ValueError(f"duplicate bench result {result.key}")
@@ -133,17 +130,10 @@ class BenchRecorder:
 
 
 def load_results(path) -> dict[tuple[str, str, str], BenchResult]:
-    """Load a results file back into ``{key: BenchResult}``."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            payload = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict) or "results" not in payload:
-        raise ValueError(f"{path}: not a bench results file (no 'results' key)")
-    if payload.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"{path}: unsupported schema {payload.get('schema')!r} "
-                         f"(this reader speaks {SCHEMA_VERSION})")
+    """Load a results file back into ``{key: BenchResult}``; like
+    :meth:`BenchRecorder.record`, refuses infinite values and repeated keys."""
+    payload = read_document(path, "bench results file", SCHEMA_VERSION,
+                            {"results": list})
     out: dict[tuple[str, str, str], BenchResult] = {}
     for row in payload["results"]:
         try:
@@ -157,6 +147,8 @@ def load_results(path) -> dict[tuple[str, str, str], BenchResult]:
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}: malformed result row {row!r}: {exc}") from exc
+        if result.key in out:
+            raise ValueError(f"{path}: duplicate bench result {result.key}")
         out[result.key] = result
     return out
 
@@ -247,7 +239,7 @@ def _name_table(headers: typing.Sequence[str],
                 rows: typing.Sequence[typing.Sequence]) -> str:
     """A fixed-width table whose first column is left-justified and sized
     to the longest name (metric names outgrow one shared column width)."""
-    name_w = max(len(headers[0]), *(len(str(r[0])) for r in rows)) + 2
+    name_w = max(len(str(row[0])) for row in (headers, *rows)) + 2
     width = 14
 
     def cell(v: typing.Any) -> str:
@@ -295,58 +287,3 @@ def render_show(results: dict[tuple, BenchResult]) -> str:
             for r in sorted(results.values(), key=lambda r: r.key)]
     return _name_table(["experiment/metric", "value", "unit",
                         "direction", "params"], rows)
-
-
-def main(argv: typing.Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.observability.bench",
-        description="Inspect and diff benchmark result files "
-                    "(BENCH_results.json).")
-    sub = parser.add_subparsers(dest="command", required=True)
-    p_compare = sub.add_parser("compare", help="diff two result files; "
-                               "exit 1 on regressions beyond tolerance")
-    p_compare.add_argument("old", help="baseline results file")
-    p_compare.add_argument("new", help="candidate results file")
-    p_compare.add_argument("--tolerance", type=float, default=0.05,
-                           metavar="FRAC",
-                           help="relative drift allowed per metric "
-                                "(default 0.05 = 5%%)")
-    p_compare.add_argument("--only", action="append", default=[],
-                           metavar="PATTERN",
-                           help="restrict the gate to experiment/metric "
-                                "names matching this glob (repeatable); "
-                                "errors if nothing matches")
-    p_show = sub.add_parser("show", help="print one result file as a table")
-    p_show.add_argument("path")
-    args = parser.parse_args(argv)
-
-    try:
-        if args.command == "show":
-            print(render_show(load_results(args.path)))
-            return 0
-        old = filter_results(load_results(args.old), args.only)
-        new = filter_results(load_results(args.new), args.only)
-        if args.only:
-            # a typo'd gate must fail loudly, not pass by matching nothing:
-            # every pattern must hit something, and at least one metric
-            # must exist on BOTH sides (added/removed are never gated)
-            names = {f"{r.experiment}/{r.metric}"
-                     for r in (*old.values(), *new.values())}
-            for pattern in args.only:
-                if not any(fnmatch.fnmatchcase(name, pattern) for name in names):
-                    raise ValueError(
-                        f"--only {pattern!r} matched no metric in either file")
-            if not set(old) & set(new):
-                raise ValueError(
-                    f"--only {args.only} matched no metric present in both "
-                    "files; nothing would be gated")
-        report = compare(old, new, tolerance=args.tolerance)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(render_compare(report))
-    return 0 if report.ok else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,4 +1,4 @@
-"""Grid health dashboard: ``python -m repro.observability.dashboard <trace.jsonl>``.
+"""Grid health dashboard: ``python -m repro.observability dashboard TRACE``.
 
 Renders, from one exported trace, everything an operator would ask of a
 run after the fact:
@@ -23,19 +23,16 @@ run after the fact:
   of each SLO.
 
 All rendering reuses :mod:`repro.reporting` (``sparkline``,
-``format_table``); the input is the same JSONL the report CLI reads, so
-one export feeds both tools.
+``format_table``); the input is the same JSONL the ``report`` command
+reads, so one export feeds both.
 """
 
 from __future__ import annotations
 
-import argparse
 import math
-import sys
 import typing
 
 from repro.observability.analysis import Trace
-from repro.observability.export import read_jsonl
 from repro.observability.ledger import render_ledger
 from repro.observability.tracer import TraceEvent
 from repro.reporting import format_table, sparkline
@@ -234,31 +231,3 @@ def render_dashboard(trace: Trace, width: int = 48) -> str:
         render_sampling(trace),
         render_verdict(trace),
     ])
-
-
-def main(argv: typing.Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.observability.dashboard",
-        description="Render a grid health dashboard (activity sparklines, "
-                    "SLO status, alert timeline) from an exported trace.")
-    parser.add_argument("trace", help="path to a trace exported as JSONL")
-    parser.add_argument("--width", type=int, default=48,
-                        help="sparkline width in characters (default 48)")
-    args = parser.parse_args(argv)
-    if args.width < 1:
-        print("error: --width must be >= 1", file=sys.stderr)
-        return 2
-    try:
-        records = read_jsonl(args.trace)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not records:
-        print(f"error: {args.trace}: empty trace (no records)", file=sys.stderr)
-        return 2
-    print(render_dashboard(Trace(records), width=args.width))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -13,7 +13,8 @@ Events:
 The format is append-friendly and diff-friendly (keys are emitted in a
 fixed order), and loads back into the same record objects the tracer
 produces, so :mod:`repro.observability.analysis` works identically on
-live tracers and exported files.
+live tracers and exported files.  :func:`read_document` reads the JSON
+documents the other exports write (profiles, bench results).
 """
 
 from __future__ import annotations
@@ -59,7 +60,10 @@ def read_jsonl(path) -> list[SpanRecord | TraceEvent]:
                 payload = json.loads(line)
             except json.JSONDecodeError as exc:
                 raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            records.append(record_from_dict(payload, where=f"{path}:{lineno}"))
+            try:
+                records.append(record_from_dict(payload, where=f"{path}:{lineno}"))
+            except (AttributeError, KeyError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: malformed record: {exc!r}") from exc
     return records
 
 
@@ -88,3 +92,28 @@ def record_from_dict(payload: dict, where: str = "<record>") -> SpanRecord | Tra
             attrs=dict(payload.get("attrs") or {}),
         )
     raise ValueError(f"{where}: unknown record kind {kind!r}")
+
+
+def read_document(path, what: str, schema: int,
+                  fields: typing.Mapping[str, type | tuple[type, ...]],
+                  kind: str | None = None) -> dict:
+    """Load one JSON export: an object with this ``kind`` (when given) and
+    ``schema``, whose ``fields`` hold values of their types.  Every error
+    names ``path``."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # bad JSON or bad UTF-8
+            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict) or (kind is not None and doc.get("kind") != kind):
+        raise ValueError(f"{path}: not a {what}")
+    if doc.get("schema") != schema:
+        raise ValueError(f"{path}: unsupported schema {doc.get('schema')!r} "
+                         f"(this reader speaks {schema})")
+    for name, types in fields.items():
+        if name not in doc:
+            raise ValueError(f"{path}: malformed {what} (no {name!r} key)")
+        if not isinstance(doc[name], types):
+            raise ValueError(f"{path}: malformed {what} ({name!r} holds "
+                             f"{type(doc[name]).__name__})")
+    return doc

@@ -1,33 +1,22 @@
-"""CLI for wall-clock profile exports: hotspots, rollups, before/after.
+"""Renderers for wall-clock profile exports: hotspots, rollups, before/after.
 
-Usage::
-
-    python -m repro.observability.profile PROFILE.json [--top N] [--collapsed]
-    python -m repro.observability.profile --diff OLD.json NEW.json [--top N]
-
-The first form renders the top-N wall-clock hotspots (self/cumulative
-time and call counts per handler) and the per-subsystem wall rollup of
-one export written by
+``python -m repro.observability profile PROFILE`` renders the top-N
+wall-clock hotspots (self/cumulative time and call counts per handler)
+and the per-subsystem wall rollup of one export written by
 :meth:`~repro.observability.profiling.HookProfiler.write`;
 ``--collapsed`` dumps the flamegraph-compatible collapsed-stack lines
 instead, ready to pipe into any tool that speaks ``frame;frame N``.
 
-The second form is the profile-before/after protocol (EXPERIMENTS.md):
+``profile --diff OLD NEW`` is the profile-before/after protocol (EXPERIMENTS.md):
 handler rows are matched by name -- which is deterministic for a seeded
 workload -- and reported with old/new self time and delta, plus handlers
 that appeared or disappeared, so an optimization PR can show exactly
 where the wall clock moved.
-
-Exit codes: 0 on success, 2 on unreadable/invalid input.
 """
 
 from __future__ import annotations
 
-import argparse
-import sys
-import typing
-
-from repro.observability.profiling import load_profile, subsystem_wall_rollup
+from repro.observability.profiling import subsystem_wall_rollup
 from repro.reporting import format_table
 
 
@@ -114,53 +103,3 @@ def render_diff(old: dict, new: dict, top: int = 15) -> str:
     if not appeared and not disappeared:
         lines.append("handler sets identical (stable hotspot names)")
     return "\n".join(lines)
-
-
-def main(argv: typing.Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.observability.profile",
-        description="Render wall-clock profile exports (hotspots, rollups, diffs).",
-    )
-    parser.add_argument("profile", nargs="?", default=None,
-                        help="profile export (JSON) written by HookProfiler.write")
-    parser.add_argument("--top", type=int, default=15, metavar="N",
-                        help="show the top N handlers (default 15)")
-    parser.add_argument("--collapsed", action="store_true",
-                        help="dump flamegraph collapsed-stack lines instead")
-    parser.add_argument("--diff", nargs=2, metavar=("OLD", "NEW"), default=None,
-                        help="compare two exports of the same workload")
-    args = parser.parse_args(argv)
-
-    if (args.profile is None) == (args.diff is None):
-        parser.error("give exactly one of PROFILE or --diff OLD NEW")
-    if args.diff is not None and args.collapsed:
-        parser.error("--collapsed does not combine with --diff")
-
-    try:
-        if args.diff is not None:
-            old, new = (load_profile(p) for p in args.diff)
-            old_names = {r["name"] for r in old.get("handlers", [])}
-            new_names = {r["name"] for r in new.get("handlers", [])}
-            if not old_names & new_names:
-                # disjoint handler sets: nothing to match by name, so a
-                # rendered diff would be an empty (misleading) table
-                print("error: profiles share no handler names "
-                      "(are these the same workload?)", file=sys.stderr)
-                return 2
-            print(render_diff(old, new, top=args.top))
-        else:
-            doc = load_profile(args.profile)
-            if args.collapsed:
-                out = render_collapsed(doc)
-                if out:
-                    print(out)
-            else:
-                print(render_hotspots(doc, top=args.top))
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return 0
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via CLI tests
-    raise SystemExit(main())

@@ -33,7 +33,7 @@ as the tracer's no-ops.
 
 Analysis happens offline: :meth:`HookProfiler.to_dict` /
 :meth:`HookProfiler.write` export one JSON document that the
-``python -m repro.observability.profile`` CLI renders (top-N hotspots,
+``python -m repro.observability profile`` command renders (top-N hotspots,
 per-subsystem rollups, ``--diff OLD NEW`` for before/after evidence) and
 whose ``collapsed`` section feeds any flamegraph tool that speaks the
 ``a;b;c <count>`` collapsed-stack format.
@@ -45,10 +45,14 @@ import json
 import time
 import typing
 
+from repro.observability.export import read_document
+
 #: Profile-export schema version.
 SCHEMA_VERSION = 1
 #: The export's ``kind`` discriminator.
 PROFILE_KIND = "hook_profile"
+#: The fields of every exported handler row (:meth:`HookProfiler.handlers`).
+_HANDLER_FIELDS = frozenset({"name", "subsystem", "calls", "self_s", "cum_s"})
 
 
 class _Frame:
@@ -274,19 +278,13 @@ NOOP_PROFILER = HookProfiler(enabled=False)
 
 def load_profile(path) -> dict:
     """Load and validate one profile export written by :meth:`HookProfiler.write`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict) or doc.get("kind") != PROFILE_KIND:
-        raise ValueError(f"{path}: not a profile export (kind != {PROFILE_KIND!r})")
-    if doc.get("schema") != SCHEMA_VERSION:
-        raise ValueError(f"{path}: unsupported schema {doc.get('schema')!r} "
-                         f"(this reader speaks {SCHEMA_VERSION})")
-    for key in ("events", "wall_s", "handlers", "collapsed"):
-        if key not in doc:
-            raise ValueError(f"{path}: malformed profile export (no {key!r} key)")
+    doc = read_document(path, "profile export", SCHEMA_VERSION,
+                        {"events": int, "wall_s": (int, float),
+                         "handlers": list, "collapsed": dict},
+                        kind=PROFILE_KIND)
+    for row in doc["handlers"]:
+        if not (isinstance(row, dict) and _HANDLER_FIELDS <= row.keys()):
+            raise ValueError(f"{path}: malformed handler row {row!r}")
     return doc
 
 

@@ -1,7 +1,7 @@
-"""Run analysis CLI: ``python -m repro.observability.report <trace.jsonl>``.
+"""Run analysis: the renderers behind ``python -m repro.observability report TRACE``.
 
-Reads an exported trace and prints, for the selected root span (default:
-the longest root): the critical path of its end-to-end latency, the
+For the selected root span of an exported trace (default: the longest
+root) the report shows the critical path of its end-to-end latency, the
 per-subsystem rollup, and the trace's event counts.  The same renderers
 are reused by the examples to close each run with a "where did the time
 go" table instead of a raw counter dump.
@@ -13,9 +13,6 @@ machine consumer of rollups and critical paths.
 
 from __future__ import annotations
 
-import argparse
-import json
-import sys
 import typing
 
 from repro.observability.analysis import (
@@ -26,7 +23,6 @@ from repro.observability.analysis import (
     self_times,
     subsystem_rollup,
 )
-from repro.observability.export import read_jsonl
 from repro.observability.tracer import SpanRecord
 from repro.reporting import format_table
 
@@ -187,44 +183,3 @@ def render_report(trace: Trace, root_prefix: str | None = None,
     parts.append("")
     parts.append(render_events(trace))
     return "\n".join(parts)
-
-
-def main(argv: typing.Sequence[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.observability.report",
-        description="Analyze an exported JSONL trace: critical path, "
-                    "per-subsystem latency rollup, event counts.",
-    )
-    parser.add_argument("trace", help="path to a trace exported as JSONL")
-    parser.add_argument("--root", default=None, metavar="PREFIX",
-                        help="analyze the longest root span whose name starts "
-                             "with PREFIX (default: the longest root)")
-    parser.add_argument("--format", choices=("text", "json"), default="text",
-                        help="output format (json: the report_dict document)")
-    parser.add_argument("--self-times", type=int, default=0, metavar="N",
-                        dest="self_times",
-                        help="also show the top N span names by self time "
-                             "under the selected root (text format; the json "
-                             "document always carries the full self_times key)")
-    args = parser.parse_args(argv)
-    if args.self_times < 0:
-        print("error: --self-times must be >= 0", file=sys.stderr)
-        return 2
-    try:
-        records = read_jsonl(args.trace)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if not records:
-        print(f"error: {args.trace}: empty trace (no records)", file=sys.stderr)
-        return 2
-    trace = Trace(records)
-    if args.format == "json":
-        print(json.dumps(report_dict(trace, args.root), indent=2, sort_keys=True))
-    else:
-        print(render_report(trace, args.root, self_times_top=args.self_times))
-    return 0
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

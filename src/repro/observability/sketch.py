@@ -104,9 +104,11 @@ class QuantileSketch:
 
         Each value costs a handful of float ops; a nonzero value lands in
         bucket ``ceil(log|value| * mult)``.  The result is exactly that of
-        observing the values one at a time (``sum`` adds them in order),
-        and a value that cannot be bucketed (``inf``) raises with the
-        sketch as that one-at-a-time sequence would have left it.
+        observing the values one at a time (``sum`` adds them in order).
+        A value that is not finite raises :class:`ValueError` and leaves
+        the sketch holding exactly the values before it: each value is
+        bucketed before its scalars move, so NaN (no bucket) and ``inf``
+        (``ceil`` overflows) stop the fold before touching anything.
         """
         mult = self._mult
         pos = self._pos
@@ -116,6 +118,16 @@ class QuantileSketch:
         try:
             for value in values:
                 value = float(value)
+                if value > 0.0:
+                    idx = _ceil(_log(value) * mult)
+                    pos[idx] = pos.get(idx, 0) + 1
+                elif value < 0.0:
+                    idx = _ceil(_log(-value) * mult)
+                    neg[idx] = neg.get(idx, 0) + 1
+                elif value == 0.0:
+                    zero += 1
+                else:
+                    raise ValueError(f"sketch values must be finite, got {value!r}")
                 count += 1
                 total += value
                 if value < lo:
@@ -123,14 +135,8 @@ class QuantileSketch:
                 if value > hi:
                     hi = value
                 last = value
-                if value > 0.0:
-                    idx = _ceil(_log(value) * mult)
-                    pos[idx] = pos.get(idx, 0) + 1
-                elif value < 0.0:
-                    idx = _ceil(_log(-value) * mult)
-                    neg[idx] = neg.get(idx, 0) + 1
-                else:
-                    zero += 1
+        except OverflowError:
+            raise ValueError(f"sketch values must be finite, got {value!r}") from None
         finally:
             self.count = count
             self.sum = total

@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from repro.network import RadioEnergyModel, RadioModel, Topology, grid_positions
 from repro.network.routing import AggregationTree, ClusterFormation, Flooding, Gossip
+from repro.queries.models import collection
+from repro.sensors import SensorDeployment
 from tests.network import oracle
 
 RADIO = RadioModel(bandwidth_bps=1e6, latency_s=0.01, range_m=12.0)
@@ -19,6 +21,12 @@ def line_topology(n=5, spacing=10.0, range_m=12.0):
 
 def grid_topology(n=25, area=40.0, range_m=12.0):
     return Topology(grid_positions(n, area), range_m=range_m)
+
+
+def grid_deployment(n=25, area=40.0, range_m=12.0):
+    """``n`` grid-placed sensors plus the base station and one handheld."""
+    radio = RadioModel(bandwidth_bps=1e6, latency_s=0.01, range_m=range_m)
+    return SensorDeployment(n, area, radio=radio, energy_model=EM)
 
 
 class TestFlooding:
@@ -100,11 +108,6 @@ class TestAggregationTree:
         assert tree.depth == 4
         assert tree.nodes == [0, 1, 2, 3, 4]
 
-    def test_subtree_sizes_line(self):
-        tree = AggregationTree(line_topology(), root=0)
-        sizes = tree.subtree_sizes()
-        assert sizes == {0: 5, 1: 4, 2: 3, 3: 2, 4: 1}
-
     def test_path_to_root(self):
         tree = AggregationTree(line_topology(), root=0)
         assert tree.path_to_root(3) == [3, 2, 1, 0]
@@ -115,32 +118,6 @@ class TestAggregationTree:
         tree = AggregationTree(topo, root=0)
         assert set(tree.nodes) == {0, 1}
 
-    def test_aggregated_one_tx_per_nonroot(self):
-        tree = AggregationTree(grid_topology(), root=0)
-        cost = tree.aggregated_collection(64.0, RADIO, EM)
-        assert cost.messages == 24
-        assert cost.bits_total == pytest.approx(24 * 64.0)
-
-    def test_aggregated_latency_scales_with_depth(self):
-        tree = AggregationTree(line_topology(5), root=0)
-        cost = tree.aggregated_collection(64.0, RADIO, EM)
-        assert cost.latency_s == pytest.approx(4 * RADIO.hop_time(64.0))
-
-    def test_raw_forwards_subtree_counts(self):
-        tree = AggregationTree(line_topology(3), root=0)
-        cost = tree.raw_collection(64.0, RADIO, EM)
-        # node 2 sends 1, node 1 sends 2 (its own + node 2's)
-        assert cost.messages == 3
-        assert cost.bits_total == pytest.approx(3 * 64.0)
-
-    def test_raw_costs_more_than_aggregated(self):
-        """The paper's central energy claim (via TAG)."""
-        tree = AggregationTree(grid_topology(), root=0)
-        raw = tree.raw_collection(64.0, RADIO, EM)
-        agg = tree.aggregated_collection(64.0, RADIO, EM)
-        assert raw.energy_j > agg.energy_j
-        assert raw.latency_s > agg.latency_s
-
     def test_root_only_tree(self):
         topo = line_topology()
         for n in (1, 2, 3, 4):
@@ -148,17 +125,20 @@ class TestAggregationTree:
         tree = AggregationTree(topo, root=0)
         assert tree.nodes == [0]
         assert tree.depth == 0
-        cost = tree.aggregated_collection(64.0, RADIO, EM)
-        assert cost.messages == 0
-        assert cost.energy_j == 0.0
 
-    @settings(max_examples=20)
+    @settings(max_examples=20, deadline=None)
     @given(st.integers(min_value=4, max_value=36), st.integers(min_value=0, max_value=50))
     def test_property_aggregated_cheaper_or_equal(self, n, seed):
-        topo = grid_topology(n, area=30.0, range_m=16.0)
-        tree = AggregationTree(topo, root=0)
-        raw = tree.raw_collection(64.0, RADIO, EM)
-        agg = tree.aggregated_collection(64.0, RADIO, EM)
+        """Over any target subset's induced tree, aggregation sends no more
+        messages and spends no more radio energy than raw forwarding.  The
+        merge CPU is left out: a star around the sink merges nothing, so
+        there it is the only difference."""
+        dep = grid_deployment(n, area=30.0, range_m=16.0)
+        rng = np.random.default_rng(seed)
+        targets = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)),
+                                    replace=False).tolist())
+        raw = collection.raw_collection(dep, targets, 64.0)
+        agg = collection.aggregated_collection(dep, targets, 64.0, ops_per_merge=0.0)
         assert agg.energy_j <= raw.energy_j + 1e-12
         assert agg.messages <= raw.messages
 
@@ -202,10 +182,11 @@ class TestClusterFormation:
 
     def test_cluster_beats_raw_tree_collection(self):
         """Cluster aggregation also saves energy vs raw convergecast."""
-        topo = grid_topology()
-        cf = self.make(topo)
+        dep = grid_deployment()
+        cf = ClusterFormation(dep.topology, sink=dep.base_station_id,
+                              rng=np.random.default_rng(0), head_fraction=0.2)
         cluster = cf.aggregated_collection(64.0, 64.0, RADIO, EM)
-        raw = AggregationTree(topo, root=0).raw_collection(64.0, RADIO, EM)
+        raw = collection.raw_collection(dep, dep.alive_sensor_ids(), 64.0)
         assert cluster.energy_j < raw.energy_j
 
     def test_dead_nodes_not_assigned(self):

@@ -11,7 +11,8 @@ from repro.observability.analysis import (
     subsystem_rollup,
 )
 from repro.observability.export import read_jsonl, record_from_dict, write_jsonl
-from repro.observability.report import main, pick_root, render_report
+from repro.observability.__main__ import main
+from repro.observability.report import pick_root, render_report
 from repro.observability.tracer import SpanRecord, Tracer
 
 
@@ -250,7 +251,7 @@ class TestReport:
         tracer, _ = build_sample_trace()
         path = tmp_path / "trace.jsonl"
         tracer.export(path)
-        assert main([str(path)]) == 0
+        assert main(["report", str(path)]) == 0
         out = capsys.readouterr().out
         assert "critical path of 'query.run'" in out
         assert "4 spans, 2 events, 1 trace ids, 1 roots" in out
@@ -259,7 +260,7 @@ class TestReport:
         tracer, _ = build_sample_trace()
         path = tmp_path / "trace.jsonl"
         tracer.export(path)
-        assert main([str(path), "--root", "nope."]) == 0
+        assert main(["report", str(path), "--root", "nope."]) == 0
         assert "no closed root span" in capsys.readouterr().out
-        assert main([str(tmp_path / "missing.jsonl")]) == 2
+        assert main(["report", str(tmp_path / "missing.jsonl")]) == 2
         assert "error:" in capsys.readouterr().err

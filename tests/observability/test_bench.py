@@ -2,19 +2,24 @@
 
 import json
 import math
+import pathlib
 
 import pytest
 
+from repro.observability.__main__ import main as cli
 from repro.observability.bench import (
     BenchRecorder,
     BenchResult,
     compare,
     filter_results,
     load_results,
-    main,
     params_hash,
     render_compare,
 )
+
+
+def main(argv):
+    return cli(["bench", *argv])
 
 
 class TestRecorder:
@@ -49,6 +54,8 @@ class TestRecorder:
             BenchResult("", "m", 1.0)
         with pytest.raises(ValueError, match="direction"):
             BenchResult("E1", "m", 1.0, direction="sideways")
+        with pytest.raises(ValueError, match="infinite"):
+            BenchResult("E1", "m", -math.inf)
 
     def test_params_hash_is_order_insensitive(self):
         assert params_hash({"a": 1, "b": 2}) == params_hash({"b": 2, "a": 1})
@@ -87,6 +94,25 @@ class TestLoadErrors:
         path = tmp_path / "bad.json"
         path.write_text('{"schema": 1, "results": [{"metric": "m"}]}')
         with pytest.raises(ValueError, match="malformed"):
+            load_results(path)
+
+    def test_reader_refuses_what_the_recorder_refuses(self, tmp_path):
+        """An infinite value or a repeated key is refused on load, naming
+        the path, as the recorder refuses it on record."""
+        row = {"experiment": "E1", "metric": "m", "value": 1.0}
+        for rows, message in (
+                ([{**row, "value": math.inf}], "E1/m: value must not be infinite"),
+                ([row, {**row, "value": 2.0}], r"duplicate bench result \('E1', 'm'")):
+            path = tmp_path / "bad.json"
+            path.write_text(json.dumps({"schema": 1, "results": rows}))
+            with pytest.raises(ValueError, match=message) as err:
+                load_results(path)
+            assert str(path) in str(err.value)
+
+    def test_results_must_be_a_list(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"schema": 1, "results": 5}')
+        with pytest.raises(ValueError, match="'results' holds int"):
             load_results(path)
 
 
@@ -211,6 +237,26 @@ class TestCli:
         assert main(["show", a]) == 0
         out = capsys.readouterr().out
         assert "E13" in out and "completion" in out
+
+    def test_show_renders_a_file_with_no_rows(self, tmp_path, capsys):
+        path = tmp_path / "empty.json"
+        BenchRecorder().save(path)
+        assert main(["show", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0].startswith("experiment/metric")
+
+    def test_an_infinite_baseline_row_fails_the_gate_as_an_input_error(
+            self, tmp_path, capsys):
+        """``Infinity`` once compared as ``+nan%  ok`` and passed a
+        zero-tolerance gate with exit 0."""
+        a = self.save(tmp_path, "a.json", self.ROWS)
+        payload = json.loads(pathlib.Path(a).read_text())
+        payload["results"][0]["value"] = math.inf
+        bad = tmp_path / "inf.json"
+        bad.write_text(json.dumps(payload))
+        assert main(["compare", str(bad), a, "--tolerance", "0"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {bad}: malformed result row")
 
     def test_only_narrows_the_gate_to_matching_metrics(self, tmp_path, capsys):
         a = self.save(tmp_path, "a.json", self.ROWS)

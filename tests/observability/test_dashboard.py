@@ -1,8 +1,8 @@
-"""The dashboard CLI: activity, SLO status, alert timeline, verdict."""
+"""The ``dashboard`` command: activity, SLO status, alert timeline, verdict."""
 
+from repro.observability.__main__ import main as cli
 from repro.observability.analysis import Trace
 from repro.observability.dashboard import (
-    main,
     render_activity,
     render_alerts,
     render_dashboard,
@@ -11,6 +11,10 @@ from repro.observability.dashboard import (
 )
 from repro.observability.export import write_jsonl
 from repro.observability.tracer import SpanRecord, TraceEvent
+
+
+def main(argv):
+    return cli(["dashboard", *argv])
 
 
 def span(span_id, name, start, end, parent=None):

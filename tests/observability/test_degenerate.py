@@ -8,12 +8,12 @@ the empty case is useless exactly when things are broken.
 
 import json
 
+from repro.observability.__main__ import main
 from repro.observability.analysis import Trace
 from repro.observability.dashboard import render_dashboard, render_slos, render_verdict
 from repro.observability.ledger import render_ledger
 from repro.observability.profile import render_hotspots
 from repro.observability.profiling import HookProfiler
-from repro.observability.report import main as report_main
 from repro.observability.report import render_report, report_dict
 from repro.observability.tracer import Tracer
 
@@ -70,8 +70,8 @@ class TestReport:
         with open(path, "w", encoding="utf-8") as fh:
             for record in sparse_tracer().records:
                 fh.write(json.dumps(record.to_dict()) + "\n")
-        assert report_main([str(path), "--root", "query.",
-                            "--self-times", "5"]) == 0
+        assert main(["report", str(path), "--root", "query.",
+                     "--self-times", "5"]) == 0
         out = capsys.readouterr().out
         assert "no closed root span to analyze (prefix 'query.')" in out
 

@@ -1,12 +1,16 @@
-"""The profile CLI: hotspots, collapsed stacks, and --diff evidence."""
+"""The ``profile`` command: hotspots, collapsed stacks, and --diff evidence."""
 
 import json
 
 import pytest
 
 from repro.core.runtime import PervasiveGridRuntime
-from repro.observability.profile import main
+from repro.observability.__main__ import main as cli
 from repro.observability.profiling import HookProfiler
+
+
+def main(argv):
+    return cli(["profile", *argv])
 
 
 class FakeClock:
@@ -106,17 +110,27 @@ class TestErrors:
         assert main([str(path)]) == 2
         assert "not a profile export" in capsys.readouterr().err
 
-    def test_exactly_one_of_profile_or_diff(self, tmp_path):
+    def test_exactly_one_of_profile_or_diff(self, tmp_path, capsys):
         path = export(tmp_path, "p.json", FRAMES)
-        with pytest.raises(SystemExit):
-            main([])
-        with pytest.raises(SystemExit):
-            main([path, "--diff", path, path])
+        assert main([]) == 2
+        assert main([path, "--diff", path, path]) == 2
+        assert capsys.readouterr().err.count("error: give exactly one") == 2
 
-    def test_collapsed_does_not_combine_with_diff(self, tmp_path):
+    def test_collapsed_does_not_combine_with_diff(self, tmp_path, capsys):
         path = export(tmp_path, "p.json", FRAMES)
-        with pytest.raises(SystemExit):
-            main(["--diff", path, path, "--collapsed"])
+        assert main(["--diff", path, path, "--collapsed"]) == 2
+        assert "error: --collapsed does not combine" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("top", ["0", "-1", "-100"])
+    def test_top_must_be_positive(self, tmp_path, capsys, top):
+        """--top is refused below 1, like --width and --self-times below
+        their floors, for one profile and for --diff."""
+        path = export(tmp_path, "p.json", FRAMES)
+        assert main([path, "--top", top]) == 2
+        assert main(["--diff", path, path, "--top", top]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: --top must be >= 1"] * 2
 
     def test_disjoint_profiles_exit_two_with_one_line_error(self, tmp_path, capsys):
         """Diffing two unrelated workloads must fail loudly, not render

@@ -215,6 +215,8 @@ class TestExport:
             ({"kind": "hook_profile", "schema": 99}, "unsupported schema"),
             ({"kind": "hook_profile", "schema": 1, "events": 0, "wall_s": 0.0,
               "handlers": []}, "no 'collapsed' key"),
+            ({"kind": "hook_profile", "schema": 1, "events": 1, "wall_s": 0.1,
+              "handlers": [{"name": "x"}], "collapsed": {}}, "malformed handler row"),
         ]
         for doc, message in cases:
             path = tmp_path / "doc.json"

@@ -1,13 +1,18 @@
-"""The report CLI: error paths and the machine-readable --format json."""
+"""The ``report`` command: error paths and the machine-readable --format json."""
 
 import json
 
 import pytest
 
+from repro.observability.__main__ import main as cli
 from repro.observability.export import write_jsonl
-from repro.observability.report import main, report_dict
+from repro.observability.report import report_dict
 from repro.observability.analysis import Trace
 from repro.observability.tracer import SpanRecord, TraceEvent
+
+
+def main(argv):
+    return cli(["report", *argv])
 
 
 def sample_trace():
@@ -60,6 +65,14 @@ class TestErrorPaths:
         path.write_text('{"kind": "blob"}\n')
         assert main([str(path)]) == 2
         assert "unknown record kind" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ['{"kind": "span"}', '[1, 2]'])
+    def test_malformed_record_exits_two_naming_the_line(self, tmp_path, capsys, line):
+        path = tmp_path / "odd.jsonl"
+        path.write_text(line + "\n")
+        assert main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:1: ") and len(err.splitlines()) == 1
 
 
 class TestTextFormat:

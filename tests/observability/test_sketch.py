@@ -226,12 +226,24 @@ class TestBatchFolds:
     def test_an_unbucketable_value_stops_the_batch_where_singles_stop(self):
         one, batched = QuantileSketch(), QuantileSketch()
         values = [2.0, -3.0, math.inf, 5.0]
-        with pytest.raises(OverflowError):
+        with pytest.raises(ValueError):
             for v in values:
                 one.observe(v)
-        with pytest.raises(OverflowError):
+        with pytest.raises(ValueError):
             batched.observe_many(values)
         assert repr(batched.state()) == repr(one.state())
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_value_is_rejected_and_leaves_the_sketch_as_it_was(self, bad):
+        sk, want = QuantileSketch(), QuantileSketch()
+        sk.observe(1.0)
+        want.observe_many([1.0, 2.0])
+        with pytest.raises(ValueError, match="finite"):
+            sk.observe(bad)
+        with pytest.raises(ValueError, match="finite"):
+            sk.observe_many([2.0, bad, 3.0])
+        assert repr(sk.state()) == repr(want.state())
+        assert sk.mean() == 1.5
 
     @settings(max_examples=100, deadline=None)
     @given(st.lists(st.tuples(st.floats(0.0, 60.0), finite), max_size=40), cuts,

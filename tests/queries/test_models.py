@@ -84,6 +84,7 @@ class TestCollectionHelpers:
         agg = collection.aggregated_collection(ctx.deployment, targets, 64.0)
         assert raw.energy_j > agg.energy_j
         assert raw.messages > agg.messages
+        assert raw.latency_s > agg.latency_s
 
     def test_partitioned_targets_excluded(self):
         ctx = make_ctx()
