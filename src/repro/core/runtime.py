@@ -32,6 +32,13 @@ from repro.sensors.deployment import SensorDeployment
 from repro.sensors.field import ScalarField
 from repro.simkernel import RandomStreams, Simulator
 
+#: Shape of the runtime's replicated discovery store: consistent-hash
+#: shards and copies per ontology class (see
+#: :class:`~repro.discovery.replica.ReplicatedRegistry`).  Search results
+#: are identical at any shape.
+_DISCOVERY_SHARDS = 4
+_DISCOVERY_REPLICATION = 2
+
 
 class PervasiveGridRuntime:
     """Everything needed to pose §4 queries against a pervasive grid.
@@ -70,20 +77,17 @@ class PervasiveGridRuntime:
         (requires ``trace=True``): the tracer retains traces through a
         deterministic head/tail :class:`TraceSampler` instead of keeping
         everything -- error, SLO-violating, and slow-outlier traces are
-        always kept, happy-path volume is sampled.  Dropped volume is
-        visible under the ``obs.sampling.*`` counters and the trace's
+        always kept, happy-path volume is sampled at the config's head
+        rate, plus its seeded exemplars.  Dropped volume is visible
+        under the ``obs.sampling.*`` counters and the trace's
         ``obs.sampling.summary`` event.
     telemetry:
         Optional :class:`~repro.observability.sketch.TelemetryConfig`
         bounding the run's telemetry memory: the monitor's
-        histogram/series raw tails and sketch shape
+        histogram/series raw tails
         (:meth:`~repro.simkernel.monitor.Monitor.configure`) and the
-        tracer's ``max_records`` ring.
-    discovery_shards / discovery_replication:
-        Shape of the replicated discovery store: consistent-hash shards
-        and copies per ontology class (see
-        :class:`~repro.discovery.replica.ReplicatedRegistry`).  Search
-        results are identical at any setting.
+        tracer's ``max_records`` ring.  The sketches past each raw tail
+        have one fixed shape (1% relative error).
     broker_hosts:
         When set, discovery runs as a single-active
         :class:`~repro.discovery.failover.BrokerGroup` with one member
@@ -115,8 +119,6 @@ class PervasiveGridRuntime:
         profile: bool = False,
         sampling: "SamplingConfig | None" = None,
         telemetry: "TelemetryConfig | None" = None,
-        discovery_shards: int = 4,
-        discovery_replication: int = 2,
         broker_hosts: typing.Sequence[int | None] | None = None,
         broker_detection_delay_s: float = 2.0,
     ) -> None:
@@ -176,7 +178,7 @@ class PervasiveGridRuntime:
         matcher = SemanticMatcher(self.ontology)
         self.discovery_log = EventLog(clock=lambda: self.sim.now)
         self.registry = ReplicatedRegistry(
-            matcher, discovery_shards, discovery_replication,
+            matcher, _DISCOVERY_SHARDS, _DISCOVERY_REPLICATION,
             log=self.discovery_log, monitor=self.deployment.monitor,
             name="runtime")
         self.broker_group: BrokerGroup | None = None
@@ -187,8 +189,8 @@ class PervasiveGridRuntime:
         else:
             self.broker_group = BrokerGroup(
                 self.sim, self.platform, self.discovery_log, matcher,
-                broker_hosts, n_shards=discovery_shards,
-                replication=discovery_replication,
+                broker_hosts, n_shards=_DISCOVERY_SHARDS,
+                replication=_DISCOVERY_REPLICATION,
                 detection_delay_s=broker_detection_delay_s,
                 monitor=self.deployment.monitor, tracer=self.tracer)
 
@@ -274,7 +276,6 @@ class PervasiveGridRuntime:
         *,
         interval_s: float = 15.0,
         until_s: float = 3600.0,
-        record_samples: bool = True,
     ) -> "SLOEvaluator":
         """Attach an :class:`~repro.observability.slo.SLOEvaluator`.
 
@@ -295,7 +296,6 @@ class PervasiveGridRuntime:
         evaluator = SLOEvaluator(
             self.sim, self.monitor, list(slos) if slos is not None else default_slos(),
             interval_s=interval_s, tracer=self.tracer,
-            record_samples=record_samples,
         )
         uplink = self.grid.uplink
         evaluator.probe("grid.uplink_online",

@@ -34,12 +34,13 @@ Three layers, all over *simulated* time:
   Profiles never touch the Monitor, so merged parallel results stay
   bit-identical.
 * :mod:`~repro.observability.sketch` / ``sampling`` -- the memory
-  axis: mergeable :class:`QuantileSketch` (DDSketch-style buckets at a
-  fixed 1% relative error) and multi-resolution ring-buffer series bound
-  the Monitor's footprint, while the :class:`TraceSampler` (head +
-  tail-based + seeded exemplars, :class:`SamplingConfig`) bounds the
-  trace -- always keeping error/alert/slow-outlier traces -- without
-  breaking the parallel runner's bit-identical reduction.
+  axis: a raw tail plus a mergeable :class:`QuantileSketch`
+  (DDSketch-style buckets at a fixed 1% relative error) bound each of
+  the Monitor's histograms and series, while the :class:`TraceSampler`
+  (head + tail-based + seeded exemplars; :class:`SamplingConfig` sets
+  the head rate, the reservoir size and the seed) bounds the trace --
+  always keeping error/alert/slow-outlier traces -- without breaking
+  the parallel runner's bit-identical reduction.
   :class:`TelemetryConfig` sets the three caps: each instrument's raw
   tail (histograms, series) and the trace ring.
 * :mod:`~repro.observability.ledger` -- the resource axis:
@@ -83,11 +84,7 @@ from repro.observability.metrics import (
     rollup_by_subsystem,
 )
 from repro.observability.ledger import QueryCost, QueryCostLedger, render_ledger
-from repro.observability.sketch import (
-    MultiResolutionSeries,
-    QuantileSketch,
-    TelemetryConfig,
-)
+from repro.observability.sketch import QuantileSketch, TelemetryConfig
 from repro.observability.sampling import SamplingConfig, TraceSampler
 from repro.observability.profiling import (
     NOOP_PROFILER,
@@ -154,7 +151,6 @@ __all__ = [
     "QueryCostLedger",
     "render_ledger",
     "QuantileSketch",
-    "MultiResolutionSeries",
     "TelemetryConfig",
     "SamplingConfig",
     "TraceSampler",

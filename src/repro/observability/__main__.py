@@ -6,8 +6,8 @@
     bench compare OLD NEW [--tolerance FRAC] [--only PATTERN]...  |  bench show PATH
 
 Exit status: 0 on success, 1 when ``bench compare`` finds a regression,
-2 on an input or option error, which prints one ``error: ...`` line
-(argparse's own usage errors also exit 2).
+2 on an input, option or usage error, which prints one ``error: ...``
+line.
 """
 
 from __future__ import annotations
@@ -23,6 +23,14 @@ from repro.observability.dashboard import render_dashboard
 from repro.observability.export import read_jsonl
 from repro.observability.profiling import load_profile
 from repro.observability.report import render_report, report_dict
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors reach :func:`main`'s one
+    handler (argparse's own prints its usage block and exits)."""
+
+    def error(self, message: str) -> typing.NoReturn:
+        raise ValueError(message)
 
 
 def _at_least(flag: str, value: int, lowest: int) -> None:
@@ -103,7 +111,7 @@ def _bench_show(args: argparse.Namespace) -> int:
 
 
 def _parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="python -m repro.observability",
         description="Analyze a run's exports: traces, wall-clock profiles "
                     "and benchmark result files.")
@@ -163,8 +171,8 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: typing.Sequence[str] | None = None) -> int:
     """Run one command; returns the process exit status."""
-    args = _parser().parse_args(argv)
     try:
+        args = _parser().parse_args(argv)
         return args.run(args)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

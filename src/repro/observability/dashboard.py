@@ -188,8 +188,7 @@ def render_sampling(trace: Trace) -> str:
     lines.append(
         f"  kept: head={int(totals.get('head_kept', 0))}  "
         f"tail={int(totals.get('tail_kept', 0))}  "
-        f"exemplar={int(totals.get('exemplars_kept', 0))}  "
-        f"budget-deferred={int(totals.get('budget_deferred', 0))}")
+        f"exemplar={int(totals.get('exemplars_kept', 0))}")
     return "\n".join(lines)
 
 

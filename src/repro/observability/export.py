@@ -49,48 +49,55 @@ def write_jsonl(records: typing.Iterable[SpanRecord | TraceEvent], path) -> int:
 
 
 def read_jsonl(path) -> list[SpanRecord | TraceEvent]:
-    """Load a JSONL trace back into record objects (see :func:`write_jsonl`)."""
+    """Load a JSONL trace back into record objects (see :func:`write_jsonl`).
+
+    Every error is a ``ValueError`` naming ``path:line`` (only ``path``
+    for a file that is not UTF-8)."""
     records: list[SpanRecord | TraceEvent] = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                payload = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
-            try:
+        try:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    payload = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise ValueError(f"{path}:{lineno}: not valid JSON: {exc}") from exc
                 records.append(record_from_dict(payload, where=f"{path}:{lineno}"))
-            except (AttributeError, KeyError, TypeError) as exc:
-                raise ValueError(f"{path}:{lineno}: malformed record: {exc!r}") from exc
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text: {exc}") from exc
     return records
 
 
 def record_from_dict(payload: dict, where: str = "<record>") -> SpanRecord | TraceEvent:
-    """Rebuild one record object from its :meth:`to_dict` form."""
-    kind = payload.get("kind")
-    if kind == "span":
-        record = SpanRecord(
-            trace_id=int(payload["trace"]),
-            span_id=int(payload["span"]),
-            parent_id=None if payload.get("parent") is None else int(payload["parent"]),
-            name=str(payload["name"]),
-            start_s=float(payload["start"]),
-            attrs=dict(payload.get("attrs") or {}),
-        )
-        if payload.get("end") is not None:
-            record.end_s = float(payload["end"])
-        record.status = str(payload.get("status", "ok"))
-        return record
-    if kind == "event":
-        return TraceEvent(
-            trace_id=int(payload["trace"]),
-            parent_id=None if payload.get("parent") is None else int(payload["parent"]),
-            name=str(payload["name"]),
-            time_s=float(payload["time"]),
-            attrs=dict(payload.get("attrs") or {}),
-        )
+    """Rebuild one record object from its :meth:`to_dict` form; anything
+    else raises ``ValueError`` naming ``where``."""
+    try:
+        kind = payload.get("kind")
+        if kind == "span":
+            record = SpanRecord(
+                trace_id=int(payload["trace"]),
+                span_id=int(payload["span"]),
+                parent_id=None if payload.get("parent") is None else int(payload["parent"]),
+                name=str(payload["name"]),
+                start_s=float(payload["start"]),
+                attrs=dict(payload.get("attrs") or {}),
+            )
+            if payload.get("end") is not None:
+                record.end_s = float(payload["end"])
+            record.status = str(payload.get("status", "ok"))
+            return record
+        if kind == "event":
+            return TraceEvent(
+                trace_id=int(payload["trace"]),
+                parent_id=None if payload.get("parent") is None else int(payload["parent"]),
+                name=str(payload["name"]),
+                time_s=float(payload["time"]),
+                attrs=dict(payload.get("attrs") or {}),
+            )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: malformed record: {exc!r}") from exc
     raise ValueError(f"{where}: unknown record kind {kind!r}")
 
 

@@ -160,8 +160,6 @@ CONVENTIONS: dict[str, MetricSpec] = _catalog([
                "traces kept by tail rules (error / SLO alert / slow outlier)"),
     MetricSpec("obs.sampling.exemplars_kept", "counter", "1",
                "happy-path traces kept by the seeded exemplar reservoir"),
-    MetricSpec("obs.sampling.budget_deferred", "counter", "1",
-               "head keeps deferred to tail rules by the span budget"),
 ])
 
 #: Legacy monitor keys -> canonical names.

@@ -237,11 +237,6 @@ class HookProfiler:
         rows.sort(key=lambda r: (-r["self_s"], r["name"]))
         return rows
 
-    def collapsed_stacks(self) -> list[str]:
-        """Flamegraph-compatible lines: ``frame;frame;frame <microseconds>``."""
-        return [f"{path} {ns // 1000}"
-                for path, ns in sorted(self._collapsed.items())]
-
     def to_dict(self) -> dict:
         """The whole profile as one JSON-ready document."""
         return {

@@ -12,17 +12,14 @@ decides, per *trace* (one root span and everything beneath it), what the
   worker count.
 * **Tail retention** -- head-dropped traces are buffered until their
   root ends, then kept anyway when something interesting happened:
-  any span ended with error status, the trace overlapped an SLO alert
-  (:meth:`TraceSampler.note_alert`, wired from the
-  :class:`~repro.observability.slo.SLOEvaluator`), or the root's
-  duration is a slow outlier (an explicit threshold, or adaptively the
-  configured quantile of a root-duration
+  any span ended with error status, an SLO alert fired during the
+  trace or in the minute before it (:meth:`TraceSampler.note_alert`,
+  wired from the :class:`~repro.observability.slo.SLOEvaluator`), or the
+  root's duration is a slow outlier (past the p99 of a root-duration
   :class:`~repro.observability.sketch.QuantileSketch`).
 * **Exemplar reservoir** -- a seeded Algorithm-R reservoir keeps a few
   representative happy-path traces so the retained set is never *only*
   pathologies.
-* **Span budget** -- once retention has spent the budget, head keeps are
-  deferred to the tail rules (error/alert/slow traces are always kept).
 
 Free-floating events (``slo.fire``, ``slo.sample``, ``faults.inject`` --
 anything recorded outside a span tree) are always retained: the
@@ -53,14 +50,20 @@ _KEEP, _DROP, _RESERVOIR = "keep", "drop", "reservoir"
 #: traces; a record arriving for a forgotten trace is retained (safe
 #: default, and only reachable for pathologically late records).
 _MAX_DECISIONS = 8192
-#: Minimum root-duration observations before the adaptive slow-outlier
+#: Minimum root-duration observations before the slow-outlier
 #: threshold activates (quantiles of a handful of samples are noise).
 _MIN_SLOW_SAMPLES = 20
+#: Root-duration quantile a root must clear, by the sketch's error band,
+#: to count as a slow outlier.
+_SLOW_QUANTILE = 0.99
+#: A trace counts as SLO-violating when an alert fired no earlier than
+#: this many simulated seconds before its root started.
+_ALERT_WINDOW_S = 60.0
 
 _COUNTER_FIELDS = (
     "traces_emitted", "traces_retained", "traces_dropped",
     "spans_emitted", "spans_retained", "spans_dropped",
-    "head_kept", "tail_kept", "exemplars_kept", "budget_deferred",
+    "head_kept", "tail_kept", "exemplars_kept",
 )
 
 
@@ -72,45 +75,21 @@ class SamplingConfig:
     ----------
     head_rate:
         Fraction of traces kept unconditionally at root start (0..1).
-    slow_threshold_s:
-        Explicit root-duration outlier threshold; ``None`` uses the
-        adaptive ``slow_quantile`` of observed root durations instead.
-    slow_quantile:
-        Adaptive outlier quantile (default p99) of the root-duration
-        sketch; applies once at least 20 roots have completed.  A root
-        counts as slow when it clears the quantile estimate by the
-        sketch's relative-error band.
     exemplar_capacity:
         Seeded reservoir size for happy-path traces (0 disables).
-    span_budget:
-        Soft cap on retained span records; past it, head keeps are
-        deferred to the tail rules.  ``None`` = unlimited.
-    alert_window_s:
-        A trace counts as SLO-violating when an alert fired no earlier
-        than ``alert_window_s`` before its root started.
     seed:
         Seeds the exemplar reservoir's RNG and salts the head hash.
     """
 
     head_rate: float = 0.1
-    slow_threshold_s: float | None = None
-    slow_quantile: float = 0.99
     exemplar_capacity: int = 8
-    span_budget: int | None = None
-    alert_window_s: float = 60.0
     seed: int = 0
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.head_rate <= 1.0):
             raise ValueError("head_rate must be in [0, 1]")
-        if not (0.0 < self.slow_quantile <= 1.0):
-            raise ValueError("slow_quantile must be in (0, 1]")
         if self.exemplar_capacity < 0:
             raise ValueError("exemplar_capacity must be >= 0")
-        if self.span_budget is not None and self.span_budget < 1:
-            raise ValueError("span_budget must be >= 1 or None")
-        if self.alert_window_s < 0:
-            raise ValueError("alert_window_s must be >= 0")
 
 
 class TraceSampler:
@@ -127,7 +106,7 @@ class TraceSampler:
         Monotonic decision counters (also mirrored to ``obs.sampling.*``
         monitor counters when a monitor is attached).
     durations:
-        The root-duration :class:`QuantileSketch` driving the adaptive
+        The root-duration :class:`QuantileSketch` driving the
         slow-outlier threshold.
     """
 
@@ -139,7 +118,6 @@ class TraceSampler:
         self._rng = random.Random(self.config.seed)
         self._decisions: dict[int, str] = {}
         self._buffers: dict[int, list] = {}
-        self._roots: dict[int, SpanRecord] = {}
         self._reservoir: list[int] = []  # trace ids, slot-ordered
         self._reservoir_buffers: dict[int, list] = {}
         self._reservoir_seen = 0
@@ -199,17 +177,14 @@ class TraceSampler:
     def _offer_root(self, record: SpanRecord) -> None:
         self._count("traces_emitted")
         key = record.attrs.get("sampling_key", record.trace_id)
-        if self._head_keep(key) and not self._over_budget():
+        if self._head_keep(key):
             self._decide(record.trace_id, _KEEP)
             self._count("head_kept")
             self._count("traces_retained")
             record.attrs.setdefault("sampled", "head")
             self._retain(record)
             return
-        if self._head_keep(key):
-            self._count("budget_deferred")
         self._buffers[record.trace_id] = [record]
-        self._roots[record.trace_id] = record
 
     def _head_keep(self, key) -> bool:
         rate = self.config.head_rate
@@ -220,10 +195,6 @@ class TraceSampler:
         digest = hashlib.blake2b(f"{self.config.seed}:{key}".encode(),
                                  digest_size=8).digest()
         return int.from_bytes(digest, "big") < rate * 2.0 ** 64
-
-    def _over_budget(self) -> bool:
-        budget = self.config.span_budget
-        return budget is not None and self.stats["spans_retained"] >= budget
 
     def _retain(self, record) -> None:
         self.tracer._append(record)
@@ -244,7 +215,6 @@ class TraceSampler:
             return
         self.durations.observe(record.duration_s)
         buffer = self._buffers.pop(record.trace_id, None)
-        self._roots.pop(record.trace_id, None)
         if buffer is None:
             return  # head-kept (already retained) or a replayed end
         reason = self._tail_reason(record, buffer)
@@ -258,18 +228,17 @@ class TraceSampler:
         if any(isinstance(r, SpanRecord) and r.status != "ok" for r in buffer):
             return "error"
         if (self._last_alert is not None
-                and self._last_alert >= root.start_s - self.config.alert_window_s):
+                and self._last_alert >= root.start_s - _ALERT_WINDOW_S):
             return "alert"
-        threshold = self.config.slow_threshold_s
-        if threshold is None and self.durations.count >= _MIN_SLOW_SAMPLES:
+        if self.durations.count >= _MIN_SLOW_SAMPLES:
             # the quantile estimate is within alpha of a real observed
             # duration, so a root must clear it by the error band to
             # count as an outlier -- otherwise homogeneous workloads
             # (every duration in one bucket) flag every trace as slow
-            threshold = (self.durations.quantile(self.config.slow_quantile)
-                         * (1.0 + 2.0 * self.durations.alpha))
-        if threshold is not None and root.duration_s >= threshold > 0.0:
-            return "slow"
+            threshold = (self.durations.quantile(_SLOW_QUANTILE)
+                         * (1.0 + 2.0 * QuantileSketch.alpha))
+            if root.duration_s >= threshold > 0.0:
+                return "slow"
         return None
 
     def _offer_exemplar(self, trace_id: int, buffer: list) -> None:
@@ -326,7 +295,6 @@ class TraceSampler:
             self._count("tail_kept")
             self._flush(trace_id, self._buffers[trace_id], "tail:open")
         self._buffers.clear()
-        self._roots.clear()
 
     def reset(self) -> None:
         """Forget all state (between benchmark repetitions)."""
@@ -335,7 +303,6 @@ class TraceSampler:
         self._rng = random.Random(self.config.seed)
         self._decisions.clear()
         self._buffers.clear()
-        self._roots.clear()
         self._reservoir = []
         self._reservoir_buffers = {}
         self._reservoir_seen = 0

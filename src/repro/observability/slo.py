@@ -249,10 +249,8 @@ class SLOEvaluator:
         Evaluation cadence in simulated seconds.
     tracer:
         Span/event sink; alert transitions become ``slo.fire`` /
-        ``slo.resolve`` events and (when ``record_samples``) every
-        evaluation emits a ``slo.sample`` event the dashboard renders.
-    record_samples:
-        Emit per-tick ``slo.sample`` trace events (only when the tracer
+        ``slo.resolve`` events and every evaluation emits a
+        ``slo.sample`` event the dashboard renders (only when the tracer
         is enabled).
 
     Attributes
@@ -271,7 +269,6 @@ class SLOEvaluator:
         *,
         interval_s: float = 15.0,
         tracer: Tracer | None = None,
-        record_samples: bool = True,
     ) -> None:
         if not slos:
             raise ValueError("an evaluator needs at least one SLO")
@@ -285,7 +282,6 @@ class SLOEvaluator:
         self.slos = list(slos)
         self.interval_s = float(interval_s)
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        self.record_samples = record_samples
         self.status: dict[str, SLOStatus] = {s.name: SLOStatus(s) for s in self.slos}
         self.timeline: list[AlertEvent] = []
         self._probes: dict[str, typing.Callable[[], float]] = {}
@@ -512,7 +508,7 @@ class SLOEvaluator:
                                       severity=slo.severity)
             if status.firing:
                 n_firing += 1
-            if tracing and self.record_samples and value is not None:
+            if tracing and value is not None:
                 self.tracer.event("slo.sample", slo=slo.name, value=value,
                                   objective=slo.objective,
                                   comparison=slo.comparison,

@@ -10,25 +10,24 @@ Memory bounds
 -------------
 Histograms and time series are *bounded* and share one store: each
 retains an exact raw tail of the newest ``max_raw`` observations
-(default 1024) and, once the tail would overflow, spills into a
-mergeable :class:`~repro.observability.sketch.QuantileSketch` at the
-fixed 1% relative error of ``sketch.DEFAULT_ALPHA`` (a series also keeps
-a :class:`~repro.observability.sketch.MultiResolutionSeries` of
-downsampled tiers).  While nothing has been dropped every reduction is
-exact -- bit-identical to the historical raw-list behavior; past the
-cap, counts/means/extremes stay exact (streamed scalars) and
-percentiles come from the sketch.  ``max_raw=None`` restores unbounded
-raw retention.
+(default 1024; a series keeps the sample times beside the values) and,
+once the tail would overflow, spills into a mergeable
+:class:`~repro.observability.sketch.QuantileSketch` of the values at
+the fixed 1% relative error of ``sketch.DEFAULT_ALPHA``.  While nothing
+has been dropped every reduction is exact -- bit-identical to the
+historical raw-list behavior; past the cap, counts/means/extremes stay
+exact (streamed scalars) and percentiles come from the sketch.
+``max_raw=None`` restores unbounded raw retention.
 
-Past the spill a record only appends to the ring; the sketch and tiers
-catch up in one fold, in recording order, when the ring holds only
-values they have not seen (once per ``max_raw`` records), and every
-read (``len``, ``dropped``, ``sketch``, ``tiers``, ``cells``, the
-reductions, ``extend``/:meth:`Monitor.merge`, ``reconfigure``,
-pickling) folds the rest first.  No reading can tell when a value was
-folded, and the memory bound is unchanged: the unfolded values are the
-ring's own newest entries.  Non-finite values (and series times) are
-rejected at the call, before anything changes.
+Past the spill a record only appends to the ring; the sketch catches
+up in one fold, in recording order, when the ring holds only values it
+has not seen (once per ``max_raw`` records), and every read (``len``,
+``dropped``, ``sketch``, ``cells``, the reductions,
+``extend``/:meth:`Monitor.merge`, ``reconfigure``, pickling) folds the
+rest first.  No reading can tell when a value was folded, and the
+memory bound is unchanged: the unfolded values are the ring's own
+newest entries.  Non-finite values (and series times) are rejected at
+the call, before anything changes.
 
 :meth:`Monitor.configure` applies a
 :class:`~repro.observability.sketch.TelemetryConfig`'s two raw-tail caps
@@ -137,6 +136,15 @@ def _check_max_raw(name: str, max_raw: int | None) -> None:
         raise ValueError(f"{name!r}: max_raw must be >= 1 or None, got {max_raw!r}")
 
 
+def _newest(ring: typing.Sequence[float], n: int) -> typing.Sequence[float]:
+    """The newest ``n`` entries of ``ring``, oldest first, in O(n)."""
+    if n == len(ring):
+        return ring
+    tail = list(itertools.islice(reversed(ring), n))
+    tail.reverse()
+    return tail
+
+
 class _SampleStore:
     """The bounded raw-tail store behind :class:`Histogram` and :class:`TimeSeries`.
 
@@ -153,8 +161,8 @@ class _SampleStore:
     else (the next record would drop an unfolded value), they are folded
     in one call, in recording order; every read folds the rest first, so
     no reading can tell when a value was folded.  Each subclass supplies
-    its record path, ``_fold`` and ``_replay``, which feeds another
-    store's raw entries through it.
+    its record path and ``_replay``, which feeds another store's raw
+    entries through it.
     """
 
     __slots__ = ("name", "_values", "_max_raw", "_sketch", "_unfolded")
@@ -187,7 +195,7 @@ class _SampleStore:
         n = self._unfolded
         if n:
             self._unfolded = 0
-            self._fold(n)
+            self._sketch.observe_many(_newest(self._values, n))
 
     def __getstate__(self) -> tuple[None, dict[str, typing.Any]]:
         # a pickled instrument travels caught up, its slots as pickle's
@@ -282,14 +290,11 @@ class _SampleStore:
                 self._replay(other)
             return
         self.ensure_sketch()
-        self._merge(other)
+        self._sketch.merge(other._sketch)
         self._extend_raw(other)
 
     def _extend_raw(self, other: "_SampleStore") -> None:
         self._values.extend(other._values)
-
-    def _merge(self, other: "_SampleStore") -> None:
-        self._sketch.merge(other._sketch)
 
     def reconfigure(self, max_raw: int | None) -> None:
         """Re-cap the raw tail (meant for empty/young instruments).
@@ -304,15 +309,6 @@ class _SampleStore:
             self._ring()
         elif max_raw is not None and len(self._values) >= max_raw:
             self._spill()
-
-
-def _newest(ring: typing.Sequence[float], n: int) -> typing.Sequence[float]:
-    """The newest ``n`` entries of ``ring``, oldest first, in O(n)."""
-    if n == len(ring):
-        return ring
-    tail = list(itertools.islice(reversed(ring), n))
-    tail.reverse()
-    return tail
 
 
 class Histogram(_SampleStore):
@@ -333,9 +329,6 @@ class Histogram(_SampleStore):
                 self._catch_up()
         elif self._max_raw is not None and len(values) >= self._max_raw:
             self._spill()
-
-    def _fold(self, n: int) -> None:
-        self._sketch.observe_many(_newest(self._values, n))
 
     def _replay(self, other: "Histogram") -> None:
         for v in other._values:
@@ -361,17 +354,15 @@ class TimeSeries(_SampleStore):
     Provides summary reductions used throughout the experiment harness.
     Sample times are buffered raw beside the values (HPC guide:
     vectorize reductions, keep the recording path allocation-free in the
-    common case); on spill both buffers become rings and a
-    :class:`MultiResolutionSeries` (:attr:`tiers`) keeps deterministic
-    downsampled history at widening time resolutions.
+    common case); on spill both buffers become rings and the sketch
+    carries the value distribution.
     """
 
-    __slots__ = ("_times", "_tiers")
+    __slots__ = ("_times",)
 
     def __init__(self, name: str, max_raw: int | None = DEFAULT_MAX_RAW) -> None:
         super().__init__(name, max_raw)
         self._times: typing.MutableSequence[float] = []
-        self._tiers = None
 
     def record(self, time: float, value: float) -> None:
         """Append one sample (finite time and value; anything else
@@ -390,23 +381,6 @@ class TimeSeries(_SampleStore):
         elif self._max_raw is not None and len(values) >= self._max_raw:
             self._spill()
 
-    @property
-    def tiers(self):
-        """Downsampled multi-resolution history, caught up with every
-        sample (None until spilled; call :meth:`ensure_sketch` to
-        materialize eagerly)."""
-        self._catch_up()
-        return self._tiers
-
-    def _spill(self) -> None:
-        self._tiers = _sketch_module().MultiResolutionSeries()
-        super()._spill()
-
-    def _fold(self, n: int) -> None:
-        values = _newest(self._values, n)
-        self._sketch.observe_many(values)
-        self._tiers.record_many(_newest(self._times, n), values)
-
     def _ring(self) -> None:
         super()._ring()
         self._times = collections.deque(self._times, maxlen=self._max_raw)
@@ -422,15 +396,10 @@ class TimeSeries(_SampleStore):
         super()._extend_raw(other)
         self._times.extend(other._times)
 
-    def _merge(self, other: "TimeSeries") -> None:
-        super()._merge(other)
-        self._tiers.merge(other._tiers)
-
     @property
     def cells(self) -> int:
-        """Retained storage cells (raw tails + sketch + tier buckets)."""
-        cells = super().cells + len(self._times)
-        return cells if self._tiers is None else cells + self._tiers.cells
+        """Retained storage cells (value and time rings + sketch buckets)."""
+        return super().cells + len(self._times)
 
     @property
     def times(self) -> np.ndarray:
@@ -458,8 +427,8 @@ class Monitor:
 
     New histograms and series keep a raw tail of :data:`DEFAULT_MAX_RAW`
     observations; :meth:`configure` re-bounds current and future ones.
-    A spilled instrument folds its newest records into its sketch and
-    tiers a full ring at a time, and every read (:meth:`summary`,
+    A spilled instrument folds its newest records into its sketch a full
+    ring at a time, and every read (:meth:`summary`,
     :meth:`footprint`, :meth:`merge`, pickling) folds the rest first, so
     readings and the retained-cell bound are those of folding each
     record at once.

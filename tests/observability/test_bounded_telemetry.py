@@ -8,7 +8,7 @@ import random
 import numpy as np
 import pytest
 
-from repro.observability.sketch import MultiResolutionSeries, QuantileSketch, TelemetryConfig
+from repro.observability.sketch import QuantileSketch, TelemetryConfig
 from repro.observability.slo import SLO, Signal, SLOEvaluator
 from repro.simkernel import Monitor, Simulator
 from repro.simkernel.monitor import Histogram, TimeSeries
@@ -84,20 +84,21 @@ class TestHistogramSpill:
 
 
 class TestTimeSeriesSpill:
-    def test_tiers_materialize_on_spill(self):
+    def test_spill_keeps_rings_and_sketch(self):
         s = TimeSeries("s", max_raw=8)
         for t in range(100):
             s.record(float(t), float(t % 7))
-        assert s.tiers is not None
         assert s.dropped == 100 - 8
         assert len(s) == 100
-        # the downsampled tiers cover the whole stream, the ring the tail
-        assert sum(row[1] for row in s.tiers.samples(10.0)) == 100
+        # the sketch covers the whole stream, the rings the tail
+        assert s.sketch.count == 100
         assert list(s.times) == [float(t) for t in range(92, 100)]
         assert s.last() == float(99 % 7)
         assert s.total() == pytest.approx(sum(float(t % 7) for t in range(100)))
+        # the value ring, the time ring and the sketch buckets: nothing else
+        assert s.cells == len(s.values) + len(s.times) + s.sketch.cells
 
-    def test_extend_merges_sketch_and_tiers(self):
+    def test_extend_merges_sketches(self):
         a = TimeSeries("a", max_raw=4)
         b = TimeSeries("b", max_raw=4)
         for t in range(20):
@@ -107,6 +108,7 @@ class TestTimeSeriesSpill:
         assert len(a) == 40
         assert a.total() == pytest.approx(20 * 1.0 + 20 * 3.0)
         assert a.max() == 3.0
+        assert a.cells == 4 + 4 + a.sketch.cells
 
 
 def state_of(inst, series):
@@ -114,8 +116,7 @@ def state_of(inst, series):
     out = [len(inst), inst.values.tolist(), inst.dropped, inst.cells,
            None if inst.sketch is None else inst.sketch.state()]
     if series:
-        out += [inst.times.tolist(), inst.last(), inst.total(),
-                None if inst.tiers is None else inst.tiers.samples()]
+        out += [inst.times.tolist(), inst.last(), inst.total()]
     else:
         out += [inst.last, inst.sum]
     return repr(out)
@@ -153,21 +154,19 @@ class TestNonFiniteTelemetry:
 
 
 class TestDeferredFold:
-    """Past the spill a record only appends; the sketch and tiers catch
-    up a full ring at a time or at a read, and a fold costs O(unfolded)."""
+    """Past the spill a record only appends; the sketch catches up a full
+    ring at a time or at a read, and a fold costs O(unfolded)."""
 
     def counting_folds(self, monkeypatch):
         folded = []
-        for cls, name in ((QuantileSketch, "observe_many"),
-                          (MultiResolutionSeries, "record_many")):
-            real = getattr(cls, name)
+        real = QuantileSketch.observe_many
 
-            def counted(self, *columns, _real=real, _name=name):
-                columns = [list(c) for c in columns]
-                folded.append((_name, len(columns[0])))
-                _real(self, *columns)
+        def counted(self, values):
+            values = list(values)
+            folded.append(("observe_many", len(values)))
+            real(self, values)
 
-            monkeypatch.setattr(cls, name, counted)
+        monkeypatch.setattr(QuantileSketch, "observe_many", counted)
         return folded
 
     def test_a_full_ring_folds_in_one_call(self, monkeypatch):
@@ -176,7 +175,7 @@ class TestDeferredFold:
         for t in range(4 + 3 * 4):
             s.record(float(t), 1.0)
         # the spill, then one fold per ring of unfolded samples
-        assert folded == [("observe_many", 4), ("record_many", 4)] * 4
+        assert folded == [("observe_many", 4)] * 4
 
     @pytest.mark.parametrize("cap", [None, 64])
     def test_a_read_folds_only_the_unfolded_tail(self, monkeypatch, cap):
@@ -222,8 +221,8 @@ class TestMonitorConfigureAndFootprint:
         at_20k = m.footprint()["total"]
         load(20_000)  # double the volume
         at_40k = m.footprint()["total"]
-        # rings and tiers are saturated; only the sketch's bucket count
-        # still creeps (logarithmically in the value range)
+        # the rings are saturated; only the sketch's bucket count still
+        # creeps (logarithmically in the value range)
         assert at_40k <= at_20k * 1.05
 
     def test_summary_emits_p95_and_p99(self):

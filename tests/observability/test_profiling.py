@@ -13,6 +13,7 @@ import pytest
 
 from repro.core.runtime import PervasiveGridRuntime
 from repro.grid import GridResource
+from repro.observability.profile import render_collapsed
 from repro.observability.profiling import (
     NOOP_FRAME,
     NOOP_PROFILER,
@@ -80,7 +81,7 @@ class TestFrameAccounting:
             clock.ns += 3000
             with prof.frame("b"):
                 clock.ns += 2000
-        assert prof.collapsed_stacks() == ["a 3", "a;b 2"]
+        assert render_collapsed(prof.to_dict()).splitlines() == ["a 3", "a;b 2"]
 
     def test_handlers_sorted_by_descending_self_then_name(self):
         prof, clock = make()

@@ -237,17 +237,6 @@ class TestAlerting:
         assert len(samples) == 10
         assert {e.attrs["slo"] for e in samples} == {"net.drops_budget"}
 
-    def test_no_sample_events_when_disabled(self):
-        sim = Simulator()
-        tracer = Tracer(sim, enabled=True)
-        monitor = Monitor()
-        slo = make_slo(Signal("delta", "net.drops"), 0.0)
-        ev = SLOEvaluator(sim, monitor, [slo], interval_s=10.0, tracer=tracer,
-                          record_samples=False)
-        ev.start(50.0)
-        sim.run(until=50.0)
-        assert not [e for e in tracer.records if e.name == "slo.sample"]
-
     def test_deterministic_timeline(self):
         _, a = self.drive()
         _, b = self.drive()

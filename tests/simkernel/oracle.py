@@ -7,7 +7,7 @@ spill, ``dropped``, reductions, ``extend`` and ``reconfigure``.  The
 production :class:`~repro.simkernel.monitor.Histogram` and
 :class:`~repro.simkernel.monitor.TimeSeries` share one store instead, so
 tests can assert the shared store reports *exactly* what these report:
-every reading, the sketch state, the tiers and the cell count.
+every reading, the sketch state and the cell count.
 :class:`ReferenceMonitor` is a :class:`~repro.simkernel.monitor.Monitor`
 whose instruments are these, for comparing ``merge``, ``summary`` and
 ``footprint``.
@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from repro.observability.sketch import MultiResolutionSeries, QuantileSketch
+from repro.observability.sketch import QuantileSketch
 from repro.simkernel.monitor import DEFAULT_MAX_RAW, Monitor
 
 
@@ -134,7 +134,6 @@ class ReferenceTimeSeries:
         self._values = []
         self._max_raw = max_raw
         self._sketch = None
-        self.tiers = None
 
     def record(self, time, value):
         sketch = self._sketch
@@ -145,18 +144,14 @@ class ReferenceTimeSeries:
                 self._spill()
             return
         sketch.observe(value)
-        self.tiers.record(time, value)
         self._times.append(time)
         self._values.append(value)
 
     def _spill(self):
         sketch = QuantileSketch()
-        tiers = MultiResolutionSeries()
-        for t, v in zip(self._times, self._values):
+        for v in self._values:
             sketch.observe(v)
-            tiers.record(t, v)
         self._sketch = sketch
-        self.tiers = tiers
         self._times = collections.deque(self._times, maxlen=self._max_raw)
         self._values = collections.deque(self._values, maxlen=self._max_raw)
 
@@ -188,7 +183,7 @@ class ReferenceTimeSeries:
     def cells(self):
         total = 2 * len(self._values)
         if self._sketch is not None:
-            total += self._sketch.cells + self.tiers.cells
+            total += self._sketch.cells
         return total
 
     def mean(self):
@@ -228,7 +223,6 @@ class ReferenceTimeSeries:
         if self._sketch is None:
             self._spill()
         self._sketch.merge(other._sketch)
-        self.tiers.merge(other.tiers)
         self._times.extend(other._times)
         self._values.extend(other._values)
 

@@ -2,18 +2,19 @@
 ``tests/simkernel/oracle.py``: one random script of records, extends
 (every spill-state pair), reconfigures and ``ensure_sketch`` calls drives
 a production instrument and its reference side by side, and after every
-step both must report the same readings, sketch state, tiers and cells.
+step both must report the same readings, sketch state and cells.
 A burst records past a full ring and then takes one reading first, so a
 reading that forgets to fold, or a fold that takes the wrong raw
 entries, shows.
 Monitors built on each then merge to the same ``summary()`` and
-``footprint()``."""
+``footprint()``, and merging pickled monitors keeps the sketches of the
+concatenated streams."""
 
 import pickle
 
 from hypothesis import given, settings, strategies as st
 
-from repro.observability.sketch import DEFAULT_RESOLUTIONS, TelemetryConfig
+from repro.observability.sketch import TelemetryConfig
 from repro.simkernel.monitor import Histogram, Monitor, TimeSeries
 from tests.simkernel.oracle import ReferenceHistogram, ReferenceMonitor, ReferenceTimeSeries
 
@@ -57,11 +58,7 @@ def reading(inst, series):
            inst.mean(), inst.max(), [inst.percentile(q) for q in QUANTILES],
            None if sketch is None else sketch.state()]
     if series:
-        tiers = inst.tiers
-        out += [inst.times.tolist(), inst.total(), inst.last(),
-                None if tiers is None else
-                ([tiers.samples(r) for r in DEFAULT_RESOLUTIONS],
-                 tiers.evictions, tiers.late_drops, tiers.cells)]
+        out += [inst.times.tolist(), inst.total(), inst.last()]
     else:
         out += [inst.sum, inst.last]
     return repr(out)
@@ -149,3 +146,30 @@ def test_merged_monitors_match_reference(cap, worlds):
         theirs.merge(fill(ReferenceMonitor(), world_cap, script))
     assert repr(mine.summary()) == repr(theirs.summary())
     assert mine.footprint() == theirs.footprint()
+
+
+#: Integral values: every summation order gives the same sum, so a merged
+#: sketch must equal the whole stream's sketch bit for bit.
+integral = st.integers(-2 ** 20, 2 ** 20).map(float)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(CAPS[1:]),
+       st.lists(st.lists(st.tuples(times, integral), max_size=20), min_size=1, max_size=4))
+def test_merged_pickled_monitors_keep_the_sketch_of_the_whole_stream(cap, streams):
+    config = TelemetryConfig(histogram_max_raw=cap, series_max_raw=cap)
+    whole, merged = Monitor().configure(config), Monitor().configure(config)
+    for stream in streams:
+        part = Monitor().configure(config)
+        for monitor in (whole, part):
+            for t, v in stream:
+                monitor.histogram("h").observe(v)
+                monitor.series("s").record(t, v)
+        merged.merge(pickle.loads(pickle.dumps(part)))
+    for want, got in ((whole.histogram("h"), merged.histogram("h")),
+                      (whole.series("s"), merged.series("s"))):
+        want.ensure_sketch()
+        got.ensure_sketch()
+        assert got.dropped == want.dropped
+        assert got.sketch.state() == want.sketch.state()
+        assert got.cells == want.cells
