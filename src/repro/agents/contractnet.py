@@ -28,6 +28,7 @@ import dataclasses
 import itertools
 import typing
 
+from repro import checks
 from repro.agents.acl import ACLMessage, Performative
 from repro.agents.agent import Agent
 from repro.agents.attributes import AgentAttributes, AgentRole
@@ -127,14 +128,12 @@ class ContractNetContractor(Agent):
         overrun_factor: float = 1.0,
     ) -> None:
         super().__init__(name, AgentAttributes.of(AgentRole.SERVICE_PROVIDER))
-        if overrun_factor <= 0:
-            raise ValueError("overrun_factor must be positive")
         self.sim = sim
         self.capability = capability
         self.price_fn = price_fn
         self.time_fn = time_fn
         self.executor = executor
-        self.overrun_factor = overrun_factor
+        self.overrun_factor = checks.positive("overrun_factor", overrun_factor)
         self.bids_made = 0
         self.awards_won = 0
 
@@ -200,9 +199,9 @@ class ContractNetInitiator(Agent):
     ) -> None:
         super().__init__(name, AgentAttributes.of(AgentRole.CLIENT))
         self.sim = sim
-        self.time_weight = time_weight
-        self.reputation_memory = reputation_memory
-        self.timeout_factor = timeout_factor
+        self.time_weight = checks.non_negative("time_weight", time_weight)
+        self.reputation_memory = checks.fraction("reputation_memory", reputation_memory)
+        self.timeout_factor = checks.positive("timeout_factor", timeout_factor)
         self.reputation: dict[str, float] = {}
         self._live: dict[str, dict] = {}
         self.negotiations = 0

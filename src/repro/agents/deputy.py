@@ -25,6 +25,7 @@ Three deputies are provided:
 from __future__ import annotations
 
 
+from repro import checks
 from repro.simkernel import Simulator
 from repro.agents.agent import Agent
 from repro.agents.envelope import Envelope
@@ -60,10 +61,8 @@ class DirectDeputy(AgentDeputy):
 
     def __init__(self, agent: Agent, sim: Simulator, latency_s: float = 0.001) -> None:
         super().__init__(agent)
-        if latency_s < 0:
-            raise ValueError("latency must be non-negative")
         self.sim = sim
-        self.latency_s = latency_s
+        self.latency_s = checks.non_negative("latency_s", latency_s)
 
     def deliver(self, envelope: Envelope) -> None:
         def handoff() -> None:
@@ -112,18 +111,15 @@ class NetworkDeputy(AgentDeputy):
         max_retransmits: int = 5,
     ) -> None:
         super().__init__(agent)
-        if retry_s <= 0:
-            raise ValueError("retry_s must be positive")
-        if not 0.0 < transcode_factor <= 1.0:
-            raise ValueError("transcode_factor must be in (0, 1]")
         self.network = network
-        self.host_node = host_node
+        self.host_node = checks.count("host_node", host_node)
         self.buffer_when_down = buffer_when_down
-        self.retry_s = retry_s
-        self.transcode_factor = transcode_factor
-        self.transcode_hop_threshold = transcode_hop_threshold
-        self.max_buffer = max_buffer
-        self.max_retransmits = max_retransmits
+        self.retry_s = checks.positive("retry_s", retry_s)
+        self.transcode_factor = checks.fraction("transcode_factor", transcode_factor, open_low=True)
+        self.transcode_hop_threshold = checks.count("transcode_hop_threshold",
+                                                    transcode_hop_threshold)
+        self.max_buffer = checks.count("max_buffer", max_buffer)
+        self.max_retransmits = checks.count("max_retransmits", max_retransmits)
         self._buffer: list[tuple[int, Envelope]] = []
         self._retry_scheduled = False
         self.transcoded_count = 0

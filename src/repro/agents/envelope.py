@@ -12,6 +12,8 @@ import dataclasses
 import itertools
 import typing
 
+from repro import checks
+
 _envelope_ids = itertools.count()
 
 
@@ -48,8 +50,7 @@ class Envelope:
     envelope_id: int = dataclasses.field(default_factory=lambda: next(_envelope_ids))
 
     def __post_init__(self) -> None:
-        if self.size_bits < 0:
-            raise ValueError("size_bits must be non-negative")
+        checks.non_negative("size_bits", self.size_bits)
 
     def transcoded(self, factor: float) -> "Envelope":
         """A copy whose wire size is scaled by ``factor`` (0 < f <= 1).

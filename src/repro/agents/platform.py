@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from repro.simkernel import Monitor, Simulator
 from repro.agents.agent import Agent
-from repro.agents.attributes import AgentRole
 from repro.agents.deputy import AgentDeputy, DirectDeputy
 
 
@@ -84,14 +83,6 @@ class AgentPlatform:
     def host_node_of(self, name: str) -> int | None:
         """Topology node an agent runs on (None for unhosted/wired agents)."""
         return self._host_nodes.get(name)
-
-    def agents_with_role(self, role: AgentRole) -> list[Agent]:
-        """All registered agents declaring ``role``, by name order."""
-        return [
-            self._deputies[name].agent
-            for name in self.agent_names()
-            if self._deputies[name].agent.attributes.has_role(role)
-        ]
 
     # ------------------------------------------------------------------
     # dispatch

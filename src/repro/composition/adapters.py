@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import typing
 
+from repro import checks
 from repro.agents.acl import ACLMessage, Performative
 from repro.agents.agent import Agent
 from repro.agents.attributes import AgentAttributes, AgentRole
@@ -56,11 +57,9 @@ class RPCServiceAgent(Agent):
         service_time_s: float = 0.01,
     ) -> None:
         super().__init__(name, AgentAttributes.of(AgentRole.SERVICE_PROVIDER))
-        if service_time_s < 0:
-            raise ValueError("service_time_s must be non-negative")
         self.sim = sim
         self.methods = dict(methods)
-        self.service_time_s = service_time_s
+        self.service_time_s = checks.non_negative("service_time_s", service_time_s)
         self.calls = 0
 
     def setup(self) -> None:
@@ -105,7 +104,7 @@ class MailboxServiceAgent(Agent):
         super().__init__(name, AgentAttributes.of(AgentRole.SERVICE_PROVIDER))
         self.sim = sim
         self.func = func
-        self.service_time_s = service_time_s
+        self.service_time_s = checks.non_negative("service_time_s", service_time_s)
         self.handled = 0
 
     def setup(self) -> None:

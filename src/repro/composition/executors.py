@@ -8,8 +8,6 @@ stand up a working service economy in a few lines:
 * ``DecisionTreeService``   → :class:`repro.datamining.DecisionTree`
 * ``FourierSpectrumService`` → spectra + dominant-component selection
 * ``EnsembleCombinerService`` → :class:`repro.datamining.FourierFunction`
-* ``PDESolverService``      → :class:`repro.pde.HeatSolver` steady solves
-* ``AggregationService``    → :mod:`repro.queries.functions` aggregates
 
 :func:`build_stream_mining_providers` wires the paper's §3 pipeline
 (learn → spectra → dominant components → combine) as registered,
@@ -31,7 +29,6 @@ from repro.datamining import (
     truncate_spectrum,
 )
 from repro.discovery.description import ServiceDescription
-from repro.queries.functions import compute_aggregate
 
 
 def make_decision_tree_executor(max_depth: int = 4):
@@ -75,44 +72,6 @@ def make_combiner_executor(d: int):
     def executor(params: dict, inputs: dict) -> FourierFunction:
         (spectrum,) = inputs.values()
         return FourierFunction(spectrum, d)
-
-    return executor
-
-
-def make_pde_executor(area_m: float, resolution: int = 24):
-    """Executor for ``PDESolverService``: readings in, temperature field out.
-
-    Input payload: ``{"positions": (m, 2) array, "values": (m,) array}``.
-    One :class:`~repro.pde.heat.HeatSolver` per resolution lives in the
-    closure, so each grid is factored once across calls.
-    """
-    from repro.pde.grid import RectGrid
-    from repro.pde.heat import HeatSolver
-    from repro.pde.interpolate import anchor_readings
-
-    solvers: dict[int, HeatSolver] = {}
-
-    def executor(params: dict, inputs: dict) -> np.ndarray:
-        (payload,) = inputs.values()
-        positions = np.asarray(payload["positions"], dtype=float)
-        values = np.asarray(payload["values"], dtype=float)
-        res = int(params.get("resolution", resolution))
-        solver = solvers.get(res)
-        if solver is None:
-            solver = solvers[res] = HeatSolver(RectGrid(res, res, area_m, area_m))
-        bvals, fixed = anchor_readings(solver.grid, positions, values)
-        return solver.solve_steady(bvals, fixed_mask=fixed)
-
-    return executor
-
-
-def make_aggregation_executor(default_func: str = "AVG"):
-    """Executor for ``AggregationService``: value sequence in, scalar out."""
-
-    def executor(params: dict, inputs: dict) -> float:
-        (payload,) = inputs.values()
-        values = np.asarray(payload, dtype=float)
-        return compute_aggregate(str(params.get("func", default_func)), values)
 
     return executor
 

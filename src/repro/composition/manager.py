@@ -33,6 +33,7 @@ import dataclasses
 import itertools
 import typing
 
+from repro import checks
 from repro.agents.acl import ACLMessage, Performative
 from repro.agents.agent import Agent
 from repro.agents.attributes import AgentAttributes, AgentRole
@@ -143,14 +144,12 @@ class CompositionManager(Agent):
         super().__init__(name, AgentAttributes.of(AgentRole.COMPOSER))
         if mode not in ("centralized", "distributed"):
             raise ValueError("mode must be 'centralized' or 'distributed'")
-        if timeout_s <= 0:
-            raise ValueError("timeout_s must be positive")
         self.sim = sim
         self.binder = binder
         self.mode = mode
-        self.timeout_s = timeout_s
-        self.max_retries = max_retries
-        self.role_card_bits = role_card_bits
+        self.timeout_s = checks.positive("timeout_s", timeout_s)
+        self.max_retries = checks.count("max_retries", max_retries)
+        self.role_card_bits = checks.non_negative("role_card_bits", role_card_bits)
         self.breakers = breakers
         self.monitor = monitor
         self.tracer = tracer if tracer is not None else NOOP_TRACER

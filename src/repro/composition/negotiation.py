@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import typing
 
+from repro import checks
 from repro.agents.contractnet import Award, ContractNetInitiator
 from repro.composition.binding import Binding
 from repro.composition.task import TaskGraph, TaskSpec
@@ -51,9 +52,9 @@ class NegotiatedBinder:
     ) -> None:
         self.initiator = initiator
         self.registry = registry
-        self.max_price = max_price
-        self.deadline_s = deadline_s
-        self.collect_window_s = collect_window_s
+        self.max_price = checks.non_negative("max_price", max_price)
+        self.deadline_s = checks.positive("deadline_s", deadline_s)
+        self.collect_window_s = checks.non_negative("collect_window_s", collect_window_s)
         self.negotiated = 0
 
     # ------------------------------------------------------------------

@@ -21,6 +21,7 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro import checks
 from repro.agents.acl import ACLMessage, Performative
 from repro.agents.agent import Agent
 from repro.agents.attributes import AgentAttributes, AgentRole
@@ -84,16 +85,12 @@ class ServiceProviderAgent(Agent):
         rng: typing.Any = None,
     ) -> None:
         super().__init__(name, AgentAttributes.of(AgentRole.SERVICE_PROVIDER))
-        if compute_rate <= 0:
-            raise ValueError("compute_rate must be positive")
-        if not 0.0 <= fail_prob < 1.0:
-            raise ValueError("fail_prob must be in [0, 1)")
         description.provider = name
         self.description = description
         self.sim = sim
-        self.compute_rate = compute_rate
+        self.compute_rate = checks.positive("compute_rate", compute_rate)
         self.executor = executor or _default_executor
-        self.fail_prob = fail_prob
+        self.fail_prob = checks.fraction("fail_prob", fail_prob, open_high=True)
         self.rng = rng
         self.invocations = 0
         self.failures_injected = 0

@@ -23,6 +23,7 @@ import typing
 
 import numpy as np
 
+from repro import checks
 from repro.agents.acl import ACLMessage, Performative
 from repro.agents.agent import Agent
 from repro.agents.attributes import AgentAttributes, AgentRole
@@ -77,12 +78,10 @@ class _ComposerBase(Agent):
         rng: np.random.Generator | None = None,
     ) -> None:
         super().__init__(name, AgentAttributes.of(AgentRole.COMPOSER))
-        if discovery_timeout_s <= 0:
-            raise ValueError("discovery_timeout_s must be positive")
         self.planner = planner
         self.manager = manager
         self.broker = broker
-        self.discovery_timeout_s = discovery_timeout_s
+        self.discovery_timeout_s = checks.positive("discovery_timeout_s", discovery_timeout_s)
         self.retry = retry
         self.hedge = hedge
         self.rng = rng

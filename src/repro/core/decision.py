@@ -28,6 +28,7 @@ import typing
 
 import numpy as np
 
+from repro import checks
 from repro.core.features import featurize
 from repro.core.learning import KNNRegressor
 from repro.queries.ast import Query
@@ -143,11 +144,9 @@ class LearnedPolicy(DecisionPolicy):
         epsilon_decay: float = 0.985,
         rng: np.random.Generator | None = None,
     ) -> None:
-        if not 0.0 <= epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
         self.learner_factory = learner_factory
-        self.epsilon = epsilon
-        self.epsilon_decay = epsilon_decay
+        self.epsilon = checks.fraction("epsilon", epsilon)
+        self.epsilon_decay = checks.fraction("epsilon_decay", epsilon_decay)
         self.rng = rng if rng is not None else np.random.default_rng(0)
         self._learners: dict[str, typing.Any] = {}
         self.updates = 0

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import checks
+
 
 class KNNRegressor:
     """Online k-nearest-neighbours regression.
@@ -29,10 +31,8 @@ class KNNRegressor:
     """
 
     def __init__(self, k: int = 5, max_points: int = 512) -> None:
-        if k < 1 or max_points < 1:
-            raise ValueError("k and max_points must be positive")
-        self.k = k
-        self.max_points = max_points
+        self.k = checks.count("k", k, 1)
+        self.max_points = checks.count("max_points", max_points, 1)
         self._X: list[np.ndarray] = []
         self._y: list[float] = []
 
@@ -92,12 +92,10 @@ class RegressionTree:
         refit_every: int = 16,
         max_points: int = 1024,
     ) -> None:
-        if max_depth < 1 or min_samples < 2 or refit_every < 1:
-            raise ValueError("invalid tree hyperparameters")
-        self.max_depth = max_depth
-        self.min_samples = min_samples
-        self.refit_every = refit_every
-        self.max_points = max_points
+        self.max_depth = checks.count("max_depth", max_depth, 1)
+        self.min_samples = checks.count("min_samples", min_samples, 2)
+        self.refit_every = checks.count("refit_every", refit_every, 1)
+        self.max_points = checks.count("max_points", max_points, 1)
         self._X: list[np.ndarray] = []
         self._y: list[float] = []
         self._since_fit = 0

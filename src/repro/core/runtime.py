@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import typing
 
+from repro import checks
 from repro.agents.platform import AgentPlatform
 from repro.core.decision import DecisionMaker, DecisionPolicy, EstimateGreedyPolicy
 from repro.discovery.broker import BrokerAgent
@@ -124,6 +125,7 @@ class PervasiveGridRuntime:
     ) -> None:
         if sampling is not None and not trace:
             raise ValueError("sampling= requires trace=True")
+        checks.non_negative("broker_detection_delay_s", broker_detection_delay_s)
         self.streams = RandomStreams(seed)
         self.sim = Simulator()
         if trace:

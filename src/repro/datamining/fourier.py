@@ -17,6 +17,8 @@ import typing
 
 import numpy as np
 
+from repro import checks
+
 #: Largest d for which exact spectra are computed (2^16 table entries).
 MAX_EXACT_D = 16
 
@@ -94,7 +96,7 @@ class FourierFunction:
 
     def __init__(self, spectrum: np.ndarray, d: int) -> None:
         w = np.asarray(spectrum, dtype=np.float64)
-        if len(w) != 2**d:
+        if len(w) != 2 ** checks.count("d", d):
             raise ValueError("spectrum length must be 2^d")
         self.d = d
         self.spectrum = w

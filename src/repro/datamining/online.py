@@ -16,6 +16,7 @@ import collections
 
 import numpy as np
 
+from repro import checks
 from repro.datamining.ensemble import average_spectra
 from repro.datamining.fourier import FourierFunction, spectrum_of, truncate_spectrum
 from repro.datamining.tree import DecisionTree
@@ -38,14 +39,10 @@ class OnlineFourierEnsemble:
 
     def __init__(self, d: int, window: int = 5, k_coefficients: int = 32,
                  max_depth: int = 4) -> None:
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        if k_coefficients < 1:
-            raise ValueError("k_coefficients must be >= 1")
-        self.d = d
-        self.window = window
-        self.k_coefficients = k_coefficients
-        self.max_depth = max_depth
+        self.d = checks.count("d", d, 1)
+        self.window = checks.count("window", window, 1)
+        self.k_coefficients = checks.count("k_coefficients", k_coefficients, 1)
+        self.max_depth = checks.count("max_depth", max_depth)
         self._spectra: collections.deque[np.ndarray] = collections.deque(maxlen=window)
         self._model: FourierFunction | None = None
         self.batches_seen = 0

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import checks
+
 
 class LabeledStream:
     """A stream of labelled binary examples.
@@ -40,18 +42,14 @@ class LabeledStream:
         term_size: int = 3,
         drift_at: int | None = None,
     ) -> None:
-        if d < 1 or d > 20:
-            raise ValueError("d must be in [1, 20]")
-        if not 0.0 <= noise < 0.5:
-            raise ValueError("noise must be in [0, 0.5)")
-        if term_size > d:
+        if checks.count("term_size", term_size) > checks.count("d", d, 1, 20):
             raise ValueError("term_size cannot exceed d")
         self.d = d
         self.rng = rng
-        self.noise = noise
-        self.n_terms = n_terms
+        self.noise = checks.fraction("noise", noise, high=0.5, open_high=True)
+        self.n_terms = checks.count("n_terms", n_terms)
         self.term_size = term_size
-        self.drift_at = drift_at
+        self.drift_at = None if drift_at is None else checks.count("drift_at", drift_at)
         self.emitted = 0
         self._drifted = False
         self._concept = self._draw_concept()

@@ -10,6 +10,8 @@ import dataclasses
 
 import numpy as np
 
+from repro import checks
+
 
 @dataclasses.dataclass
 class _Node:
@@ -43,10 +45,8 @@ class DecisionTree:
     """
 
     def __init__(self, max_depth: int = 4, min_samples: int = 4) -> None:
-        if max_depth < 0 or min_samples < 1:
-            raise ValueError("max_depth >= 0 and min_samples >= 1 required")
-        self.max_depth = max_depth
-        self.min_samples = min_samples
+        self.max_depth = checks.count("max_depth", max_depth)
+        self.min_samples = checks.count("min_samples", min_samples, 1)
         self._root: _Node | None = None
         self.d: int | None = None
         self.n_nodes = 0

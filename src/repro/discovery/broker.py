@@ -13,6 +13,7 @@ and receive an INFORM carrying the ranked match list.
 
 from __future__ import annotations
 
+from repro import checks
 from repro.agents.agent import Agent
 from repro.agents.acl import ACLMessage, Performative
 from repro.agents.attributes import AgentAttributes, AgentRole
@@ -36,7 +37,7 @@ class BrokerAgent(Agent):
     def __init__(self, name: str, registry: ReplicatedRegistry, top_k: int | None = 10) -> None:
         super().__init__(name, AgentAttributes.of(AgentRole.BROKER))
         self.registry = registry
-        self.top_k = top_k
+        self.top_k = None if top_k is None else checks.count("top_k", top_k, 1)
 
     def setup(self) -> None:
         self.on(Performative.ADVERTISE, self._handle_advertise)

@@ -15,6 +15,8 @@ import typing
 
 import numpy as np
 
+from repro import checks
+
 #: Supported comparison operators for hard constraints.
 OPERATORS: dict[str, typing.Callable[[typing.Any, typing.Any], bool]] = {
     "==": lambda a, b: a == b,
@@ -83,8 +85,7 @@ class Preference:
     def __post_init__(self) -> None:
         if self.goal not in ("minimize", "maximize"):
             raise ValueError("goal must be 'minimize' or 'maximize'")
-        if not (math.isfinite(self.weight) and self.weight > 0):
-            raise ValueError("weight must be positive and finite")
+        checks.positive("weight", self.weight)
 
     def utility_array(self, values: np.ndarray) -> np.ndarray:
         """Utilities in [0, 1] of the candidates whose attribute values are

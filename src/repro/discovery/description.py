@@ -13,6 +13,7 @@ import dataclasses
 import typing
 import uuid as uuid_module
 
+from repro import checks
 from repro.discovery.constraints import Constraint, Preference
 
 
@@ -63,6 +64,10 @@ class ServiceDescription:
         self.inputs = tuple(self.inputs)
         self.outputs = tuple(self.outputs)
         self.interfaces = tuple(self.interfaces)
+        if self.host_node is not None:
+            checks.count("host_node", self.host_node)
+        for name in ("cost", "ops", "input_bits", "output_bits"):
+            checks.non_negative(name, getattr(self, name))
 
 
 @dataclasses.dataclass

@@ -31,9 +31,9 @@ timeline renders.
 from __future__ import annotations
 
 import dataclasses
-import math
 import typing
 
+from repro import checks
 from repro.discovery.broker import BrokerAgent
 from repro.discovery.log import EventLog
 from repro.discovery.matcher import SemanticMatcher
@@ -131,19 +131,16 @@ class BrokerGroup:
     ) -> None:
         if not hosts:
             raise ValueError("a broker group needs at least one member")
-        if not (math.isfinite(detection_delay_s) and detection_delay_s >= 0):
-            raise ValueError("detection_delay_s must be finite and >= 0")
-        if not (math.isfinite(replay_s_per_event) and replay_s_per_event >= 0):
-            raise ValueError("replay_s_per_event must be finite and >= 0")
         self.sim = sim
         self.platform = platform
         self.log = log
         self.service_name = service_name
-        self.detection_delay_s = float(detection_delay_s)
-        self.replay_s_per_event = float(replay_s_per_event)
+        self.detection_delay_s = float(checks.non_negative("detection_delay_s", detection_delay_s))
+        self.replay_s_per_event = float(checks.non_negative("replay_s_per_event",
+                                                            replay_s_per_event))
         self.monitor = monitor
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        self.top_k = top_k
+        self.top_k = None if top_k is None else checks.count("top_k", top_k, 1)
         self.members = [
             _BrokerMember(
                 id=i,

@@ -124,7 +124,8 @@ class ServiceTable:
     unless exact) beside a per-row kind -- absent, exact number (see
     :func:`_exact_number`) or other -- and whether any row is other.  A
     code column gives each row's code into the distinct values of one
-    :data:`_CODE_KEYS` key.  Descriptions are immutable, so a column
+    :data:`_CODE_KEYS` key, and is rebuilt once those values outnumber
+    the rows twice over.  Descriptions are immutable, so a column
     stays valid until its row is replaced: :meth:`put` and
     :meth:`remove` only note the rows they touch, in O(1), and the next
     read refills those cells.  Every column is a view of the live rows
@@ -197,6 +198,9 @@ class ServiceTable:
                 other = bool((kinds == _OTHER).any())
             self._columns[attribute] = values, kinds, other
         for key, (codes, index) in list(self._codes.items()):
+            if len(index) > 2 * n:  # mostly values no live row holds:
+                del self._codes[key]  # codes() rebuilds from the live rows
+                continue
             if len(codes) != n:
                 codes = _fit(codes, n)
                 self._codes[key] = codes, index

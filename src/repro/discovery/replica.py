@@ -36,6 +36,7 @@ from __future__ import annotations
 import operator
 import typing
 
+from repro import checks
 from repro.discovery.description import ServiceDescription, ServiceRequest
 from repro.discovery.log import EventLog, RegistryEvent
 from repro.discovery.matcher import MatchResult, SemanticMatcher, ServiceTable
@@ -57,7 +58,7 @@ class ReplicaRegistry:
     """
 
     def __init__(self, shard_id: int, registry: "ReplicatedRegistry") -> None:
-        self.shard_id = int(shard_id)
+        self.shard_id = int(checks.count("shard_id", shard_id))
         self.registry = registry
         self.name = f"{registry.name}/shard-{shard_id}"
         self.up = True  #: failure flag; down replicas drop out of reads

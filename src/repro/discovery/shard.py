@@ -17,6 +17,8 @@ import bisect
 import hashlib
 import typing
 
+from repro import checks
+
 #: Virtual points per shard on the ring; more points smooth the key
 #: distribution at the cost of a larger ring.
 POINTS_PER_SHARD = 32
@@ -41,9 +43,7 @@ class ShardMap:
     """
 
     def __init__(self, n_shards: int, replication: int = 1) -> None:
-        if n_shards < 1:
-            raise ValueError("n_shards must be >= 1")
-        if not 1 <= replication <= n_shards:
+        if checks.count("replication", replication, 1) > checks.count("n_shards", n_shards, 1):
             raise ValueError("replication must be in [1, n_shards]")
         self.n_shards = int(n_shards)
         self.replication = int(replication)

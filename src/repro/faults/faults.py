@@ -19,11 +19,11 @@ shared simulator and emits every transition into the run's
 from __future__ import annotations
 
 import dataclasses
-import math
 import typing
 
 import numpy as np
 
+from repro import checks
 from repro.grid.uplink import Uplink
 from repro.network.network import WirelessNetwork
 from repro.network.topology import Topology
@@ -127,12 +127,9 @@ class Fault:
     kind = "abstract"
 
     def __init__(self, at_s: float, duration_s: float | None = None) -> None:
-        if not math.isfinite(at_s) or at_s < 0:
-            raise ValueError(f"at_s must be finite and >= 0, got {at_s!r}")
-        if duration_s is not None and (not math.isfinite(duration_s) or duration_s <= 0):
-            raise ValueError(f"duration_s must be finite and > 0, got {duration_s!r}")
-        self.at_s = float(at_s)
-        self.duration_s = None if duration_s is None else float(duration_s)
+        self.at_s = float(checks.non_negative("at_s", at_s))
+        self.duration_s = None if duration_s is None else float(
+            checks.positive("duration_s", duration_s))
 
     def describe(self) -> str:
         """Short human-readable target description for the timeline."""
@@ -162,9 +159,7 @@ class NodeCrash(Fault):
 
     def __init__(self, node: int, at_s: float, duration_s: float | None = None) -> None:
         super().__init__(at_s, duration_s)
-        self.node = int(node)
-        if self.node < 0:
-            raise ValueError(f"node must be >= 0, got {node!r}")
+        self.node = int(checks.count("node", node))
         self._killed = False
 
     def describe(self) -> str:
@@ -204,10 +199,8 @@ class RegionBlackout(Fault):
         duration_s: float | None = None,
     ) -> None:
         super().__init__(at_s, duration_s)
-        if radius_m <= 0:
-            raise ValueError("radius_m must be positive")
         self.center = (float(center[0]), float(center[1]))
-        self.radius_m = float(radius_m)
+        self.radius_m = float(checks.positive("radius_m", radius_m))
         self.victims: list[int] = []
 
     def describe(self) -> str:
@@ -262,14 +255,12 @@ class LinkDegradation(Fault):
         loss_floor: float = 0.0,
     ) -> None:
         super().__init__(at_s, duration_s)
-        if loss_multiplier < 0 or latency_multiplier < 0 or bandwidth_multiplier <= 0:
-            raise ValueError("multipliers must be positive (loss/latency may be 0)")
-        if not 0.0 <= loss_floor < 1.0:
-            raise ValueError("loss_floor must be in [0, 1)")
-        self.loss_multiplier = float(loss_multiplier)
-        self.latency_multiplier = float(latency_multiplier)
-        self.bandwidth_multiplier = float(bandwidth_multiplier)
-        self.loss_floor = float(loss_floor)
+        self.loss_multiplier = float(checks.non_negative("loss_multiplier", loss_multiplier))
+        self.latency_multiplier = float(checks.non_negative("latency_multiplier",
+                                                            latency_multiplier))
+        self.bandwidth_multiplier = float(checks.positive("bandwidth_multiplier",
+                                                          bandwidth_multiplier))
+        self.loss_floor = float(checks.fraction("loss_floor", loss_floor, open_high=True))
         self._saved: list[tuple[typing.Any, typing.Any]] = []
 
     def describe(self) -> str:
@@ -301,8 +292,7 @@ class UplinkOutage(Fault):
     """The WAN backhaul goes dark for a window.
 
     Drives :meth:`repro.grid.uplink.Uplink.set_online`, so uplink
-    subscribers observe both edges of the outage window and deferred
-    transfers resume on recovery (when the uplink queues while offline).
+    subscribers observe both edges of the outage window.
     """
 
     kind = "uplink-outage"

@@ -111,7 +111,7 @@ class GridInfrastructure:
                                input_bits=job.input_bits, output_bits=job.output_bits)
 
         def leg(bits: float, then: typing.Callable[[], None]) -> None:
-            if not self.uplink.online and not self.uplink.queue_when_offline:
+            if not self.uplink.online:
                 if tracer.enabled:
                     span.set(fail_reason="uplink-offline")
                 span.end(STATUS_ERROR)

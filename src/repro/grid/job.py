@@ -8,8 +8,9 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 import typing
+
+from repro import checks
 
 _job_ids = itertools.count()
 
@@ -46,12 +47,10 @@ class ComputeJob:
     checkpoint_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        # chained comparisons are False for NaN, so each also rejects it
-        if not (0.0 <= self.ops < math.inf and 0.0 <= self.input_bits < math.inf
-                and 0.0 <= self.output_bits < math.inf):
-            raise ValueError("ops and bit counts must be finite and non-negative")
-        if not 0.0 <= self.checkpoint_fraction <= 1.0:
-            raise ValueError("checkpoint_fraction must be in [0, 1]")
+        checks.non_negative("ops", self.ops)
+        checks.non_negative("input_bits", self.input_bits)
+        checks.non_negative("output_bits", self.output_bits)
+        checks.fraction("checkpoint_fraction", self.checkpoint_fraction)
 
     @property
     def remaining_ops(self) -> float:

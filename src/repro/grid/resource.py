@@ -11,11 +11,11 @@ object per job in flight.
 
 from __future__ import annotations
 
-import math
 import typing
 
 import numpy as np
 
+from repro import checks
 from repro.observability.tracer import NOOP_SPAN, NOOP_TRACER, STATUS_ERROR
 from repro.simkernel import Simulator
 from repro.grid.job import ComputeJob, JobResult
@@ -55,15 +55,11 @@ class GridResource:
         fail_prob: float = 0.0,
         rng: np.random.Generator | None = None,
     ) -> None:
-        if not 0.0 < ops_per_second < math.inf:
-            raise ValueError("ops_per_second must be finite and positive")
-        if not 0.0 <= fail_prob < 1.0:
-            raise ValueError("fail_prob must be in [0, 1)")
-        if fail_prob > 0.0 and rng is None:
+        if checks.fraction("fail_prob", fail_prob, open_high=True) > 0.0 and rng is None:
             raise ValueError("fail_prob > 0 requires an rng for reproducible draws")
         self.sim = sim
         self.name = name
-        self.ops_per_second = float(ops_per_second)
+        self.ops_per_second = float(checks.positive("ops_per_second", ops_per_second))
         self.fail_prob = float(fail_prob)
         self.rng = rng
         self._free_at = sim.now

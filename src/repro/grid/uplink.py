@@ -2,10 +2,9 @@
 
 from __future__ import annotations
 
-import math
 import typing
 
-
+from repro import checks
 from repro.observability.tracer import NOOP_SPAN, NOOP_TRACER
 from repro.simkernel import Simulator
 
@@ -20,10 +19,8 @@ class Uplink:
 
     Availability is first-class: :attr:`online` may be toggled directly
     or via :meth:`set_online` (the fault layer drives outage windows
-    through it), subscribers registered with :meth:`subscribe` observe
-    every edge, and with ``queue_when_offline=True`` transfers submitted
-    during an outage are deferred and drained on recovery instead of
-    raising.
+    through it), and subscribers registered with :meth:`subscribe`
+    observe every edge.  A transfer started during an outage raises.
 
     Parameters
     ----------
@@ -31,9 +28,6 @@ class Uplink:
         Link throughput.
     latency_s:
         One-way propagation latency per transfer.
-    queue_when_offline:
-        When True, :meth:`transfer` during an outage queues the transfer
-        for the next recovery instead of raising ``RuntimeError``.
     """
 
     def __init__(
@@ -41,23 +35,16 @@ class Uplink:
         sim: Simulator,
         bandwidth_bps: float = 10e6,
         latency_s: float = 0.05,
-        queue_when_offline: bool = False,
     ) -> None:
-        if bandwidth_bps <= 0:
-            raise ValueError("bandwidth must be positive")
-        if latency_s < 0:
-            raise ValueError("latency must be non-negative")
         self.sim = sim
-        self.bandwidth_bps = float(bandwidth_bps)
-        self.latency_s = float(latency_s)
-        self.queue_when_offline = queue_when_offline
+        self.bandwidth_bps = float(checks.positive("bandwidth_bps", bandwidth_bps))
+        self.latency_s = float(checks.non_negative("latency_s", latency_s))
         self._free_at = sim.now
         self.bits_transferred = 0.0
         self.transfers = 0
         self.outages = 0
         self._online = True
         self._subscribers: list[typing.Callable[[bool], None]] = []
-        self._deferred: list[typing.Callable[[], None]] = []
         #: Instrumentation sinks, wired by :class:`GridInfrastructure`
         #: (or left as the no-ops).
         self.tracer = NOOP_TRACER
@@ -77,8 +64,7 @@ class Uplink:
         self.set_online(bool(value))
 
     def set_online(self, value: bool) -> None:
-        """Flip availability, notifying subscribers on every edge and
-        draining transfers deferred during the outage on recovery."""
+        """Flip availability, notifying subscribers on every edge."""
         value = bool(value)
         if value == self._online:
             return
@@ -86,14 +72,9 @@ class Uplink:
         if not value:
             self.outages += 1
         if self.tracer.enabled:
-            self.tracer.event("grid.uplink_edge", online=value,
-                              deferred=len(self._deferred))
+            self.tracer.event("grid.uplink_edge", online=value)
         for callback in list(self._subscribers):
             callback(value)
-        if value and self._deferred:
-            pending, self._deferred = self._deferred, []
-            for thunk in pending:
-                thunk()
 
     def subscribe(self, callback: typing.Callable[[bool], None]) -> None:
         """Register an availability observer ``callback(online)``; fired
@@ -117,23 +98,10 @@ class Uplink:
         return bits / self.bandwidth_bps + self.latency_s
 
     def transfer(self, bits: float, on_complete: typing.Callable[[], None] | None = None) -> float:
-        """Start a transfer; returns its finish time.
-
-        During an outage: raises ``RuntimeError`` by default, or (with
-        ``queue_when_offline=True``) defers the transfer to the next
-        recovery and returns ``math.inf`` (the true finish time is
-        unknown until the link returns; ``on_complete`` still fires after
-        the deferred transfer completes).
-        """
+        """Start a transfer; returns its finish time.  Raises
+        ``RuntimeError`` during an outage."""
         if not self._online:
-            if not self.queue_when_offline:
-                raise RuntimeError("uplink is offline")
-            if self.monitor is not None:
-                self.monitor.counter("grid.uplink_deferred").add()
-            if self.tracer.enabled:
-                self.tracer.event("grid.uplink_deferred", bits=bits)
-            self._deferred.append(lambda: self.transfer(bits, on_complete))
-            return math.inf
+            raise RuntimeError("uplink is offline")
         start = max(self._free_at, self.sim.now)
         finish = start + self.transfer_time(bits)
         self._free_at = finish

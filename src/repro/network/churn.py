@@ -13,6 +13,7 @@ import typing
 
 import numpy as np
 
+from repro import checks
 from repro.simkernel import Simulator
 from repro.network.topology import Topology
 
@@ -46,14 +47,12 @@ class ChurnProcess:
         mean_down_s: float = 20.0,
         on_change: typing.Callable[[int, bool], None] | None = None,
     ) -> None:
-        if mean_up_s <= 0 or mean_down_s <= 0:
-            raise ValueError("mean sojourn times must be positive")
         self.sim = sim
         self.topology = topology
         self.nodes = sorted(set(nodes))
         self.rng = rng
-        self.mean_up_s = mean_up_s
-        self.mean_down_s = mean_down_s
+        self.mean_up_s = checks.positive("mean_up_s", mean_up_s)
+        self.mean_down_s = checks.positive("mean_down_s", mean_down_s)
         self.on_change = on_change
         self.transitions = 0
         self._started = False

@@ -22,6 +22,8 @@ import operator
 
 import numpy as np
 
+from repro import checks
+
 _INF = float("inf")
 
 
@@ -51,9 +53,7 @@ class RadioEnergyModel:
 
     def __post_init__(self) -> None:
         for field in dataclasses.fields(self):
-            value = getattr(self, field.name)
-            if not 0.0 <= value < _INF:
-                raise ValueError(f"{field.name} must be finite and non-negative, got {value!r}")
+            checks.non_negative(field.name, getattr(self, field.name))
 
     def tx_cost(self, bits: float, dist: float) -> float:
         """Joules to transmit ``bits`` over ``dist`` metres."""
@@ -93,9 +93,7 @@ class Battery:
     __slots__ = ("capacity", "_remaining", "consumed", "draws")
 
     def __init__(self, capacity_joules: float = 1.0) -> None:
-        if not capacity_joules >= 0:
-            raise ValueError(f"capacity must be non-negative and not NaN, got {capacity_joules!r}")
-        self.capacity = float(capacity_joules)
+        self.capacity = float(checks.non_negative("capacity_joules", capacity_joules, inf=True))
         self._remaining = float(capacity_joules)
         #: Total joules actually drawn (capped at capacity for finite cells).
         self.consumed = 0.0
@@ -167,8 +165,8 @@ class BatteryBank:
         cap = np.asarray(capacities_joules, dtype=np.float64)
         if cap.ndim != 1:
             raise ValueError("capacities must be a 1-D array")
-        if not np.all(cap >= 0.0):
-            raise ValueError("capacity must be non-negative and not NaN")
+        # the minimum is NaN if any capacity is, and 0 for an empty bank
+        checks.non_negative("capacities_joules", cap.min(initial=0.0), inf=True)
         # validated once as an array, so each cell's slots are filled
         # directly (building 20k cells through __init__ takes ~1.5x as long)
         cells: list[BatteryView] = []

@@ -6,6 +6,8 @@ import dataclasses
 import itertools
 import typing
 
+from repro import checks
+
 _message_ids = itertools.count()
 
 
@@ -40,8 +42,10 @@ class Message:
     msg_id: int = dataclasses.field(default_factory=lambda: next(_message_ids))
 
     def __post_init__(self) -> None:
-        if self.size_bits < 0:
-            raise ValueError("size_bits must be non-negative")
+        checks.count("src", self.src)
+        if self.dst is not None:
+            checks.count("dst", self.dst)
+        checks.non_negative("size_bits", self.size_bits)
 
     @property
     def hop_count(self) -> int:

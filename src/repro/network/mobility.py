@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import checks
 from repro.simkernel import Simulator
 from repro.network.topology import Topology
 
@@ -93,18 +94,16 @@ class RandomWaypoint:
         pause_s: float = 5.0,
         tick_s: float = 1.0,
     ) -> None:
-        if speed_min <= 0 or speed_max < speed_min:
-            raise ValueError("require 0 < speed_min <= speed_max")
-        if tick_s <= 0:
-            raise ValueError("tick_s must be positive")
+        if checks.positive("speed_max", speed_max) < checks.positive("speed_min", speed_min):
+            raise ValueError("require speed_min <= speed_max")
         self.topology = topology
         self.mobile_nodes = np.asarray(sorted(mobile_nodes), dtype=np.intp)
-        self.area_m = float(area_m)
+        self.area_m = float(checks.positive("area_m", area_m))
         self.rng = rng
         self.speed_min = speed_min
         self.speed_max = speed_max
-        self.pause_s = pause_s
-        self.tick_s = tick_s
+        self.pause_s = checks.non_negative("pause_s", pause_s)
+        self.tick_s = checks.positive("tick_s", tick_s)
         m = len(self.mobile_nodes)
         self._targets = rng.uniform(0.0, area_m, size=(m, 2))
         self._speeds = rng.uniform(speed_min, speed_max, size=m)

@@ -17,6 +17,7 @@ import typing
 
 import numpy as np
 
+from repro import checks
 from repro.simkernel import Simulator, Monitor
 from repro.network.energy import Battery, RadioEnergyModel
 from repro.network.message import DeliveryReceipt, Message
@@ -78,7 +79,7 @@ class NetworkNode:
     __slots__ = ("node_id", "battery", "receive", "name")
 
     def __init__(self, node_id: int, battery: Battery, name: str = "") -> None:
-        self.node_id = node_id
+        self.node_id = checks.count("node_id", node_id)
         self.battery = battery
         self.receive: typing.Callable[[Message], None] | None = None
         self.name = name or f"node{node_id}"

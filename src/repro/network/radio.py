@@ -10,7 +10,8 @@ profiles for the technologies the paper names (mote radios, Bluetooth,
 from __future__ import annotations
 
 import dataclasses
-import math
+
+from repro import checks
 
 
 @dataclasses.dataclass(frozen=True)
@@ -40,15 +41,10 @@ class RadioModel:
     range_m: float = 30.0
 
     def __post_init__(self) -> None:
-        # written so that NaN fails every check
-        if not self.bandwidth_bps > 0:
-            raise ValueError(f"bandwidth must be positive, got {self.bandwidth_bps!r}")
-        if not 0 <= self.latency_s < math.inf:
-            raise ValueError(f"latency must be finite and non-negative, got {self.latency_s!r}")
-        if not 0.0 <= self.loss_prob < 1.0:
-            raise ValueError(f"loss_prob must be in [0, 1), got {self.loss_prob!r}")
-        if not self.range_m > 0:
-            raise ValueError(f"range must be positive, got {self.range_m!r}")
+        checks.positive("bandwidth_bps", self.bandwidth_bps, inf=True)
+        checks.non_negative("latency_s", self.latency_s)
+        checks.fraction("loss_prob", self.loss_prob, open_high=True)
+        checks.positive("range_m", self.range_m, inf=True)
 
     def transmission_time(self, bits: float) -> float:
         """Seconds to push ``bits`` onto the link (serialization delay)."""

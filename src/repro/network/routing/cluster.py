@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import checks
 from repro.network.energy import RadioEnergyModel
 from repro.network.radio import RadioModel
 from repro.network.routing.base import CollectionCost
@@ -39,12 +40,10 @@ class ClusterFormation:
         rng: np.random.Generator,
         head_fraction: float = 0.1,
     ) -> None:
-        if not 0.0 < head_fraction <= 1.0:
-            raise ValueError("head_fraction must be in (0, 1]")
         self.topology = topology
-        self.sink = sink
+        self.sink = checks.count("sink", sink)
         self.rng = rng
-        self.head_fraction = head_fraction
+        self.head_fraction = checks.fraction("head_fraction", head_fraction, open_low=True)
         self.heads: list[int] = []
         self.membership: dict[int, int] = {}
         self.form()

@@ -13,6 +13,7 @@ import collections
 
 import numpy as np
 
+from repro import checks
 from repro.network.energy import RadioEnergyModel
 from repro.network.radio import RadioModel
 from repro.network.routing.base import DisseminationResult
@@ -40,16 +41,12 @@ class Gossip:
         forward_prob: float = 0.8,
         fanout: int = 2,
     ) -> None:
-        if not 0.0 < forward_prob <= 1.0:
-            raise ValueError("forward_prob must be in (0, 1]")
-        if fanout < 1:
-            raise ValueError("fanout must be >= 1")
         self.topology = topology
         self.radio = radio
         self.energy_model = energy_model
         self.rng = rng
-        self.forward_prob = forward_prob
-        self.fanout = fanout
+        self.forward_prob = checks.fraction("forward_prob", forward_prob, open_low=True)
+        self.fanout = checks.count("fanout", fanout, 1)
 
     def disseminate(self, root: int, bits: float) -> DisseminationResult:
         """Run one gossip cascade; stochastic (draws from ``rng``)."""
@@ -89,13 +86,3 @@ class Gossip:
             per_node_energy=per_node,
             latency_s=max_round * hop_time,
         )
-
-    def expected_coverage(self, root: int, bits: float, trials: int = 20) -> float:
-        """Monte-Carlo estimate of the fraction of living nodes reached."""
-        alive = len(self.topology.alive_nodes())
-        if alive == 0:
-            return 0.0
-        total = 0
-        for _ in range(trials):
-            total += len(self.disseminate(root, bits).reached)
-        return total / (trials * alive)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import collections
 
+from repro import checks
 from repro.network.topology import Topology
 
 
@@ -26,7 +27,7 @@ class AggregationTree:
 
     def __init__(self, topology: Topology, root: int) -> None:
         self.topology = topology
-        self.root = root
+        self.root = checks.count("root", root)
         self.parent = topology.bfs_tree(root)
         self.children: dict[int, list[int]] = collections.defaultdict(list)
         for child, par in self.parent.items():

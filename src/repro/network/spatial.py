@@ -26,6 +26,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import checks
+
 
 class GridHashIndex:
     """Spatial hash over ``(n, 2)`` positions with cell size = query radius.
@@ -51,9 +53,7 @@ class GridHashIndex:
     __slots__ = ("radius", "_cell", "_cells", "_coords", "moves_applied")
 
     def __init__(self, positions: np.ndarray, radius: float) -> None:
-        if not radius > 0:  # NaN fails too
-            raise ValueError(f"radius must be positive, got {radius!r}")
-        self.radius = float(radius)
+        self.radius = float(checks.positive("radius", radius, inf=True))
         self._cell = float(radius)
         self._cells: dict[tuple[int, int], list[int]] = {}
         self._coords: np.ndarray = np.empty((0, 2), dtype=np.int64)

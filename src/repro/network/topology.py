@@ -56,6 +56,7 @@ import typing
 
 import numpy as np
 
+from repro import checks
 from repro.network.geometry import as_point, as_positions, distances_from
 from repro.network.spatial import GridHashIndex
 
@@ -74,9 +75,8 @@ class Topology:
 
     def __init__(self, positions: np.ndarray, range_m: float) -> None:
         self._positions = as_positions(positions).copy()
-        if not range_m > 0:  # NaN fails too; inf links every pair
-            raise ValueError(f"range_m must be positive, got {range_m!r}")
-        self.range_m = float(range_m)
+        # an infinite range links every pair
+        self.range_m = float(checks.positive("range_m", range_m, inf=True))
         self._alive = np.ones(len(self._positions), dtype=bool)
         #: Severed links: symmetric ``(lo, hi)`` id pair -> stack depth.
         #: A dict, not an (n, n) matrix, so partitions cost O(blocked
@@ -293,15 +293,6 @@ class Topology:
     def neighbors(self, node: int) -> list[int]:
         """Living neighbors of ``node`` within radio range (a fresh list)."""
         return self._neighbor_ids(node).tolist()
-
-    def has_edge(self, a: int, b: int) -> bool:
-        """True iff a and b are alive and within range of each other."""
-        if a == b or not (self._alive[a] and self._alive[b]):
-            return False
-        if self._blocked and self._pair(a, b) in self._blocked:
-            return False
-        delta = self._positions[a] - self._positions[b]
-        return bool(np.hypot(delta[0], delta[1]) <= self.range_m)
 
     def distance(self, a: int, b: int) -> float:
         """Euclidean distance between two nodes (memoized per generation)."""

@@ -76,11 +76,8 @@ from repro.observability.analysis import (
     subsystem_rollup,
 )
 from repro.observability.metrics import (
-    ALIASES,
     CONVENTIONS,
     MetricSpec,
-    canonical_name,
-    canonical_summary,
     rollup_by_subsystem,
 )
 from repro.observability.ledger import QueryCost, QueryCostLedger, render_ledger
@@ -128,9 +125,6 @@ __all__ = [
     "record_from_dict",
     "MetricSpec",
     "CONVENTIONS",
-    "ALIASES",
-    "canonical_name",
-    "canonical_summary",
     "rollup_by_subsystem",
     "SLO",
     "Signal",

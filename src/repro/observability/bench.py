@@ -46,6 +46,7 @@ import json
 import math
 import typing
 
+from repro import checks
 from repro.observability.export import read_document
 
 #: Results-file schema version.
@@ -76,8 +77,8 @@ class BenchResult:
             raise ValueError("experiment and metric must be non-empty")
         if self.direction not in DIRECTIONS:
             raise ValueError(f"direction must be one of {DIRECTIONS}")
-        if math.isinf(self.value):
-            raise ValueError(f"{self.experiment}/{self.metric}: value must not be infinite")
+        if not math.isnan(self.value):  # NaN marks a row with no value
+            checks.finite(f"{self.experiment}/{self.metric}", self.value)
 
     @property
     def key(self) -> tuple[str, str, str]:

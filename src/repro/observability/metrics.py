@@ -1,21 +1,12 @@
 """Namespaced metric conventions over the :class:`~repro.simkernel.monitor.Monitor`.
 
-The monitor grew organically: ``net.sent``, ``queries.failed.no-targets``,
-``resilience.breaker.trips`` -- useful, but ad hoc.  This module is the
-single place where metric names are legislated:
+This module is the single place where metric names are legislated:
 
-* :data:`CONVENTIONS` -- the catalog of canonical instruments, each a
+* :data:`CONVENTIONS` -- the catalog of instruments, each a
   :class:`MetricSpec` (``<subsystem>.<noun>[_<unit>]``, instrument type,
-  unit, description).
-* :data:`ALIASES` -- legacy monitor keys mapped onto canonical names, so
-  existing recording sites keep working while summaries speak one
-  language.
-* :func:`canonical_summary` -- a monitor summary re-keyed canonically.
-* :func:`rollup_by_subsystem` -- counters grouped by namespace for the
-  report CLI and the examples' end-of-run tables.
-
-New instrumentation should record straight into canonical names; the
-alias table is how the old ones converge without a flag-day rename.
+  unit, description), named as the recording sites record them.
+* :func:`rollup_by_subsystem` -- a monitor summary grouped by namespace
+  for the report CLI and the examples' end-of-run tables.
 """
 
 from __future__ import annotations
@@ -73,9 +64,9 @@ def _catalog(specs: typing.Iterable[MetricSpec]) -> dict[str, MetricSpec]:
 #: The canonical instrument catalog.
 CONVENTIONS: dict[str, MetricSpec] = _catalog([
     # network
-    MetricSpec("net.msgs_sent", "counter", "1", "unicast messages submitted"),
-    MetricSpec("net.msgs_delivered", "counter", "1", "unicast messages delivered"),
-    MetricSpec("net.msgs_dropped", "counter", "1", "unicast messages dropped"),
+    MetricSpec("net.sent", "counter", "1", "unicast messages submitted"),
+    MetricSpec("net.delivered", "counter", "1", "unicast messages delivered"),
+    MetricSpec("net.dropped", "counter", "1", "unicast messages dropped"),
     MetricSpec("net.hops", "counter", "1", "hops traversed by delivered messages"),
     MetricSpec("net.node_deaths", "counter", "1", "nodes killed by battery depletion"),
     MetricSpec("net.latency", "series", "s", "per-delivery end-to-end latency"),
@@ -83,8 +74,7 @@ CONVENTIONS: dict[str, MetricSpec] = _catalog([
     MetricSpec("net.route_cache.misses", "counter", "1", "route queries that ran a fresh BFS"),
     MetricSpec("net.route_cache.invalidations", "counter", "1",
                "cache flushes caused by topology changes"),
-    # energy
-    MetricSpec("energy.j_spent", "counter", "J", "radio energy drawn from batteries"),
+    MetricSpec("net.energy_j", "counter", "J", "radio energy drawn from batteries"),
     # queries
     MetricSpec("queries.submitted", "counter", "1", "queries accepted by the executor"),
     MetricSpec("queries.epochs", "counter", "1", "query epochs executed"),
@@ -93,7 +83,6 @@ CONVENTIONS: dict[str, MetricSpec] = _catalog([
     # grid
     MetricSpec("grid.jobs_dispatched", "counter", "1", "jobs dispatched to a site"),
     MetricSpec("grid.uplink_transfers", "counter", "1", "WAN transfers started"),
-    MetricSpec("grid.uplink_deferred", "counter", "1", "transfers queued through an outage"),
     MetricSpec("grid.queue_wait", "histogram", "s", "job queue waits"),
     # discovery (the replicated, event-sourced registry + broker group)
     MetricSpec("disc.advertise", "counter", "1", "advertisements appended (incl. refreshes)"),
@@ -117,7 +106,7 @@ CONVENTIONS: dict[str, MetricSpec] = _catalog([
     MetricSpec("faults.recovered", "counter", "1", "fault recoveries fired"),
     MetricSpec("faults.active", "series", "1", "active faults over time"),
     # resilience
-    MetricSpec("resilience.breaker_trips", "counter", "1", "circuit-breaker opens"),
+    MetricSpec("resilience.breaker.trips", "counter", "1", "circuit-breaker opens"),
     MetricSpec("resilience.retries", "counter", "1", "retry attempts (all layers)"),
     MetricSpec("resilience.hedges", "counter", "1", "hedged duplicates fired"),
     # wms (the workload-management service: queues + pilots)
@@ -162,53 +151,10 @@ CONVENTIONS: dict[str, MetricSpec] = _catalog([
                "happy-path traces kept by the seeded exemplar reservoir"),
 ])
 
-#: Legacy monitor keys -> canonical names.
-ALIASES: dict[str, str] = {
-    "net.sent": "net.msgs_sent",
-    "net.delivered": "net.msgs_delivered",
-    "net.dropped": "net.msgs_dropped",
-    "net.energy_j": "energy.j_spent",
-    "resilience.breaker.trips": "resilience.breaker_trips",
-}
-
-
-def canonical_name(name: str) -> str:
-    """Map a monitor key to its canonical name (identity when unknown).
-
-    Suffixed keys from :meth:`Monitor.summary` (``net.sent.increments``)
-    follow their base key's alias.
-    """
-    if name in ALIASES:
-        return ALIASES[name]
-    for suffix in (".increments", ".count", ".mean", ".p50", ".p95", ".p99",
-                   ".total", ".max"):
-        if name.endswith(suffix):
-            base = name[: -len(suffix)]
-            if base in ALIASES:
-                return ALIASES[base] + suffix
-    return name
-
-
-def canonical_summary(monitor: Monitor) -> dict[str, typing.Any]:
-    """The monitor's summary re-keyed onto canonical names, key-sorted.
-
-    Colliding keys (a legacy alias and its canonical twin both recorded)
-    are summed -- they count the same underlying thing.
-    """
-    out: dict[str, typing.Any] = {}
-    for key, value in monitor.summary().items():
-        name = canonical_name(key)
-        if name in out and isinstance(value, (int, float)):
-            out[name] = out[name] + value
-        else:
-            out[name] = value
-    return dict(sorted(out.items()))
-
 
 def rollup_by_subsystem(monitor: Monitor) -> dict[str, dict[str, typing.Any]]:
-    """Canonical summary grouped by leading namespace, both levels sorted."""
+    """The monitor's summary grouped by leading namespace, both levels sorted."""
     grouped: dict[str, dict[str, typing.Any]] = {}
-    for name, value in canonical_summary(monitor).items():
-        subsystem = name.split(".", 1)[0]
-        grouped.setdefault(subsystem, {})[name] = value
+    for name, value in monitor.summary().items():
+        grouped.setdefault(name.split(".", 1)[0], {})[name] = value
     return {sub: dict(sorted(vals.items())) for sub, vals in sorted(grouped.items())}

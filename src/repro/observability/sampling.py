@@ -38,6 +38,7 @@ import hashlib
 import random
 import typing
 
+from repro import checks
 from repro.observability.sketch import QuantileSketch
 from repro.observability.tracer import SpanRecord, TraceEvent
 
@@ -86,10 +87,9 @@ class SamplingConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if not (0.0 <= self.head_rate <= 1.0):
-            raise ValueError("head_rate must be in [0, 1]")
-        if self.exemplar_capacity < 0:
-            raise ValueError("exemplar_capacity must be >= 0")
+        checks.fraction("head_rate", self.head_rate)
+        checks.count("exemplar_capacity", self.exemplar_capacity)
+        checks.count("seed", self.seed)
 
 
 class TraceSampler:

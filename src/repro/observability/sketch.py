@@ -33,6 +33,8 @@ import dataclasses
 import math
 import typing
 
+from repro import checks
+
 __all__ = ["QuantileSketch", "TelemetryConfig", "DEFAULT_ALPHA"]
 
 #: Relative-error bound of every quantile sketch (1%).
@@ -298,7 +300,7 @@ class TelemetryConfig:
     max_trace_records: int | None = None
 
     def __post_init__(self) -> None:
-        for field in ("histogram_max_raw", "series_max_raw", "max_trace_records"):
-            v = getattr(self, field)
-            if v is not None and v < 1:
-                raise ValueError(f"{field} must be >= 1 or None, got {v!r}")
+        for field in dataclasses.fields(self):
+            value = getattr(self, field.name)
+            if value is not None:
+                checks.count(field.name, value, 1)

@@ -38,6 +38,7 @@ import typing
 
 import numpy as np
 
+from repro import checks
 from repro.observability.tracer import NOOP_TRACER, Tracer
 from repro.simkernel.monitor import Monitor
 
@@ -94,6 +95,8 @@ class Signal:
             raise ValueError("ratio signals need a denominator")
         if self.kind == "percentile" and self.q is None:
             raise ValueError("percentile signals need q")
+        if self.q is not None:
+            checks.fraction("q", self.q, high=100.0)
         if self.prefix and self.kind not in ("delta", "rate", "ratio"):
             raise ValueError("prefix sources only make sense for counter signals")
 
@@ -127,8 +130,8 @@ class SLO:
             raise ValueError(f"comparison must be one of {COMPARISONS}")
         if self.severity not in SEVERITIES:
             raise ValueError(f"severity must be one of {SEVERITIES}")
-        if not (math.isfinite(self.window_s) and self.window_s > 0):
-            raise ValueError("window_s must be finite and positive")
+        checks.finite("objective", self.objective)
+        checks.positive("window_s", self.window_s)
 
     @property
     def subsystem(self) -> str:
@@ -275,12 +278,10 @@ class SLOEvaluator:
         names = [s.name for s in slos]
         if len(set(names)) != len(names):
             raise ValueError("SLO names must be unique")
-        if not (math.isfinite(interval_s) and interval_s > 0):
-            raise ValueError("interval_s must be finite and positive")
         self.sim = sim
         self.monitor = monitor
         self.slos = list(slos)
-        self.interval_s = float(interval_s)
+        self.interval_s = float(checks.positive("interval_s", interval_s))
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self.status: dict[str, SLOStatus] = {s.name: SLOStatus(s) for s in self.slos}
         self.timeline: list[AlertEvent] = []

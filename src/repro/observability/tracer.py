@@ -47,6 +47,8 @@ import collections
 import itertools
 import typing
 
+from repro import checks
+
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.simkernel.simulator import Simulator
 
@@ -293,12 +295,12 @@ class Tracer:
                  monitor: "typing.Any | None" = None) -> None:
         if enabled and sim is None:
             raise ValueError("an enabled tracer needs a simulator for timestamps")
-        if max_records is not None and max_records < 1:
-            raise ValueError(f"max_records must be >= 1 or None, got {max_records!r}")
         if sampler is not None and not enabled:
             raise ValueError("a sampler needs an enabled tracer")
         self.sim = sim
         self.enabled = enabled
+        if max_records is not None:
+            checks.count("max_records", max_records, 1)
         self.max_records = max_records
         self.records: typing.MutableSequence[SpanRecord | TraceEvent] = (
             [] if max_records is None else collections.deque())

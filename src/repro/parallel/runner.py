@@ -40,6 +40,7 @@ import time
 import traceback
 import typing
 
+from repro import checks
 from repro.observability.profiling import merge_profiles
 from repro.simkernel.monitor import Monitor
 
@@ -73,6 +74,10 @@ class TrialSpec:
     params: dict = dataclasses.field(default_factory=dict)
     trace: bool = False
     profile: bool = False
+
+    def __post_init__(self) -> None:
+        checks.count("index", self.index)
+        checks.count("seed", self.seed)
 
 
 @dataclasses.dataclass
@@ -272,7 +277,7 @@ class TrialRunner:
         if on_error not in ("raise", "keep"):
             raise ValueError("on_error must be 'raise' or 'keep'")
         self.trial_fn = trial_fn
-        self.workers = workers
+        self.workers = None if workers is None else checks.count("workers", workers, 1)
         self.mp_context = mp_context
         self.on_error = on_error
 

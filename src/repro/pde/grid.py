@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
+
+from repro import checks
 
 
 class RectGrid:
@@ -23,14 +23,10 @@ class RectGrid:
     """
 
     def __init__(self, nx: int, ny: int, width: float, height: float) -> None:
-        if nx < 2 or ny < 2:
-            raise ValueError("grid needs at least 2 points per axis")
-        if not (0.0 < width < math.inf and 0.0 < height < math.inf):
-            raise ValueError("physical extent must be positive and finite")
-        self.nx = int(nx)
-        self.ny = int(ny)
-        self.width = float(width)
-        self.height = float(height)
+        self.nx = int(checks.count("nx", nx, 2))
+        self.ny = int(checks.count("ny", ny, 2))
+        self.width = float(checks.positive("width", width))
+        self.height = float(checks.positive("height", height))
         self.dx = width / (nx - 1)
         self.dy = height / (ny - 1)
 

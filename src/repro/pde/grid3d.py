@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import checks
+
 
 class BoxGrid:
     """A uniform grid over ``[0, w] x [0, d] x [0, h]``.
@@ -22,12 +24,12 @@ class BoxGrid:
 
     def __init__(self, nx: int, ny: int, nz: int,
                  width: float, depth: float, height: float) -> None:
-        if min(nx, ny, nz) < 2:
-            raise ValueError("grid needs at least 2 points per axis")
-        if min(width, depth, height) <= 0:
-            raise ValueError("physical extent must be positive")
-        self.nx, self.ny, self.nz = int(nx), int(ny), int(nz)
-        self.width, self.depth, self.height = float(width), float(depth), float(height)
+        self.nx = int(checks.count("nx", nx, 2))
+        self.ny = int(checks.count("ny", ny, 2))
+        self.nz = int(checks.count("nz", nz, 2))
+        self.width = float(checks.positive("width", width))
+        self.depth = float(checks.positive("depth", depth))
+        self.height = float(checks.positive("height", height))
         self.dx = width / (nx - 1)
         self.dy = depth / (ny - 1)
         self.dz = height / (nz - 1)

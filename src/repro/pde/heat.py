@@ -27,12 +27,11 @@ Transient steps slice their free block and call
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from repro import checks
 from repro.pde.grid import RectGrid
 
 
@@ -66,10 +65,8 @@ class HeatSolver:
     """
 
     def __init__(self, grid: RectGrid, conductivity: float = 1.0) -> None:
-        if not 0.0 < conductivity < math.inf:
-            raise ValueError("conductivity must be positive and finite")
         self.grid = grid
-        self.conductivity = conductivity
+        self.conductivity = checks.positive("conductivity", conductivity)
         self._operator: sp.csr_matrix | None = None
         self._factor: spla.SuperLU | None = None
 
@@ -169,46 +166,6 @@ class HeatSolver:
         free = ~fixed_flat
         t[free] = (x0 + w @ mu)[~pinned]
         return t.reshape(g.shape)
-
-    def step_transient(
-        self,
-        temperature: np.ndarray,
-        dt: float,
-        source: np.ndarray | None = None,
-        fixed_mask: np.ndarray | None = None,
-        boundary_values: np.ndarray | None = None,
-    ) -> np.ndarray:
-        """One implicit-Euler step of ``∂T/∂t = α ∇²T + q``.
-
-        Unconditionally stable for any ``dt``.  Fixed points are reset to
-        ``boundary_values`` (default: their current values) after the
-        step.
-        """
-        if not 0.0 < dt < math.inf:
-            raise ValueError("dt must be positive and finite")
-        g = self.grid
-        t0 = np.asarray(temperature, dtype=np.float64)
-        if t0.shape != g.shape:
-            raise ValueError("temperature shape mismatch")
-        q = np.zeros(g.shape) if source is None else np.asarray(source, dtype=np.float64)
-        fixed = g.boundary_mask() if fixed_mask is None else np.asarray(fixed_mask, dtype=bool)
-        bvals = t0 if boundary_values is None else np.asarray(boundary_values, dtype=np.float64)
-
-        lap = self._scaled_laplacian()
-        n = g.n_points
-        fixed_flat = fixed.ravel()
-        free = ~fixed_flat
-        t_next = np.empty(n)
-        t_next[fixed_flat] = bvals.ravel()[fixed_flat]
-        if free.any():
-            # implicit Euler on the free unknowns; Dirichlet data enters
-            # through the coupling term on the RHS
-            t_bound = np.zeros(n)
-            t_bound[fixed_flat] = t_next[fixed_flat]
-            system = sp.identity(int(free.sum()), format="csr") + dt * lap[free][:, free]
-            rhs = t0.ravel()[free] + dt * (q.ravel()[free] - (lap @ t_bound)[free])
-            t_next[free] = spla.spsolve(system.tocsc(), rhs)
-        return t_next.reshape(g.shape)
 
     def ops_estimate(self) -> float:
         """Flop estimate for one steady solve on this grid."""

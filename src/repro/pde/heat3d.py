@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from repro import checks
 from repro.pde.grid3d import BoxGrid
 
 
@@ -33,10 +34,8 @@ class HeatSolver3D:
     """Steady 3-D heat solves: ``-k ∇²T = q`` with Dirichlet data."""
 
     def __init__(self, grid: BoxGrid, conductivity: float = 1.0) -> None:
-        if conductivity <= 0:
-            raise ValueError("conductivity must be positive")
         self.grid = grid
-        self.conductivity = conductivity
+        self.conductivity = checks.positive("conductivity", conductivity)
 
     def _laplacian(self) -> sp.csr_matrix:
         g = self.grid

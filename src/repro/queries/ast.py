@@ -5,6 +5,8 @@ from __future__ import annotations
 import dataclasses
 import typing
 
+from repro import checks
+
 
 @dataclasses.dataclass(frozen=True)
 class SelectItem:
@@ -71,8 +73,7 @@ class CostClause:
     def __post_init__(self) -> None:
         if self.metric not in self.METRICS:
             raise ValueError(f"COST metric must be one of {self.METRICS}")
-        if self.limit < 0:
-            raise ValueError("COST limit must be non-negative")
+        checks.non_negative("limit", self.limit)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,8 +111,9 @@ class Query:
     def __post_init__(self) -> None:
         if not self.select:
             raise ValueError("query must select something")
-        if self.epoch_s is not None and self.epoch_s <= 0:
-            raise ValueError("epoch must be positive")
+        for name in ("epoch_s", "duration_s", "window_s"):
+            if getattr(self, name) is not None:
+                checks.positive(name, getattr(self, name))
         if self.window_s is not None:
             if self.epoch_s is None:
                 raise ValueError("WINDOW requires an EPOCH clause")

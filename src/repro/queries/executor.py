@@ -18,6 +18,7 @@ import typing
 
 import numpy as np
 
+from repro import checks
 from repro.observability.profiling import NOOP_PROFILER
 from repro.observability.tracer import NOOP_SPAN, STATUS_ERROR, STATUS_OK
 from repro.queries.ast import Query
@@ -88,7 +89,7 @@ class QueryExecutor:
     def __init__(self, ctx: QueryContext, decision_maker, max_epochs: int = 50) -> None:
         self.ctx = ctx
         self.decision_maker = decision_maker
-        self.max_epochs = max_epochs
+        self.max_epochs = checks.count("max_epochs", max_epochs, 1)
         self.submitted = 0
 
     # ------------------------------------------------------------------

@@ -17,6 +17,8 @@ import typing
 
 import numpy as np
 
+from repro import checks
+
 
 class PartialAggregate:
     """A TAG partial-state record: (init, merge, finalize).
@@ -47,7 +49,7 @@ class PartialAggregate:
         self.init = init
         self.merge = merge
         self.finalize = finalize
-        self.state_size_bits = state_size_bits
+        self.state_size_bits = checks.non_negative("state_size_bits", state_size_bits)
 
     def compute(self, values: typing.Sequence[float]) -> float:
         """Fold all values through init/merge/finalize (reference path)."""

@@ -36,6 +36,7 @@ import typing
 
 import numpy as np
 
+from repro import checks
 from repro.grid.infrastructure import GridInfrastructure
 
 from repro.pde.grid import RectGrid
@@ -109,6 +110,10 @@ class QueryContext:
     tracer: Tracer = NOOP_TRACER
 
     def __post_init__(self) -> None:
+        checks.positive("handheld_rate", self.handheld_rate)
+        checks.positive("base_rate", self.base_rate)
+        checks.count("grid_resolution", self.grid_resolution, 2)
+        checks.count("rooms_per_side", self.rooms_per_side, 1)
         if self.streams is None:
             self.streams = self.deployment.streams
         #: queries already flooded into the network, keyed by value (two

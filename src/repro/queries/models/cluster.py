@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import typing
 
+from repro import checks
 from repro.network.routing.cluster import ClusterFormation
 from repro.queries.ast import Query
 from repro.queries.classifier import QueryClass, base_class
@@ -38,9 +39,7 @@ class ClusterModel(ExecutionModel):
     contention_coeff = 0.3
 
     def __init__(self, head_fraction: float = 0.15) -> None:
-        if not 0.0 < head_fraction <= 1.0:
-            raise ValueError("head_fraction must be in (0, 1]")
-        self.head_fraction = head_fraction
+        self.head_fraction = checks.fraction("head_fraction", head_fraction, open_low=True)
 
     def supports(self, query: Query, ctx: QueryContext) -> bool:
         """Simple lookups and decomposable aggregates (heads merge)."""

@@ -19,6 +19,7 @@ import typing
 
 import numpy as np
 
+from repro import checks
 from repro.grid.job import ComputeJob
 from repro.queries.ast import Query
 from repro.queries.classifier import QueryClass, base_class
@@ -50,9 +51,7 @@ class RegionAverageModel(ExecutionModel):
     contention_coeff = 0.25
 
     def __init__(self, regions_per_side: int = 3) -> None:
-        if regions_per_side < 1:
-            raise ValueError("regions_per_side must be positive")
-        self.regions_per_side = regions_per_side
+        self.regions_per_side = checks.count("regions_per_side", regions_per_side, 1)
 
     def supports(self, query: Query, ctx: QueryContext) -> bool:
         """Averaging-compatible queries: AVG/SUM/COUNT aggregates and

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 
+from repro import checks
 from repro.observability.tracer import NOOP_TRACER, Tracer
 from repro.simkernel import Monitor, Simulator
 
@@ -46,13 +47,10 @@ class CircuitBreaker:
         recovery_timeout_s: float = 60.0,
         name: str = "",
     ) -> None:
-        if failure_threshold < 1:
-            raise ValueError("failure_threshold must be >= 1")
-        if recovery_timeout_s <= 0:
-            raise ValueError("recovery_timeout_s must be positive")
         self.sim = sim
-        self.failure_threshold = failure_threshold
-        self.recovery_timeout_s = recovery_timeout_s
+        self.failure_threshold = checks.count("failure_threshold", failure_threshold, 1)
+        self.recovery_timeout_s = checks.positive("recovery_timeout_s", recovery_timeout_s,
+                                                  inf=True)
         self.name = name
         self._state = CLOSED
         self._failures = 0

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import dataclasses
 
+from repro import checks
+
 
 @dataclasses.dataclass(frozen=True)
 class Hedge:
@@ -31,7 +33,5 @@ class Hedge:
     max_hedges: int = 1
 
     def __post_init__(self) -> None:
-        if self.delay_s <= 0:
-            raise ValueError("delay_s must be positive")
-        if self.max_hedges < 1:
-            raise ValueError("max_hedges must be >= 1")
+        checks.positive("delay_s", self.delay_s)
+        checks.count("max_hedges", self.max_hedges, 1)

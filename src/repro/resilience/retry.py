@@ -16,6 +16,8 @@ import math
 
 import numpy as np
 
+from repro import checks
+
 _JITTER_MODES = ("none", "full", "decorrelated")
 
 
@@ -46,16 +48,14 @@ class RetryPolicy:
     max_elapsed_s: float = math.inf
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.base_delay_s < 0 or self.max_delay_s < self.base_delay_s:
-            raise ValueError("need 0 <= base_delay_s <= max_delay_s")
-        if self.multiplier < 1.0:
-            raise ValueError("multiplier must be >= 1")
+        checks.count("max_attempts", self.max_attempts, 1)
+        if (checks.non_negative("max_delay_s", self.max_delay_s)
+                < checks.non_negative("base_delay_s", self.base_delay_s)):
+            raise ValueError("need base_delay_s <= max_delay_s")
+        checks.finite("multiplier", self.multiplier, low=1.0)
         if self.jitter not in _JITTER_MODES:
             raise ValueError(f"jitter must be one of {_JITTER_MODES}")
-        if self.max_elapsed_s <= 0:
-            raise ValueError("max_elapsed_s must be positive")
+        checks.positive("max_elapsed_s", self.max_elapsed_s, inf=True)
 
     # ------------------------------------------------------------------
     def allows(self, attempt: int, elapsed_s: float = 0.0) -> bool:

@@ -13,6 +13,7 @@ import typing
 
 import numpy as np
 
+from repro import checks
 from repro.simkernel import Monitor, RandomStreams, Simulator
 from repro.network.energy import Battery, RadioEnergyModel
 from repro.network.mobility import grid_positions, random_positions
@@ -69,14 +70,13 @@ class SensorDeployment:
         noise_std: float = 0.5,
         attribute: str = "temperature",
     ) -> None:
-        if n_sensors < 1:
-            raise ValueError("need at least one sensor")
         self.sim = sim or Simulator()
         self.streams = streams or RandomStreams(0)
         self.field = field or UniformField(20.0)
-        self.area_m = float(area_m)
-        self.n_sensors = n_sensors
-        self.n_handhelds = n_handhelds
+        self.area_m = float(checks.positive("area_m", area_m))
+        self.n_sensors = checks.count("n_sensors", n_sensors, 1)
+        self.n_handhelds = checks.count("n_handhelds", n_handhelds)
+        checks.non_negative("battery_j", battery_j, inf=True)
         self.attribute = attribute
 
         if placement == "grid":

@@ -15,6 +15,8 @@ import dataclasses
 
 import numpy as np
 
+from repro import checks
+
 
 class ScalarField:
     """A scalar function of (position, time).
@@ -38,6 +40,10 @@ class UniformField(ScalarField):
 
     level: float = 20.0
     drift_per_s: float = 0.0
+
+    def __post_init__(self) -> None:
+        checks.finite("level", self.level)
+        checks.finite("drift_per_s", self.drift_per_s)
 
     def sample_at(self, positions: np.ndarray, t: float) -> np.ndarray:
         n = np.asarray(positions).shape[0]
@@ -72,7 +78,7 @@ class HotspotField(ScalarField):
     """Background level plus a sum of Gaussian hotspots."""
 
     def __init__(self, background: float, hotspots: list[Hotspot]) -> None:
-        self.background = background
+        self.background = checks.finite("background", background)
         self.hotspots = list(hotspots)
 
     def sample_at(self, positions: np.ndarray, t: float) -> np.ndarray:
@@ -107,17 +113,17 @@ class FireField(HotspotField):
         ambient_c: float = 20.0,
         peak_c: float = 800.0,
     ) -> None:
-        if n_seats < 1:
-            raise ValueError("need at least one fire seat")
+        self.area_m = checks.positive("area_m", area_m)
+        checks.finite("ambient_c", ambient_c)
+        checks.finite("peak_c", peak_c)
         seats = []
-        for i in range(n_seats):
+        for i in range(checks.count("n_seats", n_seats, 1)):
             center = tuple(rng.uniform(0.2 * area_m, 0.8 * area_m, size=2))
             amplitude = float(rng.uniform(0.5, 1.0) * peak_c)
             sigma = float(rng.uniform(0.1, 0.25) * area_m)
             t0 = float(rng.uniform(0.0, 30.0)) if i > 0 else 0.0
             seats.append(Hotspot(center=center, amplitude=amplitude, sigma_m=sigma, t0=t0))
         super().__init__(background=ambient_c, hotspots=seats)
-        self.area_m = area_m
 
 
 class PlumeField(ScalarField):
@@ -136,14 +142,12 @@ class PlumeField(ScalarField):
         spread_m_s: float = 0.2,
         half_life_s: float = 600.0,
     ) -> None:
-        if sigma0_m <= 0 or half_life_s <= 0:
-            raise ValueError("sigma0_m and half_life_s must be positive")
         self.source = np.asarray(source, dtype=np.float64)
         self.wind = np.asarray(wind_m_s, dtype=np.float64)
-        self.initial_mass = initial_mass
-        self.sigma0_m = sigma0_m
-        self.spread_m_s = spread_m_s
-        self.half_life_s = half_life_s
+        self.initial_mass = checks.non_negative("initial_mass", initial_mass)
+        self.sigma0_m = checks.positive("sigma0_m", sigma0_m)
+        self.spread_m_s = checks.non_negative("spread_m_s", spread_m_s)
+        self.half_life_s = checks.positive("half_life_s", half_life_s)
 
     def sample_at(self, positions: np.ndarray, t: float) -> np.ndarray:
         pos = np.asarray(positions, dtype=np.float64)

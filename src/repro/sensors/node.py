@@ -6,6 +6,7 @@ import dataclasses
 
 import numpy as np
 
+from repro import checks
 from repro.network.energy import Battery, RadioEnergyModel
 from repro.sensors.field import ScalarField
 
@@ -66,14 +67,12 @@ class SensorNode:
         noise_std: float = 0.5,
         attribute: str = "temperature",
     ) -> None:
-        if noise_std < 0:
-            raise ValueError("noise_std must be non-negative")
-        self.node_id = node_id
+        self.node_id = checks.count("node_id", node_id)
         self.position = np.asarray(position, dtype=np.float64)
         self.battery = battery
         self.energy_model = energy_model
         self.rng = rng
-        self.noise_std = noise_std
+        self.noise_std = checks.non_negative("noise_std", noise_std)
         self.attribute = attribute
         self.samples_taken = 0
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import typing
 
+from repro import checks
 from repro.agents.acl import ACLMessage, Performative
 from repro.agents.agent import Agent
 from repro.agents.attributes import AgentAttributes, AgentRole
@@ -51,11 +52,9 @@ class SensorStreamAgent(Agent):
         min_period_s: float = 0.1,
     ) -> None:
         super().__init__(name, AgentAttributes.of(AgentRole.SENSOR, host_kind="sensor"))
-        if min_period_s <= 0:
-            raise ValueError("min_period_s must be positive")
         self.deployment = deployment
-        self.sensor_id = sensor_id
-        self.min_period_s = min_period_s
+        self.sensor_id = checks.count("sensor_id", sensor_id)
+        self.min_period_s = checks.positive("min_period_s", min_period_s)
         self._subscribers: dict[str, float] = {}  # name -> period
         self._ticking: set[str] = set()
         self.published = 0
@@ -125,9 +124,7 @@ class StreamCollectorAgent(Agent):
         on_batch: typing.Callable[[list[Reading]], None] | None = None,
     ) -> None:
         super().__init__(name, AgentAttributes.of(AgentRole.CLIENT))
-        if batch_size < 1:
-            raise ValueError("batch_size must be positive")
-        self.batch_size = batch_size
+        self.batch_size = checks.count("batch_size", batch_size, 1)
         self.on_batch = on_batch
         self.readings: list[Reading] = []
         self.batches = 0

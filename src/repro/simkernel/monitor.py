@@ -52,6 +52,8 @@ import typing
 
 import numpy as np
 
+from repro import checks
+
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.observability.sketch import TelemetryConfig
 
@@ -131,11 +133,6 @@ class Gauge:
         self.updates = 0
 
 
-def _check_max_raw(name: str, max_raw: int | None) -> None:
-    if max_raw is not None and max_raw < 1:
-        raise ValueError(f"{name!r}: max_raw must be >= 1 or None, got {max_raw!r}")
-
-
 def _newest(ring: typing.Sequence[float], n: int) -> typing.Sequence[float]:
     """The newest ``n`` entries of ``ring``, oldest first, in O(n)."""
     if n == len(ring):
@@ -168,10 +165,9 @@ class _SampleStore:
     __slots__ = ("name", "_values", "_max_raw", "_sketch", "_unfolded")
 
     def __init__(self, name: str, max_raw: int | None = DEFAULT_MAX_RAW) -> None:
-        _check_max_raw(name, max_raw)
         self.name = name
         self._values: typing.MutableSequence[float] = []
-        self._max_raw = max_raw
+        self._max_raw = None if max_raw is None else checks.count("max_raw", max_raw, 1)
         self._sketch = None
         self._unfolded = 0  # the newest raw entries the sketch has not seen
 
@@ -302,7 +298,8 @@ class _SampleStore:
         Shrinking ``max_raw`` below the current buffer spills and trims
         the oldest values.
         """
-        _check_max_raw(self.name, max_raw)
+        if max_raw is not None:
+            checks.count("max_raw", max_raw, 1)
         self._catch_up()
         self._max_raw = max_raw
         if self._sketch is not None:

@@ -16,6 +16,8 @@ import zlib
 
 import numpy as np
 
+from repro import checks
+
 
 class RandomStreams:
     """Factory of named, independent ``numpy.random.Generator`` streams.
@@ -38,7 +40,7 @@ class RandomStreams:
     """
 
     def __init__(self, root_seed: int = 0) -> None:
-        self.root_seed = int(root_seed)
+        self.root_seed = int(checks.count("root_seed", root_seed))
         self._streams: dict[str, np.random.Generator] = {}
 
     def get(self, name: str) -> np.random.Generator:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import typing
 
+from repro import checks
 from repro.simkernel.event import EventHandle, PRIORITY_NORMAL
 from repro.simkernel.eventlist import EventList
 
@@ -39,7 +40,7 @@ class Simulator:
     """
 
     def __init__(self, start_time: float = 0.0) -> None:
-        self._now = float(start_time)
+        self._now = float(checks.finite("start_time", start_time))
         self._events = EventList()
         self._running = False
         self._stopped = False

@@ -17,6 +17,8 @@ import dataclasses
 import math
 import typing
 
+from repro import checks
+
 if typing.TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.grid.resource import GridResource
     from repro.resilience.breaker import BreakerBoard
@@ -78,10 +80,8 @@ class TaskRequirements:
     sites: frozenset[str] | None = None
 
     def __post_init__(self) -> None:
-        if not self.min_ops_rate >= 0:
-            raise ValueError("min_ops_rate must be non-negative")
-        if not self.max_backlog_s >= 0:
-            raise ValueError("max_backlog_s must be non-negative")
+        checks.non_negative("min_ops_rate", self.min_ops_rate)
+        checks.non_negative("max_backlog_s", self.max_backlog_s, inf=True)
 
     def accepts(self, desc: ResourceDescription) -> bool:
         """Does ``desc`` satisfy every requirement?"""

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import typing
 
+from repro import checks
 from repro.grid.job import ComputeJob, JobResult
 from repro.grid.resource import GridResource
 from repro.simkernel import Simulator
@@ -74,14 +75,11 @@ class PilotWorker:
         breakers: "BreakerBoard | None" = None,
         max_attempts: int = 3,
     ) -> None:
-        if (isinstance(max_attempts, bool) or not isinstance(max_attempts, int)
-                or max_attempts < 1):
-            raise ValueError(f"max_attempts must be an int >= 1, got {max_attempts!r}")
         self.sim = sim
         self.queue = queue
         self.resource = resource
         self.breakers = breakers
-        self.max_attempts = max_attempts
+        self.max_attempts = checks.count("max_attempts", max_attempts, 1)
         self.tasks_run = 0
         self.tasks_failed = 0
         self._started = False

@@ -28,9 +28,9 @@ head task first exceeds the starvation threshold.
 from __future__ import annotations
 
 import collections
-import math
 import typing
 
+from repro import checks
 from repro.observability.tracer import NOOP_TRACER, Tracer
 from repro.simkernel import Monitor, Simulator
 from repro.wms.matching import ResourceDescription
@@ -128,12 +128,10 @@ class TaskQueueService:
         names = [c.name for c in classes]
         if len(set(names)) != len(names):
             raise ValueError("priority class names must be unique")
-        if not (math.isfinite(starvation_s) and starvation_s > 0):
-            raise ValueError("starvation_s must be finite and positive")
         self.sim = sim
         self.monitor = monitor
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        self.starvation_s = float(starvation_s)
+        self.starvation_s = float(checks.positive("starvation_s", starvation_s))
         self._classes: dict[str, _ClassQueue] = {
             spec.name: _ClassQueue(spec, i) for i, spec in enumerate(classes)
         }

@@ -16,6 +16,7 @@ import itertools
 import math
 import typing
 
+from repro import checks
 from repro.grid.job import ComputeJob
 from repro.wms.matching import NO_REQUIREMENTS, TaskRequirements
 
@@ -41,8 +42,7 @@ class PriorityClass:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("priority classes need a name")
-        if not (math.isfinite(self.weight) and self.weight > 0):
-            raise ValueError("weight must be finite and positive")
+        checks.positive("weight", self.weight)
 
 
 #: The default three-tier catalog: handheld interactive queries beat
@@ -108,11 +108,10 @@ class Task:
     attempts: int = 0
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.ops) and self.ops >= 0):
-            raise ValueError("ops must be finite and non-negative")
-        # the claiming pilot's ComputeJob would reject these mid-run
-        if not (0.0 <= self.input_bits < math.inf and 0.0 <= self.output_bits < math.inf):
-            raise ValueError("bit counts must be finite and non-negative")
+        # the claiming pilot's ComputeJob would reject bad values mid-run
+        checks.non_negative("ops", self.ops)
+        checks.non_negative("input_bits", self.input_bits)
+        checks.non_negative("output_bits", self.output_bits)
 
     @property
     def queue_wait_s(self) -> float:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro import checks
+
 from repro.queries.ast import Query
 from repro.queries.language import parse_query
 
@@ -42,18 +44,14 @@ class QueryWorkload:
         mix: tuple[float, float, float, float] = (0.3, 0.4, 0.15, 0.15),
         cost_prob: float = 0.2,
     ) -> None:
-        if n_sensors < 1 or rooms < 1:
-            raise ValueError("n_sensors and rooms must be positive")
-        total = float(sum(mix))
-        if total <= 0 or len(mix) != 4 or any(m < 0 for m in mix):
-            raise ValueError("mix must be 4 non-negative weights")
-        if not 0.0 <= cost_prob <= 1.0:
-            raise ValueError("cost_prob must be in [0, 1]")
+        if len(mix) != 4:
+            raise ValueError(f"mix must hold 4 weights, got {mix!r}")
+        total = checks.positive("sum(mix)", sum(checks.non_negative("mix", m) for m in mix))
         self.rng = rng
-        self.n_sensors = n_sensors
-        self.rooms = rooms
+        self.n_sensors = checks.count("n_sensors", n_sensors, 1)
+        self.rooms = checks.count("rooms", rooms, 1)
         self.mix = tuple(m / total for m in mix)
-        self.cost_prob = cost_prob
+        self.cost_prob = checks.fraction("cost_prob", cost_prob)
         self.generated = 0
 
     # ------------------------------------------------------------------

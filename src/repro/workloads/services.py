@@ -13,6 +13,7 @@ import dataclasses
 
 import numpy as np
 
+from repro import checks
 from repro.discovery.description import ServiceDescription
 
 #: (category, weight, attribute generator name) rows for the population.
@@ -64,7 +65,7 @@ class ServicePopulation:
         host_nodes: list[int] | None = None,
     ) -> None:
         self.rng = rng
-        self.area_m = area_m
+        self.area_m = checks.positive("area_m", area_m)
         self.host_nodes = host_nodes
         self._counter = 0
 

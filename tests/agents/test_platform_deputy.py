@@ -6,9 +6,7 @@ import pytest
 from repro.agents import (
     ACLMessage,
     Agent,
-    AgentAttributes,
     AgentPlatform,
-    AgentRole,
     DirectDeputy,
     NetworkDeputy,
     Performative,
@@ -76,13 +74,6 @@ class TestPlatformBasics:
         echo = EchoAgent("e")
         platform.register(echo)
         assert echo.received == []  # setup ran and created the list
-
-    def test_agents_with_role(self):
-        sim, platform = wired_platform()
-        platform.register(Agent("b", AgentAttributes.of(AgentRole.BROKER)))
-        platform.register(Agent("c", AgentAttributes.of(AgentRole.CLIENT)))
-        brokers = platform.agents_with_role(AgentRole.BROKER)
-        assert [a.name for a in brokers] == ["b"]
 
     def test_send_requires_registration(self):
         a = Agent("loner")

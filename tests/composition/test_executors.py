@@ -6,10 +6,8 @@ import pytest
 from repro.composition import HTNPlanner, build_pervasive_domain
 from repro.composition.executors import (
     build_stream_mining_providers,
-    make_aggregation_executor,
     make_combiner_executor,
     make_decision_tree_executor,
-    make_pde_executor,
     make_spectrum_executor,
 )
 from repro.datamining import DecisionTree, LabeledStream, accuracy, partition_stream
@@ -45,19 +43,6 @@ class TestIndividualExecutors:
         fn = make_combiner_executor(D)({}, {"select": spectrum})
         X = np.random.default_rng(3).integers(0, 2, size=(20, D), dtype=np.uint8)
         assert np.all(fn.predict(X) == 0)
-
-    def test_pde_executor(self):
-        positions = np.array([[5.0, 5.0], [25.0, 25.0]])
-        values = np.array([100.0, 20.0])
-        field = make_pde_executor(area_m=30.0, resolution=12)(
-            {}, {"collect": {"positions": positions, "values": values}})
-        assert field.shape == (12, 12)
-        assert 20.0 - 1e-6 <= field.min() and field.max() <= 100.0 + 1e-6
-
-    def test_aggregation_executor(self):
-        ex = make_aggregation_executor()
-        assert ex({}, {"in": [1.0, 2.0, 3.0]}) == pytest.approx(2.0)
-        assert ex({"func": "MAX"}, {"in": [1.0, 9.0]}) == pytest.approx(9.0)
 
 
 class TestStreamMiningEconomy:

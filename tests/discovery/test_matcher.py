@@ -24,6 +24,7 @@ from repro.discovery import (
     build_service_ontology,
 )
 from repro.discovery.constraints import numeric_value
+from repro.discovery.matcher import ServiceTable
 from repro.workloads import ServicePopulation
 from tests.discovery import oracle, strategies
 
@@ -295,6 +296,19 @@ class TestRank:
         backward = [(r.service.name, r.score) for r in matcher.rank(req, candidates[::-1])]
         assert forward == backward == [("a", 1.0), ("b", 0.75), ("d", 0.75), ("c", 0.5)]
 
+    def test_code_index_follows_the_live_rows(self, matcher):
+        """2,000 services with distinct inputs, each advertised, searched
+        and withdrawn: the signature codes stay within about twice the
+        live rows instead of keeping one per signature ever held."""
+        table = ServiceTable()
+        req = ServiceRequest(category="PrinterService")
+        for i in range(2000):
+            table.put(dataclasses.replace(printer(f"p{i}"), inputs=(f"Type{i}",)))
+            assert [r.service.name for r in matcher.rank(req, table)] == [f"p{i}"]
+            table.remove(f"p{i}")
+            assert len(table.codes("signature")[1]) <= 2 * len(table) + 1
+        assert table.codes("signature")[1] == []
+
 
 class TestMatchResult:
     def test_fields_and_sort_key(self):
@@ -453,7 +467,8 @@ class TestRankMatchesOracle:
         """Searches interleaved with every kind of write over one registry
         table: its columns are built at a few rows, grow past twice that
         size, see cells change kind (exact -> other -> absent -> exact) and
-        shrink again through withdrawals.  Every request carries a ``!=``,
+        shrink again through withdrawals, past the point where the code
+        columns of distinct signatures are rebuilt.  Every request carries a ``!=``,
         which absent, other and NaN cells must not pass as NaN != x.  Each
         search equals the reference rank over the live listing."""
         draw = data.draw
@@ -474,12 +489,18 @@ class TestRankMatchesOracle:
             registry.advertise(service)
             live[service.name] = service
 
+        def fresh(values):
+            service = draw(_hosted(next(names), values))
+            if draw(st.booleans()):  # a signature no other service holds
+                service = dataclasses.replace(service, inputs=(*service.inputs, service.name))
+            return service
+
         first = draw(st.integers(1, 4))
         for _ in range(first):  # no other cells yet: each "any other" flag is down
-            write(draw(_hosted(next(names), strategies.exact_values)))
+            write(fresh(strategies.exact_values))
         search()
         for _ in range(2 * first + draw(st.integers(1, 6))):
-            write(draw(_hosted(next(names), strategies.attribute_values)))
+            write(fresh(strategies.attribute_values))
             if draw(st.booleans()):
                 search()
         for _ in range(draw(st.integers(1, 8))):

@@ -137,17 +137,6 @@ class TestUplinkAvailability:
         assert edges == [False, True]  # unsubscribed: no further edges
         uplink.unsubscribe(callback)  # second removal is a no-op
 
-    def test_offline_transfer_queues_and_drains(self):
-        sim = Simulator()
-        uplink = Uplink(sim, queue_when_offline=True)
-        done = []
-        uplink.set_online(False)
-        assert uplink.transfer(1e6, lambda: done.append(sim.now)) == math.inf
-        sim.schedule(5.0, lambda: uplink.set_online(True))
-        sim.run()
-        assert uplink.transfers == 1
-        assert done and done[0] >= 5.0
-
 
 class TestOffloadFailurePaths:
     def test_estimate_offload_time_inf_when_offline(self):

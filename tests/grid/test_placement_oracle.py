@@ -35,15 +35,14 @@ outage = st.tuples(st.floats(min_value=0.0, max_value=60.0),
 class World:
     """One grid behind a traced, monitored (optionally profiled) simulator."""
 
-    def __init__(self, grid_cls, sites, outages, queue_when_offline, profiled):
+    def __init__(self, grid_cls, sites, outages, profiled):
         self.sim = Simulator()
         self.tracer = Tracer(self.sim)
         self.sim.tracer = self.tracer
         self.profiler = HookProfiler() if profiled else None
         self.sim.profiler = self.profiler
         self.monitor = Monitor()
-        uplink = Uplink(self.sim, bandwidth_bps=1e5, latency_s=0.05,
-                        queue_when_offline=queue_when_offline)
+        uplink = Uplink(self.sim, bandwidth_bps=1e5, latency_s=0.05)
         self.grid = grid_cls(self.sim, site_rates=[rate for rate, _ in sites],
                              uplink=uplink, monitor=self.monitor, tracer=self.tracer)
         for i, (resource, (_, fail_prob)) in enumerate(zip(self.grid.resources, sites)):
@@ -92,13 +91,12 @@ class World:
 
 @settings(max_examples=150, deadline=None)
 @given(st.lists(site, min_size=1, max_size=4), st.lists(offload, max_size=20),
-       st.lists(outage, max_size=3), st.booleans(), st.booleans())
-@example([(1e4, 0.0)] * 3, [(0.0, 1e3, 0.0, 0.0)] * 4, [], False, True)  # ties
-@example([(1e3, 0.0), (1e5, 0.0)], [(0.0, 5e4, 1e3, 1e3)] * 3, [(0.02, 5.0)], False, False)
-def test_placement_matches_mct_reference(sites, offloads, outages, queue_when_offline,
-                                         profiled):
-    fast = World(GridInfrastructure, sites, outages, queue_when_offline, profiled)
-    ref = World(ReferenceGrid, sites, outages, queue_when_offline, profiled)
+       st.lists(outage, max_size=3), st.booleans())
+@example([(1e4, 0.0)] * 3, [(0.0, 1e3, 0.0, 0.0)] * 4, [], True)  # ties
+@example([(1e3, 0.0), (1e5, 0.0)], [(0.0, 5e4, 1e3, 1e3)] * 3, [(0.02, 5.0)], False)
+def test_placement_matches_mct_reference(sites, offloads, outages, profiled):
+    fast = World(GridInfrastructure, sites, outages, profiled)
+    ref = World(ReferenceGrid, sites, outages, profiled)
     observed = fast.run(offloads).observe()
     assert observed == ref.run(offloads).observe()
     dispatches = sum(e["name"] == "grid.dispatch" for e in observed["events"])

@@ -78,11 +78,6 @@ class TestGossip:
         gossip = self.make(topo, prob=0.5, fanout=1, seed=1).disseminate(0, 100.0)
         assert gossip.energy_j < flood.energy_j
 
-    def test_expected_coverage_in_unit_interval(self):
-        topo = grid_topology(16)
-        cov = self.make(topo, prob=0.7, fanout=2).expected_coverage(0, 100.0, trials=5)
-        assert 0.0 < cov <= 1.0
-
     def test_reproducible_with_same_rng(self):
         topo = grid_topology()
         a = self.make(topo, prob=0.6, fanout=2, seed=9).disseminate(0, 100.0)

@@ -46,7 +46,7 @@ class TestRecorder:
     def test_nan_is_legal_infinity_is_not(self):
         recorder = BenchRecorder()
         recorder.record("E2", "p95", math.nan)
-        with pytest.raises(ValueError, match="infinite"):
+        with pytest.raises(ValueError, match="E2/p50 must be finite"):
             recorder.record("E2", "p50", math.inf)
 
     def test_validation(self):
@@ -54,7 +54,7 @@ class TestRecorder:
             BenchResult("", "m", 1.0)
         with pytest.raises(ValueError, match="direction"):
             BenchResult("E1", "m", 1.0, direction="sideways")
-        with pytest.raises(ValueError, match="infinite"):
+        with pytest.raises(ValueError, match="E1/m must be finite"):
             BenchResult("E1", "m", -math.inf)
 
     def test_params_hash_is_order_insensitive(self):
@@ -101,7 +101,7 @@ class TestLoadErrors:
         the path, as the recorder refuses it on record."""
         row = {"experiment": "E1", "metric": "m", "value": 1.0}
         for rows, message in (
-                ([{**row, "value": math.inf}], "E1/m: value must not be infinite"),
+                ([{**row, "value": math.inf}], "E1/m must be finite, got inf"),
                 ([row, {**row, "value": 2.0}], r"duplicate bench result \('E1', 'm'")):
             path = tmp_path / "bad.json"
             path.write_text(json.dumps({"schema": 1, "results": rows}))
